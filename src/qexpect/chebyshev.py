@@ -5,10 +5,15 @@ The exponential of a Hermitian operator with spectrum in [-1, 1] obeys
     exp(-i*z*x) = sum_k (2 - delta_k0) * (-i)^k * J_k(z) * T_k(x),
 
 so applying ``exp(-i*L*t)`` reduces to Bessel coefficients plus a Chebyshev
-recurrence in the rescaled operator. This module generates the coefficients
-stably (backward/Miller recurrence), picks truncation orders, evaluates the
-polynomial acting on a vector via the Clenshaw recurrence, and provides the
-step-wise propagation engine.
+recurrence in the rescaled operator. This module generates the coefficients,
+picks truncation orders, evaluates the polynomial acting on a vector via the
+Clenshaw recurrence, and provides the step-wise propagation engine.
+
+Every Bessel value comes from one kernel, a backward (Miller) recurrence
+vectorised over columns of times: :func:`bessel_sequence` is its one-column
+case and :func:`coefficient_grid` its many-column case. Every truncation
+order comes from one scan over that kernel's table, shared by
+:func:`stop_order` and :func:`coefficient_grid`.
 """
 
 from __future__ import annotations
@@ -37,73 +42,54 @@ __all__ = [
 
 DEFAULT_EPS = 1e-7
 
-_RESCALE_LIMIT = 1e250
-_RESCALE_FACTOR = 1e-250
 # Powers of (-i): coefficient k carries _PHASES[k % 4].
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _miller_start(t: float, n_max: int) -> int:
-    """Backward-recurrence start order: requested range plus a safety buffer.
+def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
+    """``J_0(t) .. J_n_max(t)`` for every time in ``ts``, one column each.
 
-    The buffer absorbs the arbitrary seed. It must clear the turning point
-    near ``k = t``, where orders only shrink by ~``1 - O(t^(-1/3))`` per
-    step (Airy regime); the cubic-root term provides roughly sixteen decades
-    of decay there. The backward pass is linear in the start order, so
-    being generous is cheap.
+    Miller's backward recurrence in ratio form, ``r_k = J_k / J_{k-1} =
+    t / (2k - t*r_{k+1})``, started from ``r = 0`` at a buffered order above
+    both ``n_max`` and the largest ``t``. The buffer absorbs the arbitrary
+    start: it must clear the turning point near ``k = t``, where orders only
+    shrink by ~``1 - O(t^(-1/3))`` per step (Airy regime), and the cube-root
+    term provides roughly sixteen decades of decay there. The ratios need no
+    rescaling at any ``t >= 0``, including tiny times where the plain
+    recurrence grows past the double range, and ``t = 0`` gives exactly
+    ``J_0 = 1``. The running products ``J_k / J_0`` are normalised with
+    ``J_0 + 2*sum_k J_2k = 1``.
     """
-    n_eff = max(n_max, math.ceil(t))
-    buffer = max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * t ** (1.0 / 3.0)))
-    return n_eff + buffer
+    t_max = float(ts.max())
+    n_eff = max(n_max, math.ceil(t_max))
+    top = n_eff + max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * np.cbrt(t_max)))
+    p = np.empty((top + 1, ts.shape[0]))
+    p[0] = 1.0
+    r = np.zeros(ts.shape[0])
+    for k in range(top, 0, -1):
+        r = ts / (2.0 * k - ts * r)
+        p[k] = r
+    np.cumprod(p, axis=0, out=p)
+    norm = 1.0 + 2.0 * p[2::2].sum(axis=0)
+    if not np.all(np.isfinite(norm)):
+        raise ArithmeticError(f"Bessel normalisation failed for t <= {t_max}, n={n_max}")
+    j = p[: n_max + 1]
+    j /= norm
+    return j
 
 
 def bessel_sequence(t: float, n_max: int) -> np.ndarray:
     """Bessel functions of the first kind ``J_0(t) .. J_n(t)``.
 
-    Runs the three-term recurrence backward from a buffered start order
-    (the forward direction is unstable once the order exceeds ``t``) and
-    normalises with ``J_0 + 2*sum_k J_2k = 1``. Exact at ``t == 0``.
+    The one-column case of the backward recurrence behind every coefficient
+    (the forward direction is unstable once the order exceeds ``t``). Exact
+    at ``t == 0``.
     """
     if t < 0:
         raise ValueError("argument must be non-negative")
     if n_max < 0:
         raise ValueError("order must be non-negative")
-    out = np.zeros(n_max + 1)
-    if t == 0.0:
-        out[0] = 1.0
-        return out
-
-    m_start = _miller_start(t, n_max)
-    j_up = 0.0  # J~_{k+1}
-    j_cur = 1e-30  # J~_k, arbitrary seed absorbed by normalisation
-    norm = 0.0
-    rescale_marks: list[int] = []
-    for k in range(m_start, -1, -1):
-        if k <= n_max:
-            out[k] = j_cur
-        if k % 2 == 0:
-            norm += j_cur if k == 0 else 2.0 * j_cur
-        j_down = (2.0 * k / t) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        if abs(j_cur) > _RESCALE_LIMIT:
-            j_cur *= _RESCALE_FACTOR
-            j_up *= _RESCALE_FACTOR
-            norm *= _RESCALE_FACTOR
-            rescale_marks.append(k)
-
-    if rescale_marks:
-        # Entry j was written before every rescale event at k <= j, so it is
-        # a factor 1e250 too large per such event relative to the final
-        # scale of `norm`. Double-underflow of the correction to 0.0 is the
-        # honest value for those entries.
-        marks = np.array(sorted(rescale_marks))
-        pending = marks.searchsorted(np.arange(n_max + 1), side="right")
-        out *= np.power(_RESCALE_FACTOR, pending.astype(float))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ArithmeticError(f"Bessel normalisation failed for t={t}, n={n_max}")
-    out /= norm
-    return out
+    return _bessel_columns(np.array([float(t)]), n_max)[:, 0]
 
 
 def error_bound(t: float, m: int) -> float:
@@ -124,12 +110,65 @@ def error_bound(t: float, m: int) -> float:
     return 4.0 * math.exp(log_val)
 
 
-def _order_guess(t: float, eps: float) -> int:
-    """Smallest m with ``error_bound(t, m) < eps``; seed for the order search."""
-    m = max(math.ceil(t) + 1, 2)
-    while error_bound(t, m) >= eps:
-        m = max(m + 1, math.ceil(m * 1.1))
-    return m
+def _order_guess(ts: np.ndarray, eps: float) -> np.ndarray:
+    """Smallest m found with ``error_bound(t, m) < eps`` per time; sizes the scan."""
+    m = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2).astype(float)
+    log_eps = math.log(eps)
+    for _ in range(400):
+        x = np.maximum(ts / (2.0 * m), 1e-300)  # the floor keeps log(x) finite at t = 0
+        log_bound = math.log(4.0) + m * (1.0 - x * x + np.log(x))
+        bad = log_bound >= log_eps
+        if not bad.any():
+            break
+        m = np.where(bad, np.ceil(m * 1.1) + 1.0, m)
+    return m.astype(np.int64)
+
+
+def _stop_scan(ts: np.ndarray, eps: float, single: bool = False):
+    """Stopping order per time, with the Bessel table it was read from.
+
+    Returns ``(n_stop, j)`` where ``j[k, i] = J_k(ts[i])`` for every k up to
+    at least ``n_stop[i]``. The two-coefficient rule takes the first
+    ``n > t`` (and ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``;
+    ``single`` takes the first ``n >= 1`` with ``|c_n| < eps``. The table is
+    sized by the a-priori order guess; columns without a hit in it are run
+    again through the same recurrence with a window widened by half.
+    """
+    n_t = ts.shape[0]
+    if single:
+        first = np.ones(n_t, dtype=np.int64)
+    else:
+        first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
+    cap = int(np.max(np.maximum(_order_guess(ts, eps), first))) + 8
+    n_stop = np.zeros(n_t, dtype=np.int64)
+    cols = np.arange(n_t)
+    j = part = _bessel_columns(ts, cap)
+    while True:
+        # |c_k| = 2|J_k| for every k >= 1 that either rule tests
+        if single:
+            hit = np.abs(part) < 0.5 * eps
+        else:
+            hit = np.zeros(part.shape, dtype=bool)
+            hit[1:] = np.hypot(part[:-1], part[1:]) < 0.5 * eps
+        hit &= np.arange(part.shape[0])[:, None] >= first[cols]
+        found = hit.any(axis=0)
+        n_stop[cols[found]] = hit.argmax(axis=0)[found]
+        cols = cols[~found]
+        if not cols.size:
+            break
+        cap = math.ceil(cap * 1.5) + 8
+        part = _bessel_columns(ts[cols], cap)
+        j = np.pad(j, ((0, part.shape[0] - j.shape[0]), (0, 0)))
+        j[:, cols] = part
+    n_stop[ts == 0.0] = 1  # c_0 alone is exact at t = 0
+    return n_stop, j
+
+
+def _coefficient_factors(n: int) -> np.ndarray:
+    """``(2 - delta_k0) * (-i)^k`` for ``k <= n``."""
+    factors = 2.0 * _PHASES[np.arange(n + 1) % 4]
+    factors[0] = 1.0
+    return factors
 
 
 def stop_order(t_scaled: float, eps: float, criterion: str = "two_term") -> int:
@@ -153,47 +192,13 @@ def stop_order(t_scaled: float, eps: float, criterion: str = "two_term") -> int:
         raise ValueError("eps must lie in (0, 1)")
     if criterion not in ("two_term", "single"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if t_scaled == 0.0:
-        return 1
-
-    start = 1 if criterion == "single" else max(math.ceil(t_scaled) + 1, 2)
-    hi = max(_order_guess(t_scaled, eps), start) + 8
-    while True:
-        j = bessel_sequence(t_scaled, hi)
-        mags = 2.0 * np.abs(j)
-        mags[0] = abs(j[0])
-        if criterion == "single":
-            hits = np.nonzero(mags[start : hi + 1] < eps)[0]
-        else:
-            hits = np.nonzero(
-                np.hypot(mags[start - 1 : hi], mags[start : hi + 1]) < eps
-            )[0]
-        if hits.size:
-            return start + int(hits[0])
-        hi = math.ceil(hi * 1.5) + 8
+    n_stop, _ = _stop_scan(np.array([float(t_scaled)]), eps, single=criterion == "single")
+    return int(n_stop[0])
 
 
 def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
     """Coefficients ``c_k = (2 - delta_k0) * (-i)^k * J_k(t_scaled)``, k <= n."""
-    j = bessel_sequence(t_scaled, n)
-    c = (2.0 * j) * _PHASES[np.arange(n + 1) % 4]
-    c[0] = j[0]
-    return c
-
-
-def _order_guess_vec(ts: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorised :func:`_order_guess` over a grid of rescaled times."""
-    m = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2).astype(float)
-    log_eps = math.log(eps)
-    positive = ts > 0
-    for _ in range(400):
-        x = np.where(positive, ts / (2.0 * m), 0.5)
-        log_bound = math.log(4.0) + m * (1.0 - x * x + np.log(x))
-        bad = (log_bound >= log_eps) & positive
-        if not bad.any():
-            break
-        m = np.where(bad, np.ceil(m * 1.1) + 1.0, m)
-    return m.astype(np.int64)
+    return bessel_sequence(t_scaled, n) * _coefficient_factors(n)
 
 
 def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,85 +207,21 @@ def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, 
     Returns ``(C, n_used)`` where column i holds ``c_k(t_i)`` for
     ``k <= n_used[i]`` (zeros above) and ``n_used[i]`` is the two-coefficient
     stopping order for ``t_i`` capped at ``max_order``. Equivalent to calling
-    :func:`stop_order` and :func:`scalar_coefficients` per time, but the
-    backward recurrences for all columns run in one vectorised sweep, each
-    column seeded at its own buffered start order.
+    :func:`stop_order` and :func:`scalar_coefficients` per time, but one
+    vectorised backward recurrence serves all columns.
     """
     ts = np.asarray(t_values, dtype=float)
     if ts.ndim != 1:
         raise ValueError("t_values must be 1-D")
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):
         raise ValueError("rescaled times must be non-negative")
-    n_t = ts.shape[0]
-    is_zero = ts == 0.0
-    safe_t = np.where(is_zero, 1.0, ts)
-
-    start_scan = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
-    scan_cap = np.maximum(_order_guess_vec(ts, eps), start_scan) + 8
-    n_eff = np.maximum(scan_cap, np.ceil(ts).astype(np.int64))
-    buffer = np.maximum.reduce([
-        np.full(n_t, 20, dtype=np.int64),
-        np.ceil(0.1 * n_eff).astype(np.int64),
-        np.ceil(12.0 * np.cbrt(ts)).astype(np.int64),
-    ])
-    seed_at = n_eff + buffer
-
-    rows = int(scan_cap.max()) + 1
-    out = np.zeros((rows, n_t))
-    j_up = np.zeros(n_t)
-    j_cur = np.zeros(n_t)
-    norm = np.zeros(n_t)
-    for k in range(int(seed_at.max()), -1, -1):
-        seeding = seed_at == k
-        if seeding.any():
-            j_cur = np.where(seeding, 1e-30, j_cur)
-        if k < rows:
-            out[k] = j_cur
-        if k % 2 == 0:
-            norm += j_cur if k == 0 else 2.0 * j_cur
-        j_down = (2.0 * k / safe_t) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        over = np.abs(j_cur) > _RESCALE_LIMIT
-        if over.any():
-            j_cur[over] *= _RESCALE_FACTOR
-            j_up[over] *= _RESCALE_FACTOR
-            norm[over] *= _RESCALE_FACTOR
-            out[:, over] *= _RESCALE_FACTOR
-
-    out[:, is_zero] = 0.0
-    out[0, is_zero] = 1.0
-    norm[is_zero] = 1.0
-    good = np.isfinite(norm) & (norm != 0.0)
-    out[:, good] /= norm[good]
-
-    # per-column two-coefficient stopping order within the scan window
-    mags = 2.0 * np.abs(out)
-    mags[0] *= 0.5
-    pair_ok = np.zeros((rows, n_t), dtype=bool)
-    pair_ok[1:] = np.hypot(mags[:-1], mags[1:]) < eps
-    k_idx = np.arange(rows)[:, None]
-    pair_ok &= (k_idx >= start_scan[None, :]) & (k_idx <= scan_cap[None, :])
-    found = pair_ok.any(axis=0)
-    n_found = np.argmax(pair_ok, axis=0)
-    n_found[is_zero] = 1
-    found |= is_zero
-
-    n_used = np.minimum(n_found, max_order)
-    m_rows = min(rows, max_order + 1)
-    factors = 2.0 * _PHASES[np.arange(m_rows) % 4]
-    factors[0] = 1.0
-    coeff = np.zeros((max_order + 1, n_t), dtype=np.complex128)
-    coeff[:m_rows] = out[:m_rows] * factors[:, None]
-    coeff[np.arange(max_order + 1)[:, None] > n_used[None, :]] = 0.0
-
-    # rare escapes (stopping order beyond the scan window, bad normalisation)
-    for i in np.nonzero(~(found & good))[0]:
-        n_i = min(stop_order(ts[i], eps), max_order)
-        c_i = scalar_coefficients(ts[i], n_i)
-        coeff[:, i] = 0.0
-        coeff[: n_i + 1, i] = c_i
-        n_used[i] = n_i
+    n_stop, j = _stop_scan(ts, eps)
+    n_used = np.minimum(n_stop, max_order)
+    rows = min(j.shape[0], max_order + 1)
+    j = j[:rows]
+    np.copyto(j, 0.0, where=np.arange(rows)[:, None] > n_used)
+    coeff = np.zeros((max_order + 1, ts.shape[0]), dtype=np.complex128)
+    np.multiply(j, _coefficient_factors(rows - 1)[:, None], out=coeff[:rows])
     return coeff, n_used
 
 

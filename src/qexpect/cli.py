@@ -23,7 +23,7 @@ import multiprocessing
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -246,12 +246,15 @@ def write_trace_csv(trace: ExpectationTrace, path) -> None:
 
 def read_trace_csv(path) -> ExpectationTrace:
     """Read a file written by :func:`write_trace_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
-            raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
-        labels = tuple(col[3:] for col in header[1::2])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    if header[0] != "t" or (len(header) - 1) % 2 != 0 or data.shape[1] != len(header):
+        raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
+    labels = tuple(col[3:] for col in header[1::2])
     times = data[:, 0]
     values = data[:, 1::2] + 1j * data[:, 2::2]
     return ExpectationTrace(times=times, labels=labels, values=values.T)
@@ -464,18 +467,7 @@ def _load_config(path, overrides) -> RunConfig:
             cfg = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for key, value in overrides.items():
-        if value is not None:
-            cfg = _replace_config(cfg, key, value)
-    return cfg
-
-
-def _replace_config(cfg: RunConfig, key, value) -> RunConfig:
-    fields = {f: getattr(cfg, f) for f in (
-        "system", "engine", "dt", "steps", "eps", "tau", "xi", "xi_apo",
-        "m_max", "observables", "fid_path", "spectrum_path")}
-    fields[key] = value
-    return RunConfig(**fields)
+    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -575,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--eps", type=float, default=1e-7)
     bench.add_argument("--xi", type=float)
     bench.add_argument("--timeout", type=float, default=300.0)
-    bench.add_argument("--threads", type=int, default=1,
-                       help="reserved for parallel dispatch; timings are "
-                            "always taken single-threaded")
     bench.add_argument("--oracle-cap", type=int, default=1024)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", help="also write machine-readable csv here")

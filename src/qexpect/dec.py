@@ -25,6 +25,7 @@ import time
 import numpy as np
 
 from .chebyshev import DEFAULT_EPS, coefficient_grid, scalar_coefficients, stop_order
+from .errors import ConfigError
 from .sparse import SparseMatrix, matvec_counter, spmv
 from .spectral import ScalingParams, extreme_eigs, rescale
 from .trace import ExpectationTrace, normalize_observables
@@ -138,7 +139,7 @@ def _check_time(series: DECSeries, t: float) -> float:
     if t > series.tau:
         if t <= series.tau * (1.0 + _CLAMP_REL):
             return series.tau
-        raise ValueError(
+        raise ConfigError(
             f"time {t} exceeds the precomputed horizon tau={series.tau}; "
             "re-run the precomputation with a larger tau"
         )
@@ -165,7 +166,7 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
     times = np.asarray(times, dtype=float)
     bad = np.nonzero((times < 0) | (times > series.tau * (1.0 + _CLAMP_REL)))[0]
     if bad.size:
-        raise ValueError(
+        raise ConfigError(
             f"grid point {bad[0]} (t={times[bad[0]]}) lies outside "
             f"[0, tau={series.tau}]"
         )
@@ -213,17 +214,33 @@ def save_series(series: DECSeries, path) -> None:
 
 
 def load_series(path) -> DECSeries:
-    """Read a sidecar written by :func:`save_series`."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != MAGIC:
-            raise ValueError(
-                f"{path}: bad magic {magic!r}, expected {MAGIC.decode()} sidecar"
-            )
-        header = json.loads(fh.readline().decode("utf-8"))
-        raw = fh.read()
-    n_obs = len(header["labels"])
-    n_orders = int(header["n_orders"])
+    """Read a sidecar written by :func:`save_series`.
+
+    Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
+    or holds a different number of data bytes than its header declares.
+    """
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.readline().rstrip(b"\n")
+            if magic != MAGIC:
+                raise ConfigError(
+                    f"{path}: bad magic {magic!r}, expected {MAGIC.decode()} sidecar"
+                )
+            header_line = fh.readline()
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read series {path}: {exc}") from exc
+    try:
+        header = json.loads(header_line)
+        n_obs = len(header["labels"])
+        n_orders = int(header["n_orders"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: unreadable sidecar header ({exc})") from exc
+    if len(raw) != n_obs * n_orders * 16:
+        raise ConfigError(
+            f"{path}: {len(raw)} data bytes, header declares {n_obs} x {n_orders} "
+            "complex128 values; the sidecar is truncated or corrupt"
+        )
     tilde = np.frombuffer(raw, dtype=np.complex128).reshape((n_obs, n_orders))
     return DECSeries(
         shift=header["shift"],

@@ -1,11 +1,12 @@
 """Step-wise Krylov propagation with an adaptive residual stopping rule.
 
 Each step projects ``exp(-i*L*dt) rho`` onto a fresh Krylov subspace grown
-one Lanczos vector at a time; nothing is reused between steps (a shared
-subspace across steps was considered and costs more iterations overall).
-The per-growth convergence test is ``dt * beta_{m+1} * |[exp(-i*dt*T_m)]_{m,1}|
-<= eps``, evaluated from the same small tridiagonal eigendecomposition that
-produces the step result.
+one Lanczos vector at a time by the same incremental Lanczos loop that
+estimates spectral intervals (:mod:`qexpect.spectral`); nothing is reused
+between steps (a shared subspace across steps was considered and costs more
+iterations overall). The per-growth convergence test is
+``dt * beta_{m+1} * |[exp(-i*dt*T_m)]_{m,1}| <= eps``, evaluated from the
+same small tridiagonal eigendecomposition that produces the step result.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix, matvec_counter, spmv
-from .spectral import BREAKDOWN_TOL, tridiag_expv
+from .sparse import SparseMatrix, matvec_counter
+from .spectral import _lanczos_steps, tridiag_expv
 from .trace import ExpectationTrace, normalize_observables
 
 __all__ = ["KrylovStepResult", "krylov_step", "krylov_propagate"]
@@ -43,8 +44,6 @@ def krylov_step(
     dt: float,
     eps: float = DEFAULT_EPS,
     m_max: int = DEFAULT_M_MAX,
-    reorthogonalize: bool = True,
-    safety_vector: bool = True,
 ) -> KrylovStepResult:
     """One adaptive subspace application of ``exp(-i*L*dt)``.
 
@@ -52,73 +51,30 @@ def krylov_step(
     passes, at breakdown (invariant subspace found, the result is then
     exact), or at ``m_max`` with ``converged=False``.
 
-    With ``safety_vector`` (default) the subspace is grown once more past
-    the first size passing the test. The residual estimate tracks the local
-    error only to within a small factor, and local truncation errors add up
-    nearly coherently over long unitary trajectories; the extra vector buys
-    back more than an order of magnitude of global accuracy for one matvec.
+    The subspace is grown once more past the first size passing the test (a
+    safety vector). The residual estimate tracks the local error only to
+    within a small factor, and local truncation errors add up nearly
+    coherently over long unitary trajectories; the extra vector buys back
+    more than an order of magnitude of global accuracy for one matvec.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    norm0 = np.linalg.norm(rho)
-    if norm0 == 0.0:
-        raise ValueError("state must be nonzero")
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
-
-    dim = rho.shape[0]
-    m_cap = min(m_max, dim)
-    # grow the basis in blocks; typical steps converge within a few vectors
-    basis = np.empty((dim, min(m_cap, 16)), dtype=np.complex128)
-    alphas = np.empty(m_cap)
-    betas = np.empty(m_cap)
-
-    q = rho / norm0
-    q_prev = np.zeros_like(q)
-    beta_prev = 0.0
-    col = None
-    finish_at = None
-    for j in range(m_cap):
-        if j == basis.shape[1]:
-            basis = np.concatenate(
-                [basis, np.empty((dim, min(m_cap, 2 * j) - j), dtype=np.complex128)],
-                axis=1,
-            )
-        basis[:, j] = q
-        w = spmv(l_op, q)
-        a = np.vdot(q, w).real
-        w = w - a * q - beta_prev * q_prev
-        if reorthogonalize:
-            # B_dagger w as conj(B.T conj(w)): avoids copying the basis
-            proj = np.conj(basis[:, : j + 1].T @ np.conj(w))
-            w -= basis[:, : j + 1] @ proj
-        b = np.linalg.norm(w)
-        alphas[j] = a
-        betas[j] = b
-        m = j + 1
-
-        breakdown = b < BREAKDOWN_TOL * norm0
-        last = m == m_cap
-        if finish_at is not None and (m == finish_at or breakdown or last):
-            col = tridiag_expv(alphas[:m], betas[: m - 1], dt)
-            state = basis[:, :m] @ (norm0 * col)
-            return KrylovStepResult(state=state, m_used=m, converged=True)
-        if finish_at is None and (
-            breakdown or last or m <= _TEST_EVERY_UP_TO or m % _TEST_STRIDE == 0
-        ):
-            col = tridiag_expv(alphas[:m], betas[: m - 1], dt)
-            if breakdown or dt * b * abs(col[-1]) <= eps:
-                if breakdown or last or not safety_vector:
-                    state = basis[:, :m] @ (norm0 * col)
-                    return KrylovStepResult(state=state, m_used=m, converged=True)
-                finish_at = m + 1
-        q_prev = q
-        beta_prev = b
-        q = w / b
-
-    state = basis[:, :m_cap] @ (norm0 * col)
-    return KrylovStepResult(state=state, m_used=m_cap, converged=False)
+    m_cap = min(m_max, rho.shape[0])
+    passed = False
+    for fac in _lanczos_steps(l_op, rho, m_cap):
+        m = fac.m
+        if not (passed or fac.breakdown or m == m_cap or m <= _TEST_EVERY_UP_TO
+                or m % _TEST_STRIDE == 0):
+            continue
+        col = tridiag_expv(fac.alpha, fac.beta[:-1], dt)
+        # the vector after the first passing test (the safety vector) ends the step
+        done = passed or fac.breakdown
+        passed = dt * fac.beta[-1] * abs(col[-1]) <= eps
+        if done or (passed and m == m_cap):
+            return KrylovStepResult(state=fac.basis @ (fac.norm0 * col), m_used=m,
+                                    converged=True)
+    return KrylovStepResult(state=fac.basis @ (fac.norm0 * col), m_used=m_cap, converged=False)
 
 
 def krylov_propagate(
@@ -129,7 +85,6 @@ def krylov_propagate(
     observables,
     eps: float = DEFAULT_EPS,
     m_max: int = DEFAULT_M_MAX,
-    reorthogonalize: bool = True,
 ) -> ExpectationTrace:
     """N sequential Krylov steps, recording expectations at every grid point."""
     if steps < 0:
@@ -144,8 +99,7 @@ def krylov_propagate(
     m_used = []
     unconverged = 0
     for n in range(1, steps + 1):
-        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max,
-                             reorthogonalize=reorthogonalize)
+        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
         rho = result.state
         values[:, n] = w_rows @ rho
         m_used.append(result.m_used)

@@ -145,9 +145,6 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._m.transpose())
 
-    def adjoint(self) -> "SparseMatrix":
-        return SparseMatrix(self._m.conjugate().transpose())
-
     def restrict(self, indices) -> "SparseMatrix":
         """Sub-matrix on the given row/column index set (kept in order)."""
         idx = np.asarray(indices, dtype=np.intp)

@@ -3,6 +3,10 @@
 Provides the spectral-interval estimate used to rescale operators into
 [-1, 1] for polynomial propagation, and the exponential of a Hermitian
 tridiagonal matrix used by the step-wise subspace propagator.
+
+One incremental Lanczos loop serves both: :func:`lanczos` runs it to the
+requested size, and the Krylov stepper consumes it one vector at a time,
+deciding after each vector whether to stop.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import scipy.linalg
 from .sparse import SparseMatrix, linear_combine, spmv
 
 __all__ = [
-    "LanczosFactorization",
     "ScalingParams",
     "lanczos",
     "extreme_eigs",
@@ -36,36 +39,34 @@ _SEED = 0x5EED
 
 
 @dataclass
-class LanczosFactorization:
+class _Factorization:
     """Orthonormal basis plus tridiagonal projection from a Lanczos run.
 
     ``basis`` holds m orthonormal columns; ``alpha`` the m diagonal entries;
     ``beta`` the m-1 couplings followed by one trailing residual norm
-    (``beta[-1]`` is the off-diagonal that *would* couple to vector m+1).
+    (``beta[-1]`` is the off-diagonal that *would* couple to vector m+1);
+    ``norm0`` the norm of the start vector.
     """
 
     basis: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     breakdown: bool
+    norm0: float
 
     @property
     def m(self) -> int:
         return self.alpha.shape[0]
 
 
-def lanczos(
-    l_op: SparseMatrix,
-    v0: np.ndarray,
-    m_max: int,
-    reorthogonalize: bool = True,
-) -> LanczosFactorization:
-    """Three-term recurrence building an orthonormal Krylov basis.
+def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
+                   reorthogonalize: bool = True):
+    """Grow a Lanczos factorisation of ``l_op`` from ``v0``, one vector per step.
 
-    Stops early when the next off-diagonal falls below ``BREAKDOWN_TOL``
-    relative to ``||v0||`` (an invariant subspace was found). Full
-    reorthogonalisation is on by default; at the subspace sizes used here its
-    cost is negligible and it prevents ghost copies of converged Ritz values.
+    Yields a :class:`_Factorization` of the first m vectors for m = 1, 2, ...
+    up to ``m_max``, and stops after the step whose off-diagonal falls below
+    ``BREAKDOWN_TOL`` relative to ``||v0||`` (an invariant subspace was
+    found; ``breakdown`` is then set).
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     norm0 = np.linalg.norm(v0)
@@ -75,16 +76,20 @@ def lanczos(
         raise ValueError("m_max must be positive")
 
     dim = v0.shape[0]
-    basis = np.empty((dim, m_max), dtype=np.complex128)
+    # grow the basis in blocks; a Krylov step typically stops within a few vectors
+    basis = np.empty((dim, min(m_max, 16)), dtype=np.complex128)
     alphas = np.empty(m_max)
     betas = np.empty(m_max)
 
     q = v0 / norm0
     q_prev = np.zeros_like(q)
     beta_prev = 0.0
-    breakdown = False
-    m = 0
     for j in range(m_max):
+        if j == basis.shape[1]:
+            basis = np.concatenate(
+                [basis, np.empty((dim, min(m_max, 2 * j) - j), dtype=np.complex128)],
+                axis=1,
+            )
         basis[:, j] = q
         w = spmv(l_op, q)
         a = np.vdot(q, w).real  # Hermitian operator: diagonal is real
@@ -96,17 +101,34 @@ def lanczos(
         b = np.linalg.norm(w)
         alphas[j] = a
         betas[j] = b
-        m = j + 1
-        if b < BREAKDOWN_TOL * norm0:
-            breakdown = True
-            break
+        breakdown = b < BREAKDOWN_TOL * norm0
+        yield _Factorization(basis[:, : j + 1], alphas[: j + 1], betas[: j + 1], breakdown,
+                             norm0)
+        if breakdown:
+            return
         q_prev = q
         beta_prev = b
         q = w / b
 
-    return LanczosFactorization(
-        basis=basis[:, :m], alpha=alphas[:m], beta=betas[:m], breakdown=breakdown
-    )
+
+def lanczos(
+    l_op: SparseMatrix,
+    v0: np.ndarray,
+    m_max: int,
+    reorthogonalize: bool = True,
+) -> _Factorization:
+    """Three-term recurrence building an orthonormal Krylov basis.
+
+    Returns the final factorisation (``basis``, ``alpha``, ``beta``,
+    ``breakdown`` and ``m``). Stops early when the next off-diagonal falls
+    below ``BREAKDOWN_TOL`` relative to ``||v0||`` (an invariant subspace was
+    found). Full reorthogonalisation is on by default; at the subspace sizes
+    used here its cost is negligible and it prevents ghost copies of
+    converged Ritz values.
+    """
+    for fac in _lanczos_steps(l_op, v0, m_max, reorthogonalize):
+        pass
+    return fac
 
 
 @dataclass(frozen=True)
@@ -143,7 +165,7 @@ def extreme_eigs(
     """
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
-    fac = lanczos(l_op, v0, m_max=min(m, l_op.nrows), reorthogonalize=True)
+    fac = lanczos(l_op, v0, m_max=min(m, l_op.nrows))
     if fac.m == 1:
         ritz = fac.alpha
     else:

@@ -42,10 +42,6 @@ class ExpectationTrace:
         # independently), but downstream spectrum analysis requires a
         # uniform grid and will reject anything else
 
-    @property
-    def is_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.times) > 0))
-
     def value(self, label: str) -> np.ndarray:
         """Series for one observable."""
         return self.values[self.labels.index(label)]

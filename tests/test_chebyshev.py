@@ -4,6 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexpect import (
     SparseMatrix,
@@ -274,3 +276,40 @@ def test_coefficient_grid_matches_scalar_path(rng):
         ref = scalar_coefficients(t, n_ref)
         assert np.allclose(grid[: n_ref + 1, i], ref, rtol=0, atol=1e-13)
         assert np.all(grid[n_ref + 1 :, i] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    times=st.lists(st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 300.0)),
+                   min_size=1, max_size=8),
+    eps=st.sampled_from([1e-4, 1e-7, 1e-10]),
+)
+def test_coefficient_grid_equals_scalar_path_property(times, eps):
+    # tiny times are where a plain backward recurrence needs rescaling; the
+    # cap is above every stopping order in range, so none is clipped
+    from qexpect.chebyshev import coefficient_grid
+
+    cap = 2 * stop_order(300.0, eps)
+    grid, n_used = coefficient_grid(times, eps, cap)
+    for i, t in enumerate(times):
+        n_ref = stop_order(t, eps)
+        assert n_used[i] == n_ref
+        ref = scalar_coefficients(t, n_ref)
+        assert np.max(np.abs(grid[: n_ref + 1, i] - ref)) <= 1e-13
+        assert np.all(grid[n_ref + 1 :, i] == 0.0)
+
+
+def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
+    # the a-priori guess always covers the stopping order in practice; force
+    # it to fall short so every column is re-run with a wider window
+    import qexpect.chebyshev as cheb
+
+    eps = 1e-7
+    times = np.array([0.0, 1e-9, 0.3, 7.7, 61.5, 140.0])
+    cap = stop_order(times.max(), eps)
+    expected, n_expected = cheb.coefficient_grid(times, eps, cap)
+    monkeypatch.setattr(cheb, "_order_guess", lambda ts, eps: np.full(ts.shape, 2))
+    grid, n_used = cheb.coefficient_grid(times, eps, cap)
+    assert np.array_equal(n_used, n_expected)
+    assert np.max(np.abs(grid - expected)) <= 1e-13
+    assert stop_order(140.0, eps) == cap

@@ -278,3 +278,32 @@ def test_run_config_validation():
         RunConfig(system=spec_cfg, steps=0)
     with pytest.raises(ConfigError, match="eps"):
         RunConfig(system=spec_cfg, eps=2.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau"],
+)
+def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(steps="100"))
+    sidecar = tmp_path / "series.decs"
+    assert main(["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar)]) == 0
+    data = sidecar.read_bytes()
+    args = ["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "100",
+            "--out", str(tmp_path / "fid.csv")]
+    if case == "bad_magic":
+        sidecar.write_bytes(b"NOTME" + data[5:])
+    elif case == "truncated_sidecar":
+        sidecar.write_bytes(data[:-7])
+    elif case == "missing_series":
+        args[2] = str(tmp_path / "absent.decs")
+    elif case == "missing_fid":
+        args = ["spectrum", "--fid", str(tmp_path / "absent.csv")]
+    elif case == "malformed_fid":
+        (tmp_path / "bad.csv").write_text("t,re_ip,im_ip\n0,1,oops\n")
+        args = ["spectrum", "--fid", str(tmp_path / "bad.csv")]
+    elif case == "past_tau":
+        args[6] = "101"  # one step past the stored horizon tau = 100 * dt
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err

@@ -12,10 +12,12 @@ from qexpect import (
     initial_state,
     krylov_propagate,
     krylov_step,
+    lanczos,
     observable_ip,
+    tridiag_expv,
 )
 
-from conftest import random_hermitian, random_spin_spec
+from conftest import random_hermitian, random_sparse_hermitian, random_spin_spec
 
 
 def test_step_on_eigenvector_is_single_iteration():
@@ -127,3 +129,26 @@ def test_propagate_reports_unconverged_steps(rng):
     trace = krylov_propagate(l_op, rho0, 1.0, 3, {"w": w}, eps=1e-12, m_max=4)
     assert trace.metadata["warnings"]
     assert "m_max" in trace.metadata["warnings"][0]
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.5])
+def test_step_and_lanczos_build_identical_tridiagonals(rng, monkeypatch, dt):
+    import qexpect.krylov
+
+    seen = []
+
+    def recording_expv(alpha, beta, t):
+        seen.append((np.array(alpha), np.array(beta)))
+        return tridiag_expv(alpha, beta, t)
+
+    monkeypatch.setattr(qexpect.krylov, "tridiag_expv", recording_expv)
+    l_op = random_sparse_hermitian(80, rng, density=0.3, scale=2.0)
+    rho = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    result = krylov_step(l_op, rho, dt)
+    alpha, beta = seen[-1]
+    assert alpha.size == result.m_used
+    fac = lanczos(l_op, rho, m_max=result.m_used)
+    assert np.array_equal(fac.alpha, alpha)
+    assert np.array_equal(fac.beta[:-1], beta)
+    assert np.array_equal(fac.basis @ (np.linalg.norm(rho) * tridiag_expv(alpha, beta, dt)),
+                          result.state)
