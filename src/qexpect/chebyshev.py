@@ -19,14 +19,13 @@ order comes from one scan over that kernel's table, shared by
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix, matvec_counter, spmv
+from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, rescale
-from .trace import ExpectationTrace, normalize_observables
+from .trace import ExpectationTrace, RunRecord, normalize_observables, record_steps
 
 __all__ = [
     "bessel_sequence",
@@ -291,29 +290,10 @@ def cheb_step_propagate(
         raise ValueError("steps must be non-negative")
     labels, w_rows = normalize_observables(observables, l_op.nrows)
 
-    t0 = time.perf_counter()
-    mv0 = matvec_counter.count
+    run = RunRecord("cheb", eps=eps)
     l_s = rescale(l_op, scaling)
     coeffs = coefficients(dt * scaling.D, eps)
     phase = np.exp(-1j * dt * scaling.S)
-
-    rho = np.asarray(rho0, dtype=np.complex128)
-    values = np.empty((len(labels), steps + 1), dtype=np.complex128)
-    values[:, 0] = w_rows @ rho
-    for n in range(1, steps + 1):
-        rho = phase * clenshaw_apply(l_s, coeffs, rho)
-        values[:, n] = w_rows @ rho
-
-    return ExpectationTrace(
-        times=dt * np.arange(steps + 1),
-        labels=labels,
-        values=values,
-        metadata={
-            "engine": "cheb",
-            "eps": eps,
-            "order": coeffs.n_max,
-            "matvecs": matvec_counter.count - mv0,
-            "wall_time_s": time.perf_counter() - t0,
-            "warnings": [],
-        },
-    )
+    values = record_steps(lambda rho: phase * clenshaw_apply(l_s, coeffs, rho),
+                          rho0, w_rows, steps)
+    return run.close(dt * np.arange(steps + 1), labels, values, order=coeffs.n_max)

@@ -22,7 +22,6 @@ import configparser
 import multiprocessing
 import platform
 import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,6 @@ from .dec import dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import krylov_propagate
 from .oracle import dense_eig, oracle_expect
-from .sparse import matvec_counter
 from .spectral import extreme_eigs
 from .spinsys import (
     SpinSystemSpec,
@@ -43,7 +41,7 @@ from .spinsys import (
     initial_state,
     observable_by_name,
 )
-from .trace import ExpectationTrace
+from .trace import ExpectationTrace, RunRecord
 from .zte import zte_detect, zte_propagate, zte_window
 
 ENGINES = ("dec", "cheb", "krylov", "zte", "oracle")
@@ -178,8 +176,7 @@ def _build_observables(cfg: RunConfig):
 
 def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     """Dispatch to the selected engine and return the sampled expectations."""
-    t_start = time.perf_counter()
-    mv_start = matvec_counter.count
+    run = RunRecord(cfg.engine)
     h = build_hamiltonian(cfg.system)
     l_op = build_liouvillian(h)
     rho0 = initial_state(cfg.system.n)
@@ -191,7 +188,6 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     elif cfg.engine == "dec":
         series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps)
         trace = dec_evaluate_grid(series, times)
-        trace.metadata["n_orders"] = series.n_orders
         trace.metadata["matvecs"] = series.n_orders - 1
     elif cfg.engine == "cheb":
         scaling = extreme_eigs(l_op)
@@ -214,10 +210,9 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ConfigError(f"unknown engine {cfg.engine!r}")
 
-    trace.metadata.setdefault("engine", cfg.engine)
-    trace.metadata["total_matvecs"] = matvec_counter.count - mv_start
-    trace.metadata["total_wall_time_s"] = time.perf_counter() - t_start
-    trace.metadata["liouville_dim"] = cfg.system.liouville_dim
+    total_matvecs, total_seconds = run.cost()
+    trace.metadata.update(total_matvecs=total_matvecs, total_wall_time_s=total_seconds,
+                          liouville_dim=cfg.system.liouville_dim)
     if cfg.fid_path:
         write_trace_csv(trace, cfg.fid_path)
     if cfg.spectrum_path:
@@ -334,12 +329,7 @@ def _bench_child(conn, spec, engine, dt, steps, eps, xi, m_max, tau):
         cfg = RunConfig(system=spec, engine=engine, dt=dt, steps=steps,
                         eps=eps, xi=xi, m_max=m_max, tau=tau)
         trace = run_simulation(cfg)
-        conn.send((
-            "ok",
-            trace.times,
-            trace.values,
-            {k: v for k, v in trace.metadata.items()},
-        ))
+        conn.send(("ok", trace.times, trace.values, trace.metadata))
     except Exception as exc:  # report, do not crash the harness
         conn.send(("error", f"{type(exc).__name__}: {exc}", None, None))
     finally:

@@ -20,15 +20,14 @@ a prefix of the stored series.
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 
 from .chebyshev import DEFAULT_EPS, coefficient_grid, scalar_coefficients, stop_order
-from .errors import ConfigError
-from .sparse import SparseMatrix, matvec_counter, spmv
+from .errors import ConfigError, NumericalError
+from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, extreme_eigs, rescale
-from .trace import ExpectationTrace, normalize_observables
+from .trace import ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
     "DECSeries",
@@ -44,6 +43,10 @@ MAGIC = b"DECS1"
 
 #: Relative slack for clamping grid endpoints that land just above tau.
 _CLAMP_REL = 1e-12
+
+#: Relative slack on the Cauchy-Schwarz bound of the stored scalars, for
+#: roundoff in the vector recurrence.
+_BOUND_SLACK = 1e-6
 
 
 class DECSeries:
@@ -85,7 +88,6 @@ def dec_precompute(
     tau: float,
     eps: float = DEFAULT_EPS,
     scaling: ScalingParams | None = None,
-    lanczos_m: int = 30,
 ) -> DECSeries:
     """Sweep the Chebyshev vector recurrence once, storing scalar traces.
 
@@ -95,13 +97,22 @@ def dec_precompute(
     observable per order. Orders ``0 .. n-1`` are stored where ``n`` is the
     stopping order for ``tau``; that costs exactly ``n - 1`` matvecs, and
     only three state vectors are ever alive.
+
+    ``eps`` bounds the first dropped pair of expansion coefficients, not the
+    trace. The trace error of :func:`dec_evaluate` at any ``t <= tau`` stays
+    below ``eps * ||w_q|| * ||rho0||`` for observable ``q`` with trace form
+    ``w_q`` (2-norms). That rests on ``|tilde[q, k]| <= ||w_q|| * ||rho0||``
+    (Cauchy-Schwarz, with the spectrum of ``L_s`` in [-1, 1]), which the
+    sweep checks: a larger scalar means the spectral interval misses part of
+    the spectrum and the series diverges, so :class:`NumericalError` is
+    raised instead of returning it.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     rho0 = np.asarray(rho0, dtype=np.complex128)
     labels, w_rows = normalize_observables(observables, l_op.nrows)
     if scaling is None:
-        scaling = extreme_eigs(l_op, m=lanczos_m)
+        scaling = extreme_eigs(l_op)
 
     n_orders = stop_order(tau * scaling.D, eps)
     l_s = rescale(l_op, scaling)
@@ -123,6 +134,16 @@ def dec_precompute(
             record(k, t_next)
             t_prev, t_cur = t_cur, t_next
 
+    bound = (1.0 + _BOUND_SLACK) * np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
+    over = ~(np.abs(tilde) <= bound[:, None])  # NaN counts as over
+    if over.any():
+        q, k = np.argwhere(over)[0]
+        raise NumericalError(
+            f"series for {labels[q]!r} diverged at order {k}: |tilde| = "
+            f"{abs(tilde[q, k]):.3g} exceeds ||w||*||rho0|| = {bound[q]:.3g}; the "
+            f"spectral interval [{scaling.beta:.6g}, {scaling.alpha:.6g}] does "
+            "not cover the spectrum of the operator"
+        )
     return DECSeries(
         shift=scaling.S,
         half_width=scaling.D,
@@ -170,8 +191,7 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
             f"grid point {bad[0]} (t={times[bad[0]]}) lies outside "
             f"[0, tau={series.tau}]"
         )
-    t0 = time.perf_counter()
-    mv0 = matvec_counter.count
+    run = RunRecord("dec", eps=series.eps, n_orders=series.n_orders)
     clamped = np.minimum(times, series.tau)
     coeff, _ = coefficient_grid(clamped * series.half_width, series.eps,
                                 series.n_orders - 1)
@@ -181,19 +201,7 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
     values = np.empty((len(series.labels), times.shape[0]), dtype=np.complex128)
     for i in range(times.shape[0]):
         values[:, i] = phases[i] * (series.tilde @ coeff[:, i])
-    return ExpectationTrace(
-        times=times,
-        labels=series.labels,
-        values=values,
-        metadata={
-            "engine": "dec",
-            "eps": series.eps,
-            "n_orders": series.n_orders,
-            "matvecs": matvec_counter.count - mv0,
-            "wall_time_s": time.perf_counter() - t0,
-            "warnings": [],
-        },
-    )
+    return run.close(times, series.labels, values)
 
 
 def save_series(series: DECSeries, path) -> None:

@@ -11,14 +11,13 @@ same small tridiagonal eigendecomposition that produces the step result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix, matvec_counter
+from .sparse import SparseMatrix
 from .spectral import _lanczos_steps, tridiag_expv
-from .trace import ExpectationTrace, normalize_observables
+from .trace import ExpectationTrace, RunRecord, normalize_observables, record_steps
 
 __all__ = ["KrylovStepResult", "krylov_step", "krylov_propagate"]
 
@@ -91,38 +90,22 @@ def krylov_propagate(
         raise ValueError("steps must be non-negative")
     labels, w_rows = normalize_observables(observables, l_op.nrows)
 
-    t0 = time.perf_counter()
-    mv0 = matvec_counter.count
-    rho = np.asarray(rho0, dtype=np.complex128)
-    values = np.empty((len(labels), steps + 1), dtype=np.complex128)
-    values[:, 0] = w_rows @ rho
-    m_used = []
-    unconverged = 0
-    for n in range(1, steps + 1):
-        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
-        rho = result.state
-        values[:, n] = w_rows @ rho
-        m_used.append(result.m_used)
-        if not result.converged:
-            unconverged += 1
+    run = RunRecord("krylov", eps=eps)
+    m_used, converged = [], []
 
-    warnings = []
+    def step(rho):
+        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
+        m_used.append(result.m_used)
+        converged.append(result.converged)
+        return result.state
+
+    values = record_steps(step, rho0, w_rows, steps)
+    unconverged = converged.count(False)
     if unconverged:
-        warnings.append(
+        run.warnings.append(
             f"{unconverged} of {steps} steps hit m_max={m_max} before the "
             f"residual test passed; accuracy may be below eps={eps}"
         )
-    return ExpectationTrace(
-        times=dt * np.arange(steps + 1),
-        labels=labels,
-        values=values,
-        metadata={
-            "engine": "krylov",
-            "eps": eps,
-            "matvecs": matvec_counter.count - mv0,
-            "m_used_max": max(m_used, default=0),
-            "m_used_mean": float(np.mean(m_used)) if m_used else 0.0,
-            "wall_time_s": time.perf_counter() - t0,
-            "warnings": warnings,
-        },
-    )
+    return run.close(dt * np.arange(steps + 1), labels, values,
+                     m_used_max=max(m_used, default=0),
+                     m_used_mean=float(np.mean(m_used)) if m_used else 0.0)

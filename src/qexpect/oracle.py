@@ -8,14 +8,13 @@ capped, and beyond the cap callers are pointed at the sparse engines.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceError
 from .sparse import SparseMatrix
-from .trace import ExpectationTrace, normalize_observables
+from .trace import ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = ["ModeDecomposition", "dense_eig", "mode_amplitudes", "oracle_expect"]
 
@@ -74,7 +73,7 @@ def oracle_expect(
     """
     times = np.asarray(times, dtype=float)
     labels, w_rows = normalize_observables(observables, dec.dim)
-    t0 = time.perf_counter()
+    run = RunRecord("oracle", eps=0.0)
     mu = mode_amplitudes(dec, rho0)
     amp = (w_rows @ dec.X) * mu  # (n_obs, dim)
 
@@ -84,15 +83,4 @@ def oracle_expect(
         phases = np.exp(-1j * np.outer(dec.lam, block))
         values[:, lo : lo + block.shape[0]] = amp @ phases
 
-    return ExpectationTrace(
-        times=times,
-        labels=labels,
-        values=values,
-        metadata={
-            "engine": "oracle",
-            "eps": 0.0,
-            "matvecs": 0,
-            "wall_time_s": time.perf_counter() - t0,
-            "warnings": [],
-        },
-    )
+    return run.close(times, labels, values)

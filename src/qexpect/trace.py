@@ -1,15 +1,21 @@
-"""Time series of expectation values, shared by all propagation engines."""
+"""Time series of expectation values, shared by all propagation engines.
+
+Also holds the two pieces of bookkeeping every engine shares: the run
+record that measures what a run cost, and the loop that samples a stepped
+state.
+"""
 
 from __future__ import annotations
 
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse import SparseMatrix, trace_form
+from .sparse import SparseMatrix, matvec_counter, trace_form
 
-__all__ = ["ExpectationTrace", "normalize_observables"]
+__all__ = ["ExpectationTrace", "RunRecord", "normalize_observables", "record_steps"]
 
 
 @dataclass
@@ -17,8 +23,24 @@ class ExpectationTrace:
     """Sampled expectation values for one or more observables.
 
     ``values[q, k]`` is the expectation of observable ``labels[q]`` at
-    ``times[k]``. ``metadata`` carries engine name, tolerance, warnings,
-    wall time and matvec counts.
+    ``times[k]``. ``metadata`` is filled by the :class:`RunRecord` of the
+engine run that produced the trace (it is empty for a trace read from a
+file).
+
+    Every engine writes the keys ``engine``, ``eps``, ``matvecs`` (sparse
+    products between opening and closing the record), ``wall_time_s`` and
+    ``warnings`` (a list of strings). The engines add:
+
+    * ``dec``: ``n_orders``, the number of stored series orders;
+    * ``cheb``: ``order``, the degree of the step polynomial;
+    * ``krylov``: ``m_used_max`` and ``m_used_mean``, the subspace sizes;
+    * ``zte``: the ``krylov`` keys, plus ``xi``, ``delta_t``,
+      ``window_steps``, ``full_dim`` and ``reduced_dim``;
+    * ``oracle``: nothing (``eps`` is 0).
+
+    ``cli.run_simulation`` adds ``total_matvecs`` and ``total_wall_time_s``
+    (the whole run, system build included) and ``liouville_dim``; for ``dec``
+    it sets ``matvecs`` to the ``n_orders - 1`` products of the sweep.
     """
 
     times: np.ndarray
@@ -51,29 +73,58 @@ class ExpectationTrace:
         return self.times.shape[0]
 
 
-def normalize_observables(observables, dim: int):
-    """Turn an observable collection into ``(labels, W)`` trace-form rows.
+class RunRecord:
+    """What one engine run cost, from opening the record to :meth:`close`.
 
-    Accepts a mapping ``label -> SparseMatrix | 1-D trace-form array`` or an
-    iterable of ``(label, value)`` pairs. A bare SparseMatrix/array list gets
-    labels ``Q1, Q2, ...``. ``W`` has one trace-form covector per row, so the
-    expectations of a state ``rho`` are ``W @ rho``.
+    Opening reads the wall clock and the matvec counter; :meth:`close` reads
+    them again and returns the run's trace, whose ``metadata`` holds the
+    engine name, the fields given here and to :meth:`close`, ``matvecs``,
+    ``wall_time_s`` and the :attr:`warnings` list.
     """
-    if isinstance(observables, Mapping):
-        items = list(observables.items())
-    else:
-        items = []
-        for k, obj in enumerate(observables):
-            if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str):
-                items.append(obj)
-            else:
-                items.append((f"Q{k + 1}", obj))
-    if not items:
+
+    def __init__(self, engine: str, **fields):
+        self.metadata = {"engine": engine, **fields}
+        self.warnings = []
+        self._matvecs = matvec_counter.count
+        self._start = time.perf_counter()
+
+    def cost(self) -> tuple[int, float]:
+        """Matvecs and wall seconds spent since the record was opened."""
+        return matvec_counter.count - self._matvecs, time.perf_counter() - self._start
+
+    def close(self, times, labels, values, **fields) -> ExpectationTrace:
+        matvecs, seconds = self.cost()
+        self.metadata.update(fields, matvecs=matvecs, wall_time_s=seconds,
+                             warnings=self.warnings)
+        return ExpectationTrace(times, labels, values, self.metadata)
+
+
+def record_steps(step, rho0: np.ndarray, w_rows: np.ndarray, steps: int) -> np.ndarray:
+    """Expectations ``W @ rho`` at t = 0 and after each of ``steps`` calls ``rho = step(rho)``."""
+    rho = np.asarray(rho0, dtype=np.complex128)
+    values = np.empty((w_rows.shape[0], steps + 1), dtype=np.complex128)
+    values[:, 0] = w_rows @ rho
+    for n in range(1, steps + 1):
+        rho = step(rho)
+        values[:, n] = w_rows @ rho
+    return values
+
+
+def normalize_observables(observables: Mapping, dim: int):
+    """Turn a mapping ``label -> SparseMatrix | 1-D trace-form array`` into ``(labels, W)``.
+
+    ``W`` has one trace-form covector per row, so the expectations of a
+    state ``rho`` are ``W @ rho``.
+    """
+    if not isinstance(observables, Mapping):
+        raise TypeError(
+            f"observables must map labels to observables, got {type(observables).__name__}"
+        )
+    if not observables:
         raise ValueError("at least one observable is required")
 
-    labels = []
     rows = []
-    for label, obj in items:
+    for label, obj in observables.items():
         if isinstance(obj, SparseMatrix):
             w = trace_form(obj)
         else:
@@ -84,6 +135,5 @@ def normalize_observables(observables, dim: int):
             raise ValueError(
                 f"observable {label!r} trace form has length {w.shape[0]}, expected {dim}"
             )
-        labels.append(label)
         rows.append(w)
-    return tuple(labels), np.vstack(rows)
+    return tuple(observables), np.vstack(rows)

@@ -13,14 +13,13 @@ the classic failure mode for tests and demos.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .krylov import DEFAULT_M_MAX, krylov_propagate, krylov_step
-from .sparse import SparseMatrix, matvec_counter
+from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
 from .trace import ExpectationTrace, normalize_observables
 
@@ -140,8 +139,6 @@ def zte_propagate(
     labels, w_rows = normalize_observables(observables, reduction.full_dim)
     w_red = {lbl: w_rows[i][reduction.kept] for i, lbl in enumerate(labels)}
 
-    t0 = time.perf_counter()
-    mv0 = matvec_counter.count
     trace = krylov_propagate(
         reduction.l_reduced,
         rho0[reduction.kept],
@@ -158,14 +155,12 @@ def zte_propagate(
         window_steps=reduction.window_steps,
         full_dim=reduction.full_dim,
         reduced_dim=reduction.reduced_dim,
-        matvecs=matvec_counter.count - mv0,
-        wall_time_s=time.perf_counter() - t0,
     )
-    trace.metadata["warnings"] = list(trace.metadata.get("warnings", [])) + [
+    trace.metadata["warnings"].append(
         "zero-track elimination has no error guarantee; "
         f"pruned {reduction.full_dim - reduction.reduced_dim} of "
         f"{reduction.full_dim} coordinates at xi={reduction.xi}"
-    ]
+    )
     return trace
 
 

@@ -170,13 +170,32 @@ def test_spectrum_requires_uniform_grid():
         spectrum(trace)
 
 
-def test_metadata_matvec_honesty():
-    cfg = parse_config(make_config(engine="krylov", steps="50"))
+#: Metadata keys of a ``run_simulation`` trace: the common ones, then each
+#: engine's own.
+_COMMON_KEYS = {"engine", "eps", "matvecs", "wall_time_s", "warnings",
+                "total_matvecs", "total_wall_time_s", "liouville_dim"}
+_ENGINE_KEYS = {
+    "krylov": {"m_used_max", "m_used_mean"},
+    "dec": {"n_orders"},
+    "cheb": {"order"},
+    "zte": {"m_used_max", "m_used_mean", "xi", "delta_t", "window_steps",
+            "full_dim", "reduced_dim"},
+    "oracle": set(),
+}
+
+
+@pytest.mark.parametrize("engine", list(_ENGINE_KEYS))
+def test_metadata_matvec_honesty(engine):
+    cfg = parse_config(make_config(engine=engine, steps="50"))
     before = matvec_counter.count
     trace = run_simulation(cfg)
     measured = matvec_counter.count - before
     assert trace.metadata["total_matvecs"] == measured
     assert trace.metadata["matvecs"] <= measured
+    assert set(trace.metadata) == _COMMON_KEYS | _ENGINE_KEYS[engine]
+    assert trace.metadata["engine"] == engine
+    if engine == "dec":
+        assert trace.metadata["matvecs"] == trace.metadata["n_orders"] - 1
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexpect import (
+    NumericalError,
+    ScalingParams,
     SparseMatrix,
     SpinSystemSpec,
     build_hamiltonian,
@@ -10,6 +14,7 @@ from qexpect import (
     dec_evaluate_grid,
     dec_precompute,
     dense_eig,
+    extreme_eigs,
     initial_state,
     load_series,
     matvec_counter,
@@ -19,6 +24,7 @@ from qexpect import (
     save_series,
     trace_form,
 )
+from qexpect.cli import benchmark_spec
 
 from conftest import random_spin_spec
 
@@ -214,3 +220,40 @@ def test_grid_evaluation_is_order_independent(rng):
     forward = dec_evaluate_grid(series, times)
     backward = dec_evaluate_grid(series, times[::-1])
     assert np.array_equal(backward.values[0], forward.values[0][::-1])
+
+
+def test_observables_must_be_a_mapping():
+    q = SparseMatrix.from_dense(np.diag([1.0, -1.0]))
+    with pytest.raises(TypeError, match="map"):
+        dec_precompute(SparseMatrix.zeros(4), np.ones(4), [q], tau=1.0)
+
+
+def test_too_narrow_interval_raises_instead_of_diverging():
+    # half the estimated half-width leaves modes outside [-1, 1], where T_k
+    # grows like cosh(k*acosh|x|); summed, the series is off by ~1e44
+    l_op = build_liouvillian(build_hamiltonian(benchmark_spec(5)))
+    est = extreme_eigs(l_op)
+    narrow = ScalingParams.from_bounds(est.S + 0.5 * est.D, est.S - 0.5 * est.D)
+    with pytest.raises(NumericalError, match="diverged"):
+        dec_precompute(l_op, initial_state(5), {"ip": observable_ip(5)}, tau=100.0,
+                       scaling=narrow)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 999),
+    eps=st.sampled_from([1e-4, 1e-7, 1e-10]),
+    tau=st.floats(1.0, 200.0),
+)
+def test_trace_error_within_eps_times_norms(n, seed, eps, tau):
+    spec = benchmark_spec(n, seed)
+    l_op = build_liouvillian(build_hamiltonian(spec))
+    rho0 = initial_state(n)
+    obs = {"ip": observable_ip(n), "iz": observable_iz(n)}
+    times = np.linspace(0.0, tau, 201)
+    trace = dec_evaluate_grid(dec_precompute(l_op, rho0, obs, tau=tau, eps=eps), times)
+    ref = oracle_expect(dense_eig(l_op), rho0, obs, times)
+    for q, label in enumerate(trace.labels):
+        bound = eps * np.linalg.norm(trace_form(obs[label])) * np.linalg.norm(rho0)
+        assert np.max(np.abs(trace.values[q] - ref.values[q])) <= bound
