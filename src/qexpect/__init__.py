@@ -28,6 +28,8 @@ from .spectral import ScalingParams, extreme_eigs, lanczos, rescale, tridiag_exp
 from .spinsys import (
     SpinOperatorSet,
     SpinSystemSpec,
+    TraceSystem,
+    assemble,
     build_hamiltonian,
     build_liouvillian,
     embed,
@@ -36,6 +38,7 @@ from .spinsys import (
     observable_ip,
     observable_iz,
     spin_half,
+    trace_block,
 )
 from .trace import ExpectationTrace, normalize_observables
 from .zte import (

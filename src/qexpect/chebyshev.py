@@ -123,6 +123,37 @@ def _order_guess(ts: np.ndarray, eps: float) -> np.ndarray:
     return m.astype(np.int64)
 
 
+def _first_hit(j: np.ndarray, first: np.ndarray, eps: float, single: bool) -> np.ndarray:
+    """Per column of the table ``j``, the first row ``k >= first`` passing the stopping test.
+
+    Returns -1 for columns with no such row. Rows are tested from each
+    column's ``first`` on, in bands of doubling width, so a column costs
+    about the rows up to its hit instead of the whole table.
+    """
+    rows = j.shape[0]
+    hit_row = np.full(j.shape[1], -1, dtype=np.int64)
+    cols = np.flatnonzero(first < rows)
+    start = first[cols]
+    width = 16
+    while cols.size:
+        k = start[:, None] + np.arange(width)
+        inside = k < rows
+        np.minimum(k, rows - 1, out=k)
+        cur = j[k, cols[:, None]]
+        # |c_k| = 2|J_k| for every k >= 1 that either rule tests
+        if single:
+            hit = np.abs(cur) < 0.5 * eps
+        else:
+            hit = np.hypot(j[k - 1, cols[:, None]], cur) < 0.5 * eps
+        hit &= inside
+        found = hit.any(axis=1)
+        hit_row[cols[found]] = k[found, hit[found].argmax(axis=1)]
+        more = ~found & (start + width < rows)
+        cols, start = cols[more], start[more] + width
+        width *= 2
+    return hit_row
+
+
 def _stop_scan(ts: np.ndarray, eps: float, single: bool = False):
     """Stopping order per time, with the Bessel table it was read from.
 
@@ -143,15 +174,9 @@ def _stop_scan(ts: np.ndarray, eps: float, single: bool = False):
     cols = np.arange(n_t)
     j = part = _bessel_columns(ts, cap)
     while True:
-        # |c_k| = 2|J_k| for every k >= 1 that either rule tests
-        if single:
-            hit = np.abs(part) < 0.5 * eps
-        else:
-            hit = np.zeros(part.shape, dtype=bool)
-            hit[1:] = np.hypot(part[:-1], part[1:]) < 0.5 * eps
-        hit &= np.arange(part.shape[0])[:, None] >= first[cols]
-        found = hit.any(axis=0)
-        n_stop[cols[found]] = hit.argmax(axis=0)[found]
+        hit = _first_hit(part, first[cols], eps, single)
+        found = hit >= 0
+        n_stop[cols[found]] = hit[found]
         cols = cols[~found]
         if not cols.size:
             break

@@ -34,13 +34,7 @@ from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import krylov_propagate
 from .oracle import dense_eig, oracle_expect
 from .spectral import extreme_eigs
-from .spinsys import (
-    SpinSystemSpec,
-    build_hamiltonian,
-    build_liouvillian,
-    initial_state,
-    observable_by_name,
-)
+from .spinsys import SpinSystemSpec, assemble, observable_by_name
 from .trace import ExpectationTrace, RunRecord
 from .zte import zte_detect, zte_propagate, zte_window
 
@@ -170,25 +164,25 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _build_observables(cfg: RunConfig):
-    return {name: observable_by_name(name, cfg.system.n) for name in cfg.observables}
-
-
 def run_simulation(cfg: RunConfig) -> ExpectationTrace:
-    """Dispatch to the selected engine and return the sampled expectations."""
+    """Dispatch to the selected engine and return the sampled expectations.
+
+    Every engine, the oracle's dense cap included, runs on the trace block
+    of :func:`qexpect.spinsys.assemble`.
+    """
     run = RunRecord(cfg.engine)
-    h = build_hamiltonian(cfg.system)
-    l_op = build_liouvillian(h)
-    rho0 = initial_state(cfg.system.n)
-    observables = _build_observables(cfg)
+    system = assemble(cfg.system, cfg.observables)
+    l_op, rho0, observables = system.l_op, system.rho0, system.observables
     times = cfg.dt * np.arange(cfg.steps + 1)
 
     if cfg.engine == "oracle":
         trace = oracle_expect(dense_eig(l_op), rho0, observables, times)
     elif cfg.engine == "dec":
+        series_run = RunRecord("dec")
         series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps)
         trace = dec_evaluate_grid(series, times)
-        trace.metadata["matvecs"] = series.n_orders - 1
+        trace.metadata.update(matvecs=series.n_orders - 1,
+                              wall_time_s=series_run.cost()[1])
     elif cfg.engine == "cheb":
         scaling = extreme_eigs(l_op)
         trace = cheb_step_propagate(l_op, scaling, rho0, cfg.dt, cfg.steps,
@@ -212,7 +206,7 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
 
     total_matvecs, total_seconds = run.cost()
     trace.metadata.update(total_matvecs=total_matvecs, total_wall_time_s=total_seconds,
-                          liouville_dim=cfg.system.liouville_dim)
+                          liouville_dim=cfg.system.liouville_dim, block_dim=system.block_dim)
     if cfg.fid_path:
         write_trace_csv(trace, cfg.fid_path)
     if cfg.spectrum_path:
@@ -382,12 +376,11 @@ def benchmark(
         spec = benchmark_spec(n_spins, seed=seed)
         dim = spec.liouville_dim
         reference = None
-        if dim <= oracle_cap:
-            l_op = build_liouvillian(build_hamiltonian(spec))
-            rho0 = initial_state(spec.n)
-            obs = {"ip": observable_by_name("ip", spec.n)}
-            reference = oracle_expect(dense_eig(l_op, max_dim=oracle_cap), rho0,
-                                      obs, dt * np.arange(steps + 1))
+        system = assemble(spec, ("ip",))
+        if system.block_dim <= oracle_cap:
+            reference = oracle_expect(dense_eig(system.l_op, max_dim=oracle_cap),
+                                      system.rho0, system.observables,
+                                      dt * np.arange(steps + 1))
         for engine in engines:
             row = BenchmarkRow(n_spins=n_spins, dim=dim, engine=engine, steps=steps)
             payload = _run_benchmark_job(spec, engine, dt, steps, eps, xi,
@@ -467,7 +460,7 @@ def _cmd_simulate(args) -> int:
     })
     trace = run_simulation(cfg)
     meta = trace.metadata
-    print(f"engine={meta['engine']} dim={meta['liouville_dim']} "
+    print(f"engine={meta['engine']} dim={meta['liouville_dim']} block={meta['block_dim']} "
           f"points={trace.n_times} matvecs={meta.get('matvecs')} "
           f"wall_s={meta['total_wall_time_s']:.3f}")
     for warning in meta.get("warnings", []):
@@ -504,9 +497,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_dec_precompute(args) -> int:
     cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
-    l_op = build_liouvillian(build_hamiltonian(cfg.system))
-    rho0 = initial_state(cfg.system.n)
-    series = dec_precompute(l_op, rho0, _build_observables(cfg),
+    system = assemble(cfg.system, cfg.observables)
+    series = dec_precompute(system.l_op, system.rho0, system.observables,
                             tau=cfg.horizon, eps=cfg.eps)
     save_series(series, args.out)
     print(f"series with {series.n_orders} orders (tau={series.tau}) "

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sparse import SparseMatrix, kron, linear_combine, vec
+from .sparse import SparseMatrix, vec
+from .trace import normalize_observables
 
 __all__ = [
     "SpinOperatorSet",
@@ -29,6 +30,10 @@ __all__ = [
     "embed",
     "build_hamiltonian",
     "build_liouvillian",
+    "hilbert_components",
+    "trace_block",
+    "TraceSystem",
+    "assemble",
     "initial_state",
     "observable_ip",
     "observable_iz",
@@ -110,47 +115,160 @@ class SpinSystemSpec:
 
 
 def embed(op: np.ndarray, site: int, n: int) -> SparseMatrix:
-    """Single-site operator extended with identities: ``Id (x) op (x) Id``."""
+    """Single-site operator extended with identities: ``Id (x) op (x) Id``.
+
+    Built from the bits of the basis index: entry ``(s, s')`` is
+    ``op[a, b]`` when s and s' agree off the site's bit (``n-1-site``) and
+    carry a and b on it.
+    """
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} spins")
-    result = SparseMatrix.from_dense(op)
-    if site > 0:
-        result = kron(SparseMatrix.identity(2**site), result)
-    if site < n - 1:
-        result = kron(result, SparseMatrix.identity(2 ** (n - 1 - site)))
-    return result
+    shift = n - 1 - site
+    states = np.arange(2**n)
+    bit = (states >> shift) & 1
+    rows, cols, vals = [], [], []
+    for a in (0, 1):
+        for b in (0, 1):
+            if op[a, b] != 0:
+                on = states[bit == a]
+                rows.append(on)
+                cols.append(on ^ ((a ^ b) << shift))
+                vals.append(np.full(on.shape[0], op[a, b], dtype=np.complex128))
+    if not rows:
+        return SparseMatrix.zeros(2**n)
+    return SparseMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                      np.concatenate(vals), (2**n, 2**n))
 
 
 def build_hamiltonian(spec: SpinSystemSpec) -> SparseMatrix:
     """Chemical-shift plus isotropic-coupling Hamiltonian.
 
     ``H = -sum_j omega0[j] Iz_j + sum_{j<l} J[j,l] (Ix_j Ix_l + Iy_j Iy_l + Iz_j Iz_l)``
-    with each unordered pair counted once.
+    with each unordered pair counted once. Built from the bits of the basis
+    index: site j is bit ``n-1-j``, clear for spin up. The diagonal collects
+    ``-omega0[j] m_j`` and ``J[j,l] m_j m_l`` (Zeeman terms first, pairs in
+    order); ``Ix Ix + Iy Iy`` only flips an antiparallel pair, with
+    amplitude ``J[j,l] / 2``.
     """
-    ops = spin_half()
-    dim = spec.hilbert_dim
-    h = SparseMatrix.zeros(dim).csr
-    for j in range(spec.n):
+    n, dim = spec.n, spec.hilbert_dim
+    states = np.arange(dim)
+    bits = [(states >> (n - 1 - j)) & 1 for j in range(n)]
+    m = [0.5 - b for b in bits]
+    diag = np.zeros(dim)
+    for j in range(n):
         if spec.omega0[j] != 0.0:
-            h = h + (-spec.omega0[j]) * embed(ops.iz, j, spec.n).csr
-    for j in range(spec.n):
-        for l in range(j + 1, spec.n):
+            diag += -spec.omega0[j] * m[j]
+    rows, cols, vals = [], [], []
+    for j in range(n):
+        for l in range(j + 1, n):
             coupling = spec.j_coupling[j, l]
             if coupling == 0.0:
                 continue
-            for axis in (ops.ix, ops.iy, ops.iz):
-                term = embed(axis, j, spec.n).csr @ embed(axis, l, spec.n).csr
-                h = h + coupling * term
-    return SparseMatrix(h)
+            diag += coupling * (m[j] * m[l])
+            flip = states[bits[j] != bits[l]]
+            rows.append(flip)
+            cols.append(flip ^ ((1 << (n - 1 - j)) | (1 << (n - 1 - l))))
+            vals.append(np.full(flip.shape[0], 0.5 * coupling))
+    rows.append(states)
+    cols.append(states)
+    vals.append(diag)
+    return SparseMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                      np.concatenate(vals), (dim, dim))
 
 
-def build_liouvillian(h: SparseMatrix) -> SparseMatrix:
-    """Commutator superoperator for column-stacked states.
+def _row_entries(m, rows: np.ndarray):
+    """Every stored entry of the given CSR rows, as ``(k, column, value)``.
 
-    ``L = Id (x) H - H.T (x) Id`` so that ``L vec(rho) = vec(H rho - rho H)``.
+    ``k`` is the position in ``rows`` the entry belongs to.
     """
-    ident = SparseMatrix.identity(h.nrows)
-    return linear_combine(1.0, kron(ident, h), -1.0, kron(h.transpose(), ident))
+    start = m.indptr[rows]
+    count = m.indptr[rows + 1] - start
+    owner = np.repeat(np.arange(rows.shape[0]), count)
+    flat = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    return owner, m.indices[flat], m.data[flat]
+
+
+def build_liouvillian(h: SparseMatrix, index=None) -> SparseMatrix:
+    """Commutator superoperator for column-stacked states, read off ``h``.
+
+    On coordinates ``p = i + j*dim`` (``rho[i, j]``), ``L[(i,j), (i',j)] =
+    H[i,i']`` and ``L[(i,j), (i,j')] = -H[j',j]``, so ``L vec(rho) =
+    vec(H rho - rho H)``, i.e. ``L = Id (x) H - H.T (x) Id``. With
+    ``index`` (distinct coordinates), returns the sub-matrix on those
+    coordinates in that order, equal to ``build_liouvillian(h).restrict(index)``
+    but built from the rows of ``h`` alone; ``None`` means the full space.
+    """
+    dim = h.nrows
+    p = np.arange(dim * dim) if index is None else np.asarray(index, dtype=np.intp)
+    i, j = p % dim, p // dim
+    left_k, left_col, left_val = _row_entries(h.csr, i)
+    right_k, right_row, right_val = _row_entries(h.transpose().csr, j)
+    rows = np.concatenate([left_k, right_k])
+    cols = np.concatenate([left_col + j[left_k] * dim, i[right_k] + right_row * dim])
+    vals = np.concatenate([left_val, -right_val])
+    if index is not None:
+        position = np.full(dim * dim, -1)
+        position[p] = np.arange(p.shape[0])
+        cols = position[cols]
+        inside = cols >= 0
+        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    return SparseMatrix.from_triplets(rows, cols, vals, (p.shape[0], p.shape[0]))
+
+
+def hilbert_components(h: SparseMatrix) -> np.ndarray:
+    """Connected components of the sparsity graph of ``h``, one label per basis state.
+
+    Basis states i and i' are linked when ``H[i,i']`` or ``H[i',i]`` is
+    stored (nonzero); each state is labelled with the smallest index in its
+    component. Minimum-label propagation with pointer jumping over the
+    stored entries.
+    """
+    counts = np.diff(h.row_offsets)
+    rows = np.repeat(np.arange(h.nrows), counts)
+    cols = h.col_indices
+    label = np.arange(h.nrows)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Sorted Liouville coordinates that carry ``w_rows @ rho(t)`` exactly.
+
+    ``L`` only links ``rho[i, j]`` to ``rho[i', j]`` with ``H[i,i'] != 0``
+    and to ``rho[i, j']`` with ``H[j',j] != 0``, so each pair (component a,
+    component b) of :func:`hilbert_components` spans an invariant block.
+    Blocks ``rho0`` does not touch stay zero, and blocks no trace form reads
+    add nothing, so the kept blocks are those ``rho0`` touches and some row
+    of ``w_rows`` reads. When there are none every expectation is exactly
+    zero, and ``rho0``'s own blocks are kept so that engines still have a
+    state to propagate.
+    """
+    dim = h.nrows
+    label = hilbert_components(h)
+
+    def blocks(support):
+        p = np.flatnonzero(support)
+        return np.unique(label[p % dim] * dim + label[p // dim])
+
+    source = blocks(rho0)
+    kept = np.intersect1d(source, blocks(np.any(w_rows != 0, axis=0)))
+    if kept.size == 0:
+        kept = source
+    order = np.argsort(label, kind="stable")
+    sorted_label = label[order]
+    lo = np.searchsorted(sorted_label, np.arange(dim), side="left")
+    hi = np.searchsorted(sorted_label, np.arange(dim), side="right")
+    parts = []
+    for a, b in zip(kept // dim, kept % dim):
+        rows, cols = order[lo[a]:hi[a]], order[lo[b]:hi[b]]
+        parts.append((rows[:, None] + cols[None, :] * dim).ravel())
+    return np.sort(np.concatenate(parts))
 
 
 def initial_state(n: int) -> np.ndarray:
@@ -207,3 +325,34 @@ def observable_by_name(name: str, n: int) -> SparseMatrix:
     if not 0 <= site < n:
         raise ConfigError(f"observable {name!r}: site must be in [0, {n})")
     return embed(table[base], site, n)
+
+
+@dataclass(frozen=True)
+class TraceSystem:
+    """What an engine propagates: operator, state and trace forms on one block.
+
+    ``l_op`` is the Liouvillian on the coordinates kept by
+    :func:`trace_block`, and ``rho0`` and every trace form in
+    ``observables`` (label -> 1-D array) are restricted to them. Engines run
+    on these unchanged and return the same expectations as on the full
+    space.
+    """
+
+    l_op: SparseMatrix
+    rho0: np.ndarray
+    observables: dict
+
+    @property
+    def block_dim(self) -> int:
+        return self.l_op.nrows
+
+
+def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
+    """Build H, the initial state and the named observables, and keep their trace block."""
+    h = build_hamiltonian(spec)
+    rho0 = initial_state(spec.n)
+    labels, w_rows = normalize_observables(
+        {name: observable_by_name(name, spec.n) for name in names}, spec.liouville_dim)
+    index = trace_block(h, rho0, w_rows)
+    return TraceSystem(l_op=build_liouvillian(h, index), rho0=rho0[index],
+                       observables={label: w[index] for label, w in zip(labels, w_rows)})

@@ -35,12 +35,18 @@ file).
     * ``cheb``: ``order``, the degree of the step polynomial;
     * ``krylov``: ``m_used_max`` and ``m_used_mean``, the subspace sizes;
     * ``zte``: the ``krylov`` keys, plus ``xi``, ``delta_t``,
-      ``window_steps``, ``full_dim`` and ``reduced_dim``;
+      ``window_steps``, ``full_dim`` and ``reduced_dim``; its ``matvecs`` and
+      ``wall_time_s`` include the observation window;
     * ``oracle``: nothing (``eps`` is 0).
 
     ``cli.run_simulation`` adds ``total_matvecs`` and ``total_wall_time_s``
-    (the whole run, system build included) and ``liouville_dim``; for ``dec``
-    it sets ``matvecs`` to the ``n_orders - 1`` products of the sweep.
+    (the whole run, system build included), ``liouville_dim`` (``4**n``) and
+    ``block_dim`` (the coordinates the engine propagated, see
+    :func:`qexpect.spinsys.trace_block`; zte's ``full_dim`` is this block's
+    dimension). For ``dec`` it sets ``matvecs`` to the ``n_orders - 1``
+    products of the sweep and ``wall_time_s`` to the time of
+    ``dec_precompute`` (spectral estimate included) plus
+    ``dec_evaluate_grid``.
     """
 
     times: np.ndarray

@@ -21,7 +21,7 @@ from .errors import NumericalError
 from .krylov import DEFAULT_M_MAX, krylov_propagate, krylov_step
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
-from .trace import ExpectationTrace, normalize_observables
+from .trace import ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
     "ZTEReduction",
@@ -39,7 +39,10 @@ DEFAULT_EPS = 1e-7
 
 @dataclass
 class ZTEReduction:
-    """Outcome of the observation window: kept coordinates and reduced operator."""
+    """Outcome of the observation window: kept coordinates and reduced operator.
+
+    ``window_matvecs`` and ``window_s`` are what the window cost.
+    """
 
     kept: np.ndarray
     l_reduced: SparseMatrix
@@ -47,6 +50,8 @@ class ZTEReduction:
     delta_t: float
     window_steps: int
     full_dim: int
+    window_matvecs: int
+    window_s: float
 
     @property
     def reduced_dim(self) -> int:
@@ -94,6 +99,7 @@ def zte_detect(
         def engine(op, state, step):
             return krylov_step(op, state, step, eps=eps, m_max=m_max).state
 
+    window = RunRecord("zte")
     rho = np.asarray(rho0, dtype=np.complex128)
     max_mod = np.abs(rho)
     window_steps = int(np.ceil(delta_t / dt - 1e-12))
@@ -106,6 +112,7 @@ def zte_detect(
         raise NumericalError(
             f"threshold xi={xi} pruned every coordinate; lower it or check rho0"
         )
+    window_matvecs, window_s = window.cost()
     return ZTEReduction(
         kept=kept,
         l_reduced=l_op.restrict(kept),
@@ -113,6 +120,8 @@ def zte_detect(
         delta_t=delta_t,
         window_steps=window_steps,
         full_dim=l_op.nrows,
+        window_matvecs=window_matvecs,
+        window_s=window_s,
     )
 
 
@@ -129,7 +138,8 @@ def zte_propagate(
 
     The initial state and every trace form are restricted to the kept index
     set; pruned coordinates contribute exactly zero to the reported
-    expectations, which is the approximation being made.
+    expectations, which is the approximation being made. The trace's
+    ``matvecs`` and ``wall_time_s`` include the observation window.
     """
     rho0 = np.asarray(rho0, dtype=np.complex128)
     if rho0.shape[0] != reduction.full_dim:
@@ -150,6 +160,8 @@ def zte_propagate(
     )
     trace.metadata.update(
         engine="zte",
+        matvecs=trace.metadata["matvecs"] + reduction.window_matvecs,
+        wall_time_s=trace.metadata["wall_time_s"] + reduction.window_s,
         xi=reduction.xi,
         delta_t=reduction.delta_t,
         window_steps=reduction.window_steps,

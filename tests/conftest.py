@@ -44,3 +44,10 @@ def random_spin_spec(n, rng, f_range=(10.0, 500.0), j_range=(0.0, 20.0),
         omega0=2.0 * np.pi * f_hz * time_unit,
         j_coupling=2.0 * np.pi * j * time_unit,
     )
+
+
+def same_csr(a, b):
+    """Bitwise equality of two SparseMatrix objects: offsets, indices and values."""
+    return (np.array_equal(a.row_offsets, b.row_offsets)
+            and np.array_equal(a.col_indices, b.col_indices)
+            and np.array_equal(a.values, b.values))

@@ -313,3 +313,52 @@ def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
     assert np.array_equal(n_used, n_expected)
     assert np.max(np.abs(grid - expected)) <= 1e-13
     assert stop_order(140.0, eps) == cap
+
+
+def _full_table_hits(j, first, eps, single):
+    """Reference stopping test: every row of the table is tested, and the first
+    passing row at or after ``first`` is kept (-1 where none passes)."""
+    if single:
+        hit = np.abs(j) < 0.5 * eps
+    else:
+        hit = np.zeros(j.shape, dtype=bool)
+        hit[1:] = np.hypot(j[:-1], j[1:]) < 0.5 * eps
+    hit &= np.arange(j.shape[0])[:, None] >= first
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    times=st.lists(st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 400.0)),
+                   min_size=1, max_size=12),
+    eps=st.sampled_from([1e-4, 1e-7, 1e-10, 1e-14]),
+    single=st.booleans(),
+    extra=st.integers(-300, 120),
+)
+def test_banded_scan_finds_the_same_orders_as_the_full_table(times, eps, single, extra):
+    # tables that end before some columns' hits (extra < 0) must report -1 there
+    from qexpect.chebyshev import _bessel_columns, _first_hit
+
+    ts = np.array(times)
+    n_max = max(2, math.ceil(ts.max()) + extra)
+    j = _bessel_columns(ts, n_max)
+    if single:
+        first = np.ones(ts.shape[0], dtype=np.int64)
+    else:
+        first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
+    assert np.array_equal(_first_hit(j, first, eps, single),
+                          _full_table_hits(j, first, eps, single))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 200), single=st.booleans())
+def test_banded_scan_on_synthetic_tables(seed, rows, single):
+    # random magnitudes put hits at every offset from `first`, including the
+    # last rows of a band and of the table
+    from qexpect.chebyshev import _first_hit
+
+    rng = np.random.default_rng(seed)
+    j = 10.0 ** rng.uniform(-9.0, 0.0, size=(rows, 40))
+    first = rng.integers(1, rows + 3, size=40)
+    assert np.array_equal(_first_hit(j, first, 1e-7, single),
+                          _full_table_hits(j, first, 1e-7, single))

@@ -173,7 +173,7 @@ def test_spectrum_requires_uniform_grid():
 #: Metadata keys of a ``run_simulation`` trace: the common ones, then each
 #: engine's own.
 _COMMON_KEYS = {"engine", "eps", "matvecs", "wall_time_s", "warnings",
-                "total_matvecs", "total_wall_time_s", "liouville_dim"}
+                "total_matvecs", "total_wall_time_s", "liouville_dim", "block_dim"}
 _ENGINE_KEYS = {
     "krylov": {"m_used_max", "m_used_mean"},
     "dec": {"n_orders"},
@@ -196,6 +196,25 @@ def test_metadata_matvec_honesty(engine):
     assert trace.metadata["engine"] == engine
     if engine == "dec":
         assert trace.metadata["matvecs"] == trace.metadata["n_orders"] - 1
+    if engine == "zte":
+        # the detection window counts towards the engine's own matvecs
+        assert trace.metadata["matvecs"] == trace.metadata["total_matvecs"]
+
+
+def test_dec_wall_time_spans_the_precompute(monkeypatch):
+    import time
+
+    import qexpect.cli as cli
+
+    precompute = cli.dec_precompute
+
+    def slow_precompute(*args, **kwargs):
+        time.sleep(0.05)
+        return precompute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dec_precompute", slow_precompute)
+    meta = run_simulation(parse_config(make_config(steps="50"))).metadata
+    assert 0.05 <= meta["wall_time_s"] <= meta["total_wall_time_s"]
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -219,9 +238,14 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_code_resource_limit(tmp_path, capsys):
+    # a coupled 8-spin chain: the block the trace reads has dimension 11440,
+    # past the dense cap of 4096
+    chain = "\n" + "\n".join(
+        "  " + " ".join("1" if abs(a - b) == 1 else "0" for b in range(8)) for a in range(8)
+    )
     cfg = tmp_path / "big.ini"
     cfg.write_text(
-        "[system]\nn = 7\nlarmor_hz = 1 2 3 4 5 6 7\n\n"
+        "[system]\nn = 8\nlarmor_hz = 1 2 3 4 5 6 7 8\nj_hz = " + chain + "\n\n"
         "[run]\nengine = oracle\nsteps = 2\ndt = 0.1\n"
     )
     assert main(["simulate", "--config", str(cfg)]) == 4

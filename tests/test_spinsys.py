@@ -3,11 +3,13 @@ import pytest
 
 from qexpect import (
     ConfigError,
+    SparseMatrix,
     SpinSystemSpec,
     build_hamiltonian,
     build_liouvillian,
     embed,
     initial_state,
+    kron,
     observable_by_name,
     observable_ip,
     observable_iz,
@@ -17,7 +19,49 @@ from qexpect import (
     vec,
 )
 
-from conftest import random_spin_spec
+from qexpect.cli import benchmark_spec
+
+from conftest import random_spin_spec, same_csr
+
+
+def _kron_site(op, site, n):
+    """Reference single-site operator, ``Id (x) op (x) Id`` from Kronecker products."""
+    left = kron(SparseMatrix.identity(2**site), SparseMatrix.from_dense(op))
+    return kron(left, SparseMatrix.identity(2 ** (n - 1 - site))).csr
+
+
+def _kron_hamiltonian(spec):
+    """Reference Hamiltonian: the sum of embedded terms, Zeeman first, pairs in order."""
+    ops, n = spin_half(), spec.n
+    h = SparseMatrix.zeros(2**n).csr
+    for j in range(n):
+        if spec.omega0[j] != 0.0:
+            h = h + (-spec.omega0[j]) * _kron_site(ops.iz, j, n)
+    for j in range(n):
+        for l in range(j + 1, n):
+            if spec.j_coupling[j, l] != 0.0:
+                for axis in (ops.ix, ops.iy, ops.iz):
+                    h = h + spec.j_coupling[j, l] * (_kron_site(axis, j, n) @ _kron_site(axis, l, n))
+    return SparseMatrix(h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
+def test_hamiltonian_equals_kronecker_sum_bitwise(n, rng):
+    specs = [benchmark_spec(n), random_spin_spec(n, rng)]
+    # zero Larmor frequencies and zero couplings drop their terms
+    omega0 = np.where(np.arange(n) % 2 == 0, 0.0, specs[1].omega0)
+    j = np.where(np.add.outer(np.arange(n), np.arange(n)) % 3 == 0, 0.0, specs[1].j_coupling)
+    specs.append(SpinSystemSpec(n=n, omega0=omega0, j_coupling=j))
+    for spec in specs:
+        assert same_csr(build_hamiltonian(spec), _kron_hamiltonian(spec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_embed_equals_kronecker_product(n):
+    ops = spin_half()
+    for op in (ops.ix, ops.iy, ops.iz, ops.ip):
+        for site in range(n):
+            assert same_csr(embed(op, site, n), SparseMatrix(_kron_site(op, site, n)))
 
 
 def test_operator_set_basics():

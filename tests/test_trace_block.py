@@ -1,0 +1,137 @@
+"""The trace block: engines propagate only the Liouville coordinates the trace reads."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qexpect import (
+    NumericalError,
+    SpinSystemSpec,
+    build_hamiltonian,
+    build_liouvillian,
+    dense_eig,
+    initial_state,
+    normalize_observables,
+    observable_by_name,
+    oracle_expect,
+)
+from qexpect.cli import RunConfig, benchmark_spec, run_simulation
+from qexpect.spinsys import assemble, hilbert_components, trace_block
+
+from conftest import random_spin_spec, same_csr
+
+
+def _weights(spec, names):
+    return normalize_observables({name: observable_by_name(name, spec.n) for name in names},
+                                 spec.liouville_dim)[1]
+
+
+def _uncoupled(n):
+    return SpinSystemSpec(n=n, omega0=np.arange(1.0, n + 1.0), j_coupling=np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_operator_equals_restricted_full_operator(n, rng):
+    for spec in (benchmark_spec(n), random_spin_spec(n, rng), _uncoupled(n)):
+        h = build_hamiltonian(spec)
+        full = build_liouvillian(h)
+        index = trace_block(h, initial_state(n), _weights(spec, ("ip",)))
+        assert same_csr(build_liouvillian(h, index), full.restrict(index))
+        # any distinct coordinates, in any order, not only whole blocks
+        index = rng.permutation(spec.liouville_dim)[: spec.liouville_dim // 3 + 1]
+        assert same_csr(build_liouvillian(h, index), full.restrict(index))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_operator_is_the_kronecker_commutator(n, rng):
+    h = build_hamiltonian(random_spin_spec(n, rng))
+    h_d = h.to_dense()
+    ident = np.eye(h.nrows)
+    assert np.array_equal(build_liouvillian(h).to_dense(),
+                          np.kron(ident, h_d) - np.kron(h_d.T, ident))
+
+
+def test_components_are_the_iz_sectors_of_a_coupled_chain():
+    label = hilbert_components(build_hamiltonian(benchmark_spec(5)))
+    ups = np.array([5 - bin(s).count("1") for s in range(32)])
+    assert np.array_equal(label[:, None] == label[None, :], ups[:, None] == ups[None, :])
+    assert np.all(label <= np.arange(32))
+
+
+def test_components_of_uncoupled_spins_are_single_states():
+    label = hilbert_components(build_hamiltonian(_uncoupled(4)))
+    assert np.array_equal(label, np.arange(16))
+
+
+@pytest.mark.parametrize(("names", "dim"), [(("ip",), 3003), (("ip", "ix"), 6006),
+                                            (("iz",), 6006), (("ip:3",), 3003)])
+def test_block_sizes_at_seven_spins(names, dim):
+    spec = benchmark_spec(7)
+    index = trace_block(build_hamiltonian(spec), initial_state(7), _weights(spec, names))
+    assert index.shape[0] == dim
+    assert np.all(np.diff(index) > 0)
+
+
+def test_uncoupled_block_keeps_single_coordinates():
+    system = assemble(_uncoupled(7), ("ip",))
+    assert system.block_dim == 7 * 2**6
+    assert system.l_op.nnz == system.block_dim  # diagonal: no coupling between coordinates
+
+
+def test_iz_only_run_returns_exact_zeros():
+    # rho0 has coherence order +-1 only, and Iz reads order 0
+    for engine in ("dec", "cheb", "krylov", "zte", "oracle"):
+        cfg = RunConfig(system=benchmark_spec(3), engine=engine, dt=0.1, steps=20,
+                        observables=("iz",))
+        trace = run_simulation(cfg)
+        assert np.all(trace.values == 0.0), engine
+        assert trace.metadata["block_dim"] == 2 * 15
+
+
+_FREQ = st.one_of(st.just(0.0), st.floats(0.5, 2.5))
+_COUPLING = st.one_of(st.just(0.0), st.floats(0.02, 0.5))
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(1, 4))
+    omega0 = np.array(draw(st.lists(_FREQ, min_size=n, max_size=n)))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(_COUPLING)
+    pool = ["ip", "ix", "iz"] + [f"ip:{k}" for k in range(n)]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return SpinSystemSpec(n=n, omega0=omega0, j_coupling=j), tuple(names)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems())
+def test_every_engine_on_the_block_matches_the_full_space_oracle(problem):
+    """Sparse engines stay within ``eps * ||w_q|| * ||rho0||`` of the full-space
+    oracle, and the block oracle within 1e-10 of the largest |f|, above a
+    roundoff floor of 1e-13 * ||w_q|| * ||rho0|| for traces that vanish."""
+    spec, names = problem
+    eps, steps = 1e-7, 30
+    h = build_hamiltonian(spec)
+    rho0 = initial_state(spec.n)
+    obs = {name: observable_by_name(name, spec.n) for name in names}
+    times = 0.1 * np.arange(steps + 1)
+    reference = oracle_expect(dense_eig(build_liouvillian(h)), rho0, obs, times).values
+    norms = np.linalg.norm(_weights(spec, names), axis=1) * np.linalg.norm(rho0)
+    for engine in ("dec", "cheb", "krylov", "zte", "oracle"):
+        cfg = RunConfig(system=spec, engine=engine, dt=0.1, steps=steps, eps=eps,
+                        observables=names)
+        if engine == "zte" and not np.any(spec.omega0):
+            with pytest.raises(NumericalError, match="observation window"):
+                run_simulation(cfg)
+            continue
+        trace = run_simulation(cfg)
+        assert trace.labels == names
+        err = np.max(np.abs(trace.values - reference), axis=1)
+        if engine == "oracle":
+            tol = 1e-10 * np.max(np.abs(reference)) + 1e-13 * norms
+        else:
+            tol = eps * norms
+        assert np.all(err <= tol), (engine, err, tol)
