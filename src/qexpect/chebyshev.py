@@ -13,7 +13,8 @@ Every Bessel value comes from one kernel, a backward (Miller) recurrence
 vectorised over columns of times: :func:`bessel_sequence` is its one-column
 case and :func:`coefficient_grid` its many-column case. Every truncation
 order comes from one scan over that kernel's table, shared by
-:func:`stop_order` and :func:`coefficient_grid`.
+:func:`stop_order`, :func:`coefficients` and :func:`coefficient_grid`; the
+last two take their values from the table the scan read.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
     top = n_eff + max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * np.cbrt(t_max)))
     p = np.empty((top + 1, ts.shape[0]))
     p[0] = 1.0
-    r = np.zeros(ts.shape[0])
-    for k in range(top, 0, -1):
-        r = ts / (2.0 * k - ts * r)
-        p[k] = r
+    np.divide(ts, 2.0 * top, out=p[top])  # r = 0 above the start order
+    for k in range(top - 1, 0, -1):
+        r = p[k]
+        np.multiply(ts, p[k + 1], out=r)
+        np.subtract(2.0 * k, r, out=r)
+        np.divide(ts, r, out=r)
     np.cumprod(p, axis=0, out=p)
     norm = 1.0 + 2.0 * p[2::2].sum(axis=0)
     if not np.all(np.isfinite(norm)):
@@ -195,6 +198,18 @@ def _coefficient_factors(n: int) -> np.ndarray:
     return factors
 
 
+def _scan_one(t_scaled: float, eps: float, criterion: str = "two_term"):
+    """Checked one-time :func:`_stop_scan`: ``(stopping order, J_0.. column)``."""
+    if t_scaled < 0:
+        raise ValueError("t_scaled must be non-negative")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if criterion not in ("two_term", "single"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    n_stop, j = _stop_scan(np.array([float(t_scaled)]), eps, single=criterion == "single")
+    return int(n_stop[0]), j[:, 0]
+
+
 def stop_order(t_scaled: float, eps: float, criterion: str = "two_term") -> int:
     """Truncation order for the coefficient series at one rescaled time.
 
@@ -210,14 +225,7 @@ def stop_order(t_scaled: float, eps: float, criterion: str = "two_term") -> int:
     single coefficient can vanish at a zero of its Bessel function long
     before the expansion converges, silently truncating an O(1) tail.
     """
-    if t_scaled < 0:
-        raise ValueError("t_scaled must be non-negative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if criterion not in ("two_term", "single"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    n_stop, _ = _stop_scan(np.array([float(t_scaled)]), eps, single=criterion == "single")
-    return int(n_stop[0])
+    return _scan_one(t_scaled, eps, criterion)[0]
 
 
 def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
@@ -226,13 +234,15 @@ def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
 
 
 def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated coefficient columns for many rescaled times at once.
+    """Truncated Bessel columns for many rescaled times at once.
 
-    Returns ``(C, n_used)`` where column i holds ``c_k(t_i)`` for
-    ``k <= n_used[i]`` (zeros above) and ``n_used[i]`` is the two-coefficient
-    stopping order for ``t_i`` capped at ``max_order``. Equivalent to calling
-    :func:`stop_order` and :func:`scalar_coefficients` per time, but one
-    vectorised backward recurrence serves all columns.
+    Returns ``(J, n_used)`` where ``J[k, i] = J_k(t_i)`` for ``k <= n_used[i]``
+    and ``n_used[i]`` is the two-coefficient stopping order for ``t_i``
+    capped at ``max_order``. ``J`` is real and has ``max(n_used) + 1`` rows;
+    entries of column i past row ``n_used[i]`` are not part of the result.
+    The coefficients are ``c_k(t_i) = (2 - delta_k0) * (-i)^k * J[k, i]``,
+    the same as :func:`stop_order` and :func:`scalar_coefficients` per time
+    give, but one vectorised backward recurrence serves all columns.
     """
     ts = np.asarray(t_values, dtype=float)
     if ts.ndim != 1:
@@ -241,12 +251,7 @@ def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, 
         raise ValueError("rescaled times must be non-negative")
     n_stop, j = _stop_scan(ts, eps)
     n_used = np.minimum(n_stop, max_order)
-    rows = min(j.shape[0], max_order + 1)
-    j = j[:rows]
-    np.copyto(j, 0.0, where=np.arange(rows)[:, None] > n_used)
-    coeff = np.zeros((max_order + 1, ts.shape[0]), dtype=np.complex128)
-    np.multiply(j, _coefficient_factors(rows - 1)[:, None], out=coeff[:rows])
-    return coeff, n_used
+    return j[: int(n_used.max()) + 1], n_used
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,12 @@ class ChebCoefficients:
 
 
 def coefficients(t_scaled: float, eps: float = DEFAULT_EPS) -> ChebCoefficients:
-    """Generate coefficients through the stopping order for ``t_scaled``."""
-    values = scalar_coefficients(t_scaled, stop_order(t_scaled, eps))
+    """Generate coefficients through the stopping order for ``t_scaled``.
+
+    The values come from the Bessel column the stopping order was read from.
+    """
+    n, j = _scan_one(t_scaled, eps)
+    values = j[: n + 1] * _coefficient_factors(n)
     values.flags.writeable = False
     return ChebCoefficients(t_scaled=t_scaled, values=values, eps=eps)
 

@@ -218,19 +218,26 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
 # -- trace / spectrum files ---------------------------------------------
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write a header line and one row per entry of the equal-length ``columns``.
+
+    Every value is written at 17 significant digits, round-trip safe for
+    IEEE doubles; each row is one ``%``-format call.
+    """
+    rows = np.column_stack(columns).tolist()
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([row_fmt % tuple(row) for row in rows]))
+
+
 def write_trace_csv(trace: ExpectationTrace, path) -> None:
     """Write ``t,re_<label>,im_<label>,...`` rows at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["t"]
-        for label in trace.labels:
-            header += [f"re_{label}", f"im_{label}"]
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(trace.times):
-            row = [_FMT.format(t)]
-            for q in range(len(trace.labels)):
-                v = trace.values[q, k]
-                row += [_FMT.format(v.real), _FMT.format(v.imag)]
-            fh.write(",".join(row) + "\n")
+    header, columns = ["t"], [trace.times]
+    for label, v in zip(trace.labels, trace.values):
+        header += [f"re_{label}", f"im_{label}"]
+        columns += [v.real, v.imag]
+    _write_csv(path, header, columns)
 
 
 def read_trace_csv(path) -> ExpectationTrace:
@@ -276,14 +283,11 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
 
 def write_spectrum_csv(freqs, amps, labels, path) -> None:
     amps = np.atleast_2d(amps)
-    with open(path, "w", encoding="utf-8") as fh:
-        if len(labels) == 1:
-            fh.write("freq_hz,amplitude\n")
-        else:
-            fh.write("freq_hz," + ",".join(f"amplitude_{l}" for l in labels) + "\n")
-        for k, f in enumerate(freqs):
-            row = [_FMT.format(f)] + [_FMT.format(amps[q, k]) for q in range(amps.shape[0])]
-            fh.write(",".join(row) + "\n")
+    if len(labels) == 1:
+        header = ["freq_hz", "amplitude"]
+    else:
+        header = ["freq_hz"] + [f"amplitude_{l}" for l in labels]
+    _write_csv(path, header, [freqs, *amps])
 
 
 # -- benchmark harness ----------------------------------------------------

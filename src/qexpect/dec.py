@@ -15,6 +15,12 @@ expectation at *any* time t <= tau is a pure scalar sum
 with no matrix work at all. Per-time truncation is safe for t <= tau: the
 stopping order is monotone in the rescaled time, so earlier times need only
 a prefix of the stored series.
+
+On a grid, one backward Bessel recurrence fills the real table
+``J_k(t_i * D)`` for all points at once, and the factors
+``(2 - delta_k0) * (-i)^k`` are folded into the stored scalars once per
+call. A grid point then costs one real product of length ``n(t_i) + 1`` per
+observable and part, plus its share of the Bessel table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ import json
 
 import numpy as np
 
-from .chebyshev import DEFAULT_EPS, coefficient_grid, scalar_coefficients, stop_order
+from .chebyshev import (
+    DEFAULT_EPS,
+    _coefficient_factors,
+    coefficient_grid,
+    coefficients,
+    stop_order,
+)
 from .errors import ConfigError, NumericalError
 from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, extreme_eigs, rescale
@@ -174,12 +186,9 @@ def dec_evaluate(series: DECSeries, t: float) -> np.ndarray:
     ``t`` (never more than was stored). Exactly ``trace(rho0 Q)`` at t = 0.
     """
     t = _check_time(series, t)
-    t_scaled = t * series.half_width
-    n_t = stop_order(t_scaled, series.eps)
-    n_use = min(n_t, series.n_orders - 1)
-    c = scalar_coefficients(t_scaled, n_use)
+    c = coefficients(t * series.half_width, series.eps).values[: series.n_orders]
     phase = np.exp(-1j * series.shift * t)
-    return phase * (series.tilde[:, : n_use + 1] @ c)
+    return phase * (series.tilde[:, : c.shape[0]] @ c)
 
 
 def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
@@ -193,14 +202,20 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
         )
     run = RunRecord("dec", eps=series.eps, n_orders=series.n_orders)
     clamped = np.minimum(times, series.tau)
-    coeff, _ = coefficient_grid(clamped * series.half_width, series.eps,
-                                series.n_orders - 1)
-    phases = np.exp(-1j * series.shift * clamped)
-    # one matrix-vector product per grid point keeps results independent of
-    # the ordering of the points (a batched product is not)
-    values = np.empty((len(series.labels), times.shape[0]), dtype=np.complex128)
-    for i in range(times.shape[0]):
-        values[:, i] = phases[i] * (series.tilde @ coeff[:, i])
+    j, n_used = coefficient_grid(clamped * series.half_width, series.eps,
+                                 series.n_orders - 1)
+    # the factors (2 - delta_k0) (-i)^k go into the stored scalars once; each
+    # point is then one real product of their real and imaginary parts with
+    # the prefix k <= n_used of its Bessel column. One product per point
+    # keeps results independent of the other points and their order (a
+    # batched product is not)
+    scaled = series.tilde * _coefficient_factors(series.n_orders - 1)
+    parts = np.concatenate([scaled.real, scaled.imag])
+    sums = np.empty((times.shape[0], parts.shape[0]))
+    for i, n in enumerate(n_used + 1):
+        np.dot(parts[:, :n], j[:n, i], out=sums[i])
+    n_obs = len(series.labels)
+    values = np.exp(-1j * series.shift * clamped) * (sums[:, :n_obs] + 1j * sums[:, n_obs:]).T
     return run.close(times, series.labels, values)
 
 

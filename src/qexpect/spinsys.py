@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sparse import SparseMatrix, vec
+from .sparse import SparseMatrix
 from .trace import normalize_observables
 
 __all__ = [
@@ -272,15 +272,21 @@ def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.nda
 
 
 def initial_state(n: int) -> np.ndarray:
-    """Vectorised ``-sum_j Iy_j``, the state right after an x pulse."""
+    """Vectorised ``-sum_j Iy_j``, the state right after an x pulse.
+
+    Built from the bits of the basis index: ``-Iy_j`` links state s to s
+    with site j's bit flipped, with entry ``i/2`` where that bit is clear
+    (spin up) and ``-i/2`` where it is set.
+    """
     if n < 1:
         raise ValueError("need at least one spin")
-    ops = spin_half()
     dim = 2**n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    states = np.arange(dim)
+    rho = np.zeros(dim * dim, dtype=np.complex128)
     for j in range(n):
-        rho -= embed(ops.iy, j, n).to_dense()
-    return vec(rho)
+        flip = 1 << (n - 1 - j)
+        rho.imag[states + (states ^ flip) * dim] = np.where(states & flip, -0.5, 0.5)
+    return rho
 
 
 def _total(op: np.ndarray, n: int) -> SparseMatrix:

@@ -263,19 +263,31 @@ def test_coefficients_terminal_pair_below_eps():
         assert co.n_max > t
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-10])
+def test_coefficients_match_the_scalar_path(eps):
+    # the values are read from the stopping scan's own Bessel column
+    for t in np.concatenate([[0.0, 1e-9, 0.3], np.geomspace(1.0, 1480.0, 25)]):
+        values = coefficients(t, eps).values
+        ref = scalar_coefficients(t, stop_order(t, eps))
+        assert values.shape == ref.shape
+        assert np.max(np.abs(values - ref)) <= 1e-13
+
+
 def test_coefficient_grid_matches_scalar_path(rng):
-    from qexpect.chebyshev import coefficient_grid
+    from qexpect.chebyshev import _coefficient_factors, coefficient_grid
 
     eps = 1e-7
     times = np.array([0.0, 1e-9, 0.3, 2.0, 7.7, 26.0, 61.5, 140.0])
     cap = stop_order(times.max(), eps)
     grid, n_used = coefficient_grid(times, eps, cap)
+    assert grid.dtype == np.float64
+    assert grid.shape == (n_used.max() + 1, times.shape[0])
     for i, t in enumerate(times):
         n_ref = min(stop_order(t, eps), cap)
         assert n_used[i] == n_ref
         ref = scalar_coefficients(t, n_ref)
-        assert np.allclose(grid[: n_ref + 1, i], ref, rtol=0, atol=1e-13)
-        assert np.all(grid[n_ref + 1 :, i] == 0.0)
+        coeff = grid[: n_ref + 1, i] * _coefficient_factors(n_ref)
+        assert np.allclose(coeff, ref, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,16 +299,17 @@ def test_coefficient_grid_matches_scalar_path(rng):
 def test_coefficient_grid_equals_scalar_path_property(times, eps):
     # tiny times are where a plain backward recurrence needs rescaling; the
     # cap is above every stopping order in range, so none is clipped
-    from qexpect.chebyshev import coefficient_grid
+    from qexpect.chebyshev import _coefficient_factors, coefficient_grid
 
     cap = 2 * stop_order(300.0, eps)
     grid, n_used = coefficient_grid(times, eps, cap)
+    assert grid.shape == (n_used.max() + 1, len(times))
     for i, t in enumerate(times):
         n_ref = stop_order(t, eps)
         assert n_used[i] == n_ref
         ref = scalar_coefficients(t, n_ref)
-        assert np.max(np.abs(grid[: n_ref + 1, i] - ref)) <= 1e-13
-        assert np.all(grid[n_ref + 1 :, i] == 0.0)
+        coeff = grid[: n_ref + 1, i] * _coefficient_factors(n_ref)
+        assert np.max(np.abs(coeff - ref)) <= 1e-13
 
 
 def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
@@ -311,7 +324,9 @@ def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
     monkeypatch.setattr(cheb, "_order_guess", lambda ts, eps: np.full(ts.shape, 2))
     grid, n_used = cheb.coefficient_grid(times, eps, cap)
     assert np.array_equal(n_used, n_expected)
-    assert np.max(np.abs(grid - expected)) <= 1e-13
+    assert grid.shape == expected.shape
+    for i, n in enumerate(n_used):
+        assert np.max(np.abs(grid[: n + 1, i] - expected[: n + 1, i])) <= 1e-13
     assert stop_order(140.0, eps) == cap
 
 

@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from qexpect import ConfigError, matvec_counter
+from qexpect import ConfigError, dec_evaluate_grid, load_series, matvec_counter
 from qexpect.cli import (
     RunConfig,
     benchmark,
@@ -122,6 +122,25 @@ def test_trace_csv_roundtrip_is_exact(tmp_path, rng):
     assert np.array_equal(back.times, trace.times)
     assert np.array_equal(back.values, trace.values)
     assert back.labels == trace.labels
+
+
+def test_trace_csv_bytes_match_per_value_format(tmp_path):
+    # golden text: every number through "{:.17g}", the writer's contract
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -42.0, 1e16, 2.5e-7]
+    times = np.array(specials)
+    re = np.array(specials[::-1])
+    im = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 7.0, -5e-324, 1.0 / 3.0])
+    values = np.empty((2, times.shape[0]), dtype=np.complex128)
+    values.real = [re, im]
+    values.imag = [im, re]
+    trace = ExpectationTrace(times=times, labels=("a", "b:0"), values=values)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = ["t,re_a,im_a,re_b:0,im_b:0"]
+    for k, t in enumerate(times):
+        row = [t] + [part for q in range(2) for part in (values[q, k].real, values[q, k].imag)]
+        lines.append(",".join("{:.17g}".format(x) for x in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_spectrum_peak_at_source_frequency():
@@ -276,6 +295,11 @@ def test_dec_sidecar_cli_flow(tmp_path):
     evaluated = read_trace_csv(fid)
     direct = run_simulation(parse_config(make_config(steps="100")))
     assert np.max(np.abs(evaluated.values - direct.values)) <= 1e-12
+
+    in_process = tmp_path / "in_process.csv"
+    write_trace_csv(dec_evaluate_grid(load_series(sidecar), 0.0001 * np.arange(101)),
+                    in_process)
+    assert fid.read_bytes() == in_process.read_bytes()
 
 
 def test_spectrum_cli_flow(tmp_path):

@@ -8,6 +8,7 @@ from qexpect import (
     ScalingParams,
     SparseMatrix,
     SpinSystemSpec,
+    assemble,
     build_hamiltonian,
     build_liouvillian,
     dec_evaluate,
@@ -257,3 +258,30 @@ def test_trace_error_within_eps_times_norms(n, seed, eps, tau):
     for q, label in enumerate(trace.labels):
         bound = eps * np.linalg.norm(trace_form(obs[label])) * np.linalg.norm(rho0)
         assert np.max(np.abs(trace.values[q] - ref.values[q])) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 999),
+    tau=st.floats(1.0, 150.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_grid_contraction_properties(n, seed, tau, fractions, data):
+    # multi-observable series; the grid holds t = 0, tau and duplicate times
+    system = assemble(benchmark_spec(n, seed), ("ip", "iz", "ix:0"))
+    series = dec_precompute(system.l_op, system.rho0, system.observables, tau=tau)
+    times = np.array([0.0, tau] + [f * tau for f in fractions])
+    times = np.concatenate([times, data.draw(st.lists(st.sampled_from(times), max_size=5))])
+    values = dec_evaluate_grid(series, times).values
+
+    perm = np.array(data.draw(st.permutations(range(times.shape[0]))))
+    permuted = dec_evaluate_grid(series, times[perm]).values
+    assert permuted.tobytes() == values[:, perm].tobytes()
+
+    pointwise = np.array([dec_evaluate(series, t) for t in times]).T
+    scale = np.max(np.abs(pointwise))
+    assert np.max(np.abs(values - pointwise)) <= 1e-12 * scale
+
+    assert np.array_equal(values[:, 0], series.tilde[:, 0])

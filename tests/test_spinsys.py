@@ -189,6 +189,19 @@ def test_initial_state_single_spin():
     assert np.allclose(rho, rho.conj().T)
 
 
+def _dense_initial_state(n):
+    """Reference ``-sum_j Iy_j``: one densified embedded operator subtracted per site."""
+    rho = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for j in range(n):
+        rho -= _kron_site(spin_half().iy, j, n).toarray()
+    return vec(rho)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_initial_state_equals_dense_sum_bitwise(n):
+    assert initial_state(n).tobytes() == _dense_initial_state(n).tobytes()
+
+
 def test_initial_state_two_spins_pattern():
     v = initial_state(2)
     nz = v[v != 0]
