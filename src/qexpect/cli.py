@@ -33,7 +33,6 @@ from .dec import dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import krylov_propagate
 from .oracle import dense_eig, oracle_expect
-from .spectral import extreme_eigs
 from .spinsys import SpinSystemSpec, assemble, observable_by_name
 from .trace import ExpectationTrace, RunRecord
 from .zte import zte_detect, zte_propagate, zte_window
@@ -168,7 +167,9 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     """Dispatch to the selected engine and return the sampled expectations.
 
     Every engine, the oracle's dense cap included, runs on the trace block
-    of :func:`qexpect.spinsys.assemble`.
+    of :func:`qexpect.spinsys.assemble`. ``dec`` and ``cheb`` rescale by the
+    block's exact spectral interval, read off H's sectors
+    (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`).
     """
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
@@ -179,14 +180,14 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
         trace = oracle_expect(dense_eig(l_op), rho0, observables, times)
     elif cfg.engine == "dec":
         series_run = RunRecord("dec")
-        series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps)
+        series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps,
+                                scaling=system.spectral_interval())
         trace = dec_evaluate_grid(series, times)
         trace.metadata.update(matvecs=series.n_orders - 1,
                               wall_time_s=series_run.cost()[1])
     elif cfg.engine == "cheb":
-        scaling = extreme_eigs(l_op)
-        trace = cheb_step_propagate(l_op, scaling, rho0, cfg.dt, cfg.steps,
-                                    observables, eps=cfg.eps)
+        trace = cheb_step_propagate(l_op, system.spectral_interval(), rho0, cfg.dt,
+                                    cfg.steps, observables, eps=cfg.eps)
     elif cfg.engine == "krylov":
         trace = krylov_propagate(l_op, rho0, cfg.dt, cfg.steps, observables,
                                  eps=cfg.eps, m_max=cfg.m_max)
@@ -503,7 +504,7 @@ def _cmd_dec_precompute(args) -> int:
     cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
     system = assemble(cfg.system, cfg.observables)
     series = dec_precompute(system.l_op, system.rho0, system.observables,
-                            tau=cfg.horizon, eps=cfg.eps)
+                            tau=cfg.horizon, eps=cfg.eps, scaling=system.spectral_interval())
     save_series(series, args.out)
     print(f"series with {series.n_orders} orders (tau={series.tau}) "
           f"written to {args.out}")

@@ -38,7 +38,7 @@ from .chebyshev import (
 )
 from .errors import ConfigError, NumericalError
 from .sparse import SparseMatrix, spmv
-from .spectral import ScalingParams, extreme_eigs, rescale
+from .spectral import ScalingParams, _rescale_real, extreme_eigs, rescale
 from .trace import ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
@@ -103,12 +103,24 @@ def dec_precompute(
 ) -> DECSeries:
     """Sweep the Chebyshev vector recurrence once, storing scalar traces.
 
-    Estimates the spectral interval (unless ``scaling`` is supplied),
-    rescales, then iterates ``t_{k+1} = 2 L_s t_k - t_{k-1}`` from
-    ``t_0 = rho0``, ``t_1 = L_s rho0``, recording one inner product per
+    Rescales by ``scaling``, then iterates ``t_{k+1} = 2 L_s t_k - t_{k-1}``
+    from ``t_0 = rho0``, ``t_1 = L_s rho0``, recording one inner product per
     observable per order. Orders ``0 .. n-1`` are stored where ``n`` is the
     stopping order for ``tau``; that costs exactly ``n - 1`` matvecs, and
     only three state vectors are ever alive.
+
+    The interval: spin-system callers (``run_simulation``, ``dec-precompute``)
+    pass the exact one from the sectors of H,
+    :meth:`qexpect.spinsys.TraceSystem.spectral_interval`. Without
+    ``scaling``, a Lanczos estimate (:func:`qexpect.spectral.extreme_eigs`,
+    5 % inflation) is used, as for any operator passed in directly.
+
+    The arithmetic: when every entry of ``l_op`` is real and ``rho0`` is
+    purely real or purely imaginary (``rho0 = i*y``), every ``t_k`` is too,
+    so the sweep runs on float64 vectors with a float64 copy of ``L_s`` and
+    stores ``w @ t_k`` or ``i * (w @ y_k)``. Orders and matvecs are those
+    of the complex sweep, and the scalars agree with it to roundoff.
+    Otherwise the states are complex.
 
     ``eps`` bounds the first dropped pair of expansion coefficients, not the
     trace. The trace error of :func:`dec_evaluate` at any ``t <= tau`` stays
@@ -127,7 +139,14 @@ def dec_precompute(
         scaling = extreme_eigs(l_op)
 
     n_orders = stop_order(tau * scaling.D, eps)
-    l_s = rescale(l_op, scaling)
+    # real sweep: rho0 = unit * y with y real, and then every T_k(L_s) y is real
+    t_prev, unit = rho0, None
+    if not np.any(l_op.values.imag):
+        if not np.any(rho0.imag):
+            t_prev, unit = np.ascontiguousarray(rho0.real), 1
+        elif not np.any(rho0.real):
+            t_prev, unit = np.ascontiguousarray(rho0.imag), 1j
+    l_s = rescale(l_op, scaling) if unit is None else _rescale_real(l_op, scaling)
 
     # one plain dot per observable per order, so a multi-observable sweep
     # reproduces single-observable runs bit for bit
@@ -136,7 +155,6 @@ def dec_precompute(
             tilde[i, k] = w_rows[i] @ state
 
     tilde = np.empty((len(labels), n_orders), dtype=np.complex128)
-    t_prev = rho0
     record(0, t_prev)
     if n_orders > 1:
         t_cur = spmv(l_s, t_prev)
@@ -145,6 +163,8 @@ def dec_precompute(
             t_next = 2.0 * spmv(l_s, t_cur) - t_prev
             record(k, t_next)
             t_prev, t_cur = t_cur, t_next
+    if unit == 1j:
+        tilde = 1j * tilde
 
     bound = (1.0 + _BOUND_SLACK) * np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
     over = ~(np.abs(tilde) <= bound[:, None])  # NaN counts as over

@@ -57,6 +57,19 @@ class MatvecCounter:
 matvec_counter = MatvecCounter()
 
 
+def _canonical_csr(matrix, dtype) -> sp.csr_matrix:
+    # copy unconditionally: the input may share (frozen) buffers with
+    # another instance, and canonicalisation mutates in place
+    m = sp.csr_matrix(matrix, dtype=dtype, copy=True)
+    m.sum_duplicates()
+    m.sort_indices()
+    m.eliminate_zeros()
+    m.data.flags.writeable = False
+    m.indices.flags.writeable = False
+    m.indptr.flags.writeable = False
+    return m
+
+
 class SparseMatrix:
     """Immutable complex matrix in compressed sparse row form.
 
@@ -70,18 +83,20 @@ class SparseMatrix:
     __slots__ = ("_m",)
 
     def __init__(self, matrix):
-        # copy unconditionally: the input may share (frozen) buffers with
-        # another instance, and canonicalisation mutates in place
-        m = sp.csr_matrix(matrix, dtype=np.complex128, copy=True)
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
-        m.data.flags.writeable = False
-        m.indices.flags.writeable = False
-        m.indptr.flags.writeable = False
-        self._m = m
+        self._m = _canonical_csr(matrix, np.complex128)
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _real(cls, matrix) -> "SparseMatrix":
+        """Float64 storage, canonicalised alike, for a matrix whose entries are real.
+
+        Only the real-arithmetic sweep of ``dec_precompute`` builds one;
+        :func:`spmv` then keeps real vectors real.
+        """
+        self = cls.__new__(cls)
+        self._m = _canonical_csr(matrix, np.float64)
+        return self
 
     @classmethod
     def from_triplets(cls, rows, cols, values, shape) -> "SparseMatrix":
@@ -159,6 +174,8 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
 
     Per-row accumulation runs left to right over the stored (sorted) column
     indices and is single threaded, so results are bitwise reproducible.
+    The product is complex128, except that a float64 vector times a matrix
+    with float64 storage (see ``SparseMatrix._real``) stays float64.
     """
     x = np.asarray(x)
     if x.ndim != 1 or a.ncols != x.shape[0]:
@@ -166,7 +183,7 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {a.nrows}x{a.ncols}, vector has length {x.shape}"
         )
     matvec_counter.add()
-    return a.csr.dot(x.astype(np.complex128, copy=False))
+    return a.csr.dot(x if x.dtype == a.csr.dtype else x.astype(np.complex128))
 
 
 def kron(a: SparseMatrix, b: SparseMatrix, max_dim: int = DEFAULT_MAX_KRON_DIM) -> SparseMatrix:

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError
 from .sparse import SparseMatrix
+from .spectral import INFLATION_FLOOR, ScalingParams
 from .trace import normalize_observables
 
 __all__ = [
@@ -39,6 +41,10 @@ __all__ = [
     "observable_iz",
     "observable_by_name",
 ]
+
+#: Relative outward padding of :meth:`TraceSystem.spectral_interval`, against
+#: ``eigvalsh`` roundoff and the rounding of the rescaled operator's entries.
+SECTOR_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -201,17 +207,30 @@ def build_liouvillian(h: SparseMatrix, index=None) -> SparseMatrix:
     dim = h.nrows
     p = np.arange(dim * dim) if index is None else np.asarray(index, dtype=np.intp)
     i, j = p % dim, p // dim
-    left_k, left_col, left_val = _row_entries(h.csr, i)
-    right_k, right_row, right_val = _row_entries(h.transpose().csr, j)
-    rows = np.concatenate([left_k, right_k])
-    cols = np.concatenate([left_col + j[left_k] * dim, i[right_k] + right_row * dim])
-    vals = np.concatenate([left_val, -right_val])
     if index is not None:
-        position = np.full(dim * dim, -1)
-        position[p] = np.arange(p.shape[0])
-        cols = position[cols]
-        inside = cols >= 0
-        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+        # a candidate column's position in ``index`` comes from a binary
+        # search on the sorted coordinates (through their argsort when
+        # ``index`` is unsorted); the sentinel -1 matches no column
+        order = None if np.all(p[1:] > p[:-1]) else np.argsort(p)
+        ordered = np.append(p if order is None else p[order], -1)
+
+    def side(k, cols, vals):
+        """One side's entries, their columns mapped to positions in ``index``."""
+        if index is None:
+            return k, cols, vals
+        at = np.searchsorted(ordered[:-1], cols)
+        inside = ordered[at] == cols
+        if not inside.all():
+            k, vals, at = k[inside], vals[inside], at[inside]
+        return k, (at if order is None else order[at]), vals
+
+    k, col, val = _row_entries(h.csr, i)
+    left = side(k, col + j[k] * dim, val)
+    k, row, val = _row_entries(h.transpose().csr, j)
+    right = side(k, i[k] + row * dim, np.negative(val, out=val))
+    del k, col, row, val
+    rows, cols, vals = (np.concatenate(pair) for pair in zip(left, right))
+    del left, right
     return SparseMatrix.from_triplets(rows, cols, vals, (p.shape[0], p.shape[0]))
 
 
@@ -237,17 +256,11 @@ def hilbert_components(h: SparseMatrix) -> np.ndarray:
         label = low
 
 
-def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
-    """Sorted Liouville coordinates that carry ``w_rows @ rho(t)`` exactly.
+def _kept_pairs(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray):
+    """Component labels of ``h`` and the kept (a, b) pairs of :func:`trace_block`.
 
-    ``L`` only links ``rho[i, j]`` to ``rho[i', j]`` with ``H[i,i'] != 0``
-    and to ``rho[i, j']`` with ``H[j',j] != 0``, so each pair (component a,
-    component b) of :func:`hilbert_components` spans an invariant block.
-    Blocks ``rho0`` does not touch stay zero, and blocks no trace form reads
-    add nothing, so the kept blocks are those ``rho0`` touches and some row
-    of ``w_rows`` reads. When there are none every expectation is exactly
-    zero, and ``rho0``'s own blocks are kept so that engines still have a
-    state to propagate.
+    Returns ``(label, pairs)``: the labels of :func:`hilbert_components` and
+    a ``(k, 2)`` array of component labels, ordered by ``a * dim + b``.
     """
     dim = h.nrows
     label = hilbert_components(h)
@@ -260,13 +273,38 @@ def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.nda
     kept = np.intersect1d(source, blocks(np.any(w_rows != 0, axis=0)))
     if kept.size == 0:
         kept = source
+    return label, np.column_stack([kept // dim, kept % dim])
+
+
+def _sectors(label: np.ndarray):
+    """``(order, bounds)``: component c holds ``order[bounds[c]:bounds[c + 1]]``, ascending."""
     order = np.argsort(label, kind="stable")
-    sorted_label = label[order]
-    lo = np.searchsorted(sorted_label, np.arange(dim), side="left")
-    hi = np.searchsorted(sorted_label, np.arange(dim), side="right")
+    return order, np.searchsorted(label[order], np.arange(label.shape[0] + 1))
+
+
+def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Sorted Liouville coordinates that carry ``w_rows @ rho(t)`` exactly.
+
+    ``L`` only links ``rho[i, j]`` to ``rho[i', j]`` with ``H[i,i'] != 0``
+    and to ``rho[i, j']`` with ``H[j',j] != 0``, so each pair (component a,
+    component b) of :func:`hilbert_components` spans an invariant block.
+    Blocks ``rho0`` does not touch stay zero, and blocks no trace form reads
+    add nothing, so the kept blocks are those ``rho0`` touches and some row
+    of ``w_rows`` reads. When there are none every expectation is exactly
+    zero, and ``rho0``'s own blocks are kept so that engines still have a
+    state to propagate.
+    """
+    label, pairs = _kept_pairs(h, rho0, w_rows)
+    return _block_index(label, pairs)
+
+
+def _block_index(label: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Sorted Liouville coordinates of the blocks of the given component pairs."""
+    dim = label.shape[0]
+    order, bounds = _sectors(label)
     parts = []
-    for a, b in zip(kept // dim, kept % dim):
-        rows, cols = order[lo[a]:hi[a]], order[lo[b]:hi[b]]
+    for a, b in pairs:
+        rows, cols = order[bounds[a]:bounds[a + 1]], order[bounds[b]:bounds[b + 1]]
         parts.append((rows[:, None] + cols[None, :] * dim).ravel())
     return np.sort(np.concatenate(parts))
 
@@ -341,16 +379,60 @@ class TraceSystem:
     :func:`trace_block`, and ``rho0`` and every trace form in
     ``observables`` (label -> 1-D array) are restricted to them. Engines run
     on these unchanged and return the same expectations as on the full
-    space.
+    space. ``hamiltonian``, ``components`` (its :func:`hilbert_components`
+    labels) and ``pairs`` (the kept component pairs, one row each) define
+    the block; :meth:`spectral_interval` reads its exact spectrum off them.
     """
 
     l_op: SparseMatrix
     rho0: np.ndarray
     observables: dict
+    hamiltonian: SparseMatrix
+    components: np.ndarray
+    pairs: np.ndarray
 
     @property
     def block_dim(self) -> int:
         return self.l_op.nrows
+
+    def spectral_interval(self) -> ScalingParams:
+        """Exact spectral interval of ``l_op``, read off the sectors of H.
+
+        On the block of pair (a, b), ``L`` maps ``X`` to ``H_a X - X H_b``,
+        where ``H_a`` is H on component a, so its eigenvalues are
+        ``lambda_i(H_a) - lambda_j(H_b)``. ``eigvalsh`` on each sector of a
+        pair (the diagonal entry for a single state) gives the exact
+        extremes. The interval is padded outward by ``SECTOR_PAD`` times its
+        largest endpoint modulus, which covers ``eigvalsh`` roundoff and the
+        rounding of the rescaled entries ``L/D - S/D``, plus
+        ``INFLATION_FLOOR``, which keeps the half-width positive when the
+        spectrum is a single point.
+        """
+        h, label = self.hamiltonian.csr, self.components
+        order, bounds = _sectors(label)
+        size = np.diff(bounds)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0]) - bounds[label[order]]
+        # every stored entry of H links two states of one component: group
+        # the entries by it, and scatter each group into its dense sector
+        row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        by_sector = np.argsort(label[row], kind="stable")
+        first = np.searchsorted(label[row][by_sector], np.arange(label.shape[0] + 1))
+        low = np.array(h.diagonal().real)
+        high = low.copy()
+        for c in np.unique(self.pairs):
+            if size[c] > 1:
+                e = by_sector[first[c]:first[c + 1]]
+                block = np.zeros((size[c], size[c]), dtype=h.dtype)
+                block[rank[row[e]], rank[h.indices[e]]] = h.data[e]
+                ev = scipy.linalg.eigvalsh(block if np.any(block.imag) else block.real,
+                                           check_finite=False)
+                low[c], high[c] = ev[0], ev[-1]
+        a, b = self.pairs[:, 0], self.pairs[:, 1]
+        beta = float(np.min(low[a] - high[b]))
+        alpha = float(np.max(high[a] - low[b]))
+        pad = SECTOR_PAD * max(abs(alpha), abs(beta)) + INFLATION_FLOOR
+        return ScalingParams.from_bounds(alpha=alpha + pad, beta=beta - pad)
 
 
 def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
@@ -359,6 +441,8 @@ def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
     rho0 = initial_state(spec.n)
     labels, w_rows = normalize_observables(
         {name: observable_by_name(name, spec.n) for name in names}, spec.liouville_dim)
-    index = trace_block(h, rho0, w_rows)
+    components, pairs = _kept_pairs(h, rho0, w_rows)
+    index = _block_index(components, pairs)
     return TraceSystem(l_op=build_liouvillian(h, index), rho0=rho0[index],
-                       observables={label: w[index] for label, w in zip(labels, w_rows)})
+                       observables={label: w[index] for label, w in zip(labels, w_rows)},
+                       hamiltonian=h, components=components, pairs=pairs)

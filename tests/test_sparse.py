@@ -55,6 +55,24 @@ def test_spmv_increments_counter():
     assert matvec_counter.count == before + 1
 
 
+def test_spmv_keeps_real_vectors_real_on_real_storage(rng):
+    dense = rng.standard_normal((6, 6))
+    dense[rng.random((6, 6)) < 0.5] = 0.0
+    complex_op = SparseMatrix.from_dense(dense)
+    real_op = SparseMatrix._real(complex_op.csr.real)
+    assert real_op.values.dtype == np.float64
+    assert (real_op.nrows, real_op.nnz) == (complex_op.nrows, complex_op.nnz)
+    x = rng.standard_normal(6)
+    before = matvec_counter.count
+    y = spmv(real_op, x)
+    assert matvec_counter.count == before + 1
+    assert y.dtype == np.float64
+    assert np.array_equal(y, spmv(complex_op, x).real)
+    # a complex vector, or the complex operator, still gives a complex product
+    assert spmv(real_op, x * 1j).dtype == np.complex128
+    assert spmv(complex_op, x).dtype == np.complex128
+
+
 def test_kron_identity_factor():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     c = kron(SparseMatrix.identity(2), SparseMatrix.from_dense(m))

@@ -17,7 +17,8 @@ from qexpect import (
     oracle_expect,
 )
 from qexpect.cli import RunConfig, benchmark_spec, run_simulation
-from qexpect.spinsys import assemble, hilbert_components, trace_block
+from qexpect.spectral import INFLATION_FLOOR
+from qexpect.spinsys import SECTOR_PAD, TraceSystem, assemble, hilbert_components, trace_block
 
 from conftest import random_spin_spec, same_csr
 
@@ -135,3 +136,38 @@ def test_every_engine_on_the_block_matches_the_full_space_oracle(problem):
         else:
             tol = eps * norms
         assert np.all(err <= tol), (engine, err, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems())
+def test_sector_interval_is_the_padded_block_spectrum(problem):
+    """The interval holds every eigenvalue of the block L, and each endpoint
+    lies the documented margin (to the roundoff of two eigensolvers) beyond
+    the extreme eigenvalue."""
+    spec, names = problem
+    system = assemble(spec, names)
+    scaling = system.spectral_interval()
+    lam = dense_eig(system.l_op).lam
+    margin = SECTOR_PAD * max(abs(scaling.alpha), abs(scaling.beta)) + INFLATION_FLOOR
+    roundoff = 1e-12 * max(1.0, np.max(np.abs(lam)))
+    assert scaling.beta <= lam[0] and lam[-1] <= scaling.alpha
+    assert scaling.alpha - lam[-1] <= margin + roundoff
+    assert lam[0] - scaling.beta <= margin + roundoff
+
+
+def test_sector_interval_equals_the_dense_extremes_at_six_spins():
+    system = assemble(benchmark_spec(6), ("ip",))
+    scaling = system.spectral_interval()
+    lam = dense_eig(system.l_op).lam
+    margin = SECTOR_PAD * max(abs(scaling.alpha), abs(scaling.beta)) + INFLATION_FLOOR
+    assert abs(scaling.alpha - margin - lam[-1]) <= 1e-12 * np.max(np.abs(lam))
+    assert abs(scaling.beta + margin - lam[0]) <= 1e-12 * np.max(np.abs(lam))
+
+
+@pytest.mark.parametrize("engine", ["krylov", "zte", "oracle"])
+def test_engines_that_do_not_rescale_skip_the_sector_interval(monkeypatch, engine):
+    def refuse(self):
+        raise AssertionError("spectral interval computed")
+
+    monkeypatch.setattr(TraceSystem, "spectral_interval", refuse)
+    run_simulation(RunConfig(system=benchmark_spec(3), engine=engine, dt=0.1, steps=5))
