@@ -19,15 +19,19 @@ from qexpect import (
     initial_state,
     load_series,
     matvec_counter,
+    normalize_observables,
     observable_ip,
     observable_iz,
     oracle_expect,
+    rescale,
     save_series,
+    spmv,
     trace_form,
 )
+import qexpect.dec as dec_module
 from qexpect.cli import benchmark_spec
 
-from conftest import random_spin_spec
+from conftest import random_hermitian, random_spin_spec
 
 
 def test_zero_operator_series_pattern():
@@ -289,87 +293,70 @@ def test_grid_contraction_properties(n, seed, tau, fractions, data):
 
 def _reference_sweep(l_op, rho0, w_rows, scaling, n_orders):
     """The complex recurrence: complex CSR, complex states, one dot per order."""
-    from qexpect.spectral import rescale
-    from qexpect.sparse import spmv
-
     l_s = rescale(l_op, scaling)
-    tilde = np.empty((w_rows.shape[0], n_orders), dtype=np.complex128)
     states = [np.asarray(rho0, dtype=np.complex128)]
-    if n_orders > 1:
-        states.append(spmv(l_s, states[0]))
-    tilde[:, 0] = [w @ states[0] for w in w_rows]
-    for k in range(1, n_orders):
-        if k > 1:
-            states = [states[1], 2.0 * spmv(l_s, states[1]) - states[0]]
-        tilde[:, k] = [w @ states[-1] for w in w_rows]
-    return tilde
+    while len(states) < n_orders:
+        product = spmv(l_s, states[-1])
+        states.append(product if len(states) == 1 else 2.0 * product - states[-2])
+    return np.array([[w @ state for state in states] for w in w_rows])
 
 
-def _spy_sweep(monkeypatch, *args, **kwargs):
-    """``dec_precompute`` with the dtype of every vector it passes to ``spmv``."""
-    import qexpect.dec as dec_module
-
-    dtypes = []
+def _spy_sweep(monkeypatch, l_op, rho0, obs, tau, scaling):
+    """``dec_precompute``, its matvec count, and the dtypes of the vectors it
+    passes to ``spmv``."""
+    dtypes = set()
 
     def spy(a, x):
-        dtypes.append(np.asarray(x).dtype)
-        return spmv_orig(a, x)
+        dtypes.add(np.asarray(x).dtype)
+        return spmv(a, x)
 
-    spmv_orig = dec_module.spmv
     monkeypatch.setattr(dec_module, "spmv", spy)
     before = matvec_counter.count
-    series = dec_module.dec_precompute(*args, **kwargs)
-    return series, matvec_counter.count - before, set(dtypes)
+    series = dec_precompute(l_op, rho0, obs, tau=tau, scaling=scaling)
+    return series, matvec_counter.count - before, dtypes
 
 
-@pytest.mark.parametrize("n", [1, 3, 5])
-@pytest.mark.parametrize("start", ["imaginary", "real"])
-def test_real_sweep_matches_the_complex_recurrence(monkeypatch, n, start):
-    spec = benchmark_spec(n, 3)
-    l_op = build_liouvillian(build_hamiltonian(spec))
-    rho0 = initial_state(n)
-    if start == "real":
-        rho0 = rho0.imag.astype(np.complex128)
-    obs = {"ip": observable_ip(n), "iz": observable_iz(n)}
-    w_rows = np.array([trace_form(q) for q in obs.values()])
-    scaling = extreme_eigs(l_op)
-    series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, obs, tau=60.0,
-                                         scaling=scaling)
+def _assert_real_sweep_matches_reference(monkeypatch, l_op, rho0, obs, tau, scaling):
+    series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, obs, tau, scaling)
     assert dtypes == {np.dtype(np.float64)}  # every product is real, and counted
     assert matvecs == series.n_orders - 1
+    _, w_rows = normalize_observables(obs, l_op.nrows)
     ref = _reference_sweep(l_op, rho0, w_rows, scaling, series.n_orders)
     norms = np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
     assert np.all(np.max(np.abs(series.tilde - ref), axis=1) <= 1e-13 * norms)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("start", ["imaginary", "real"])
+def test_real_sweep_matches_the_complex_recurrence(monkeypatch, n, start):
+    l_op = build_liouvillian(build_hamiltonian(benchmark_spec(n, 3)))
+    rho0 = initial_state(n)
+    if start == "real":
+        rho0 = rho0.imag.astype(np.complex128)
+    obs = {"ip": observable_ip(n), "iz": observable_iz(n)}
+    _assert_real_sweep_matches_reference(monkeypatch, l_op, rho0, obs, 60.0,
+                                         extreme_eigs(l_op))
+
+
 def test_block_sweep_is_real_and_matches_the_complex_recurrence(monkeypatch):
     system = assemble(benchmark_spec(6), ("ip", "ix"))
-    scaling = system.spectral_interval()
-    series, matvecs, dtypes = _spy_sweep(monkeypatch, system.l_op, system.rho0,
-                                         system.observables, tau=80.0, scaling=scaling)
-    assert dtypes == {np.dtype(np.float64)}
-    assert matvecs == series.n_orders - 1
-    w_rows = np.array(list(system.observables.values()))
-    ref = _reference_sweep(system.l_op, system.rho0, w_rows, scaling, series.n_orders)
-    norms = np.linalg.norm(w_rows, axis=1) * np.linalg.norm(system.rho0)
-    assert np.all(np.max(np.abs(series.tilde - ref), axis=1) <= 1e-13 * norms)
+    _assert_real_sweep_matches_reference(monkeypatch, system.l_op, system.rho0,
+                                         system.observables, 80.0,
+                                         system.spectral_interval())
 
 
 @pytest.mark.parametrize("case", ["complex operator", "mixed start"])
 def test_complex_sweep_is_unchanged(monkeypatch, rng, case):
-    from conftest import random_hermitian
-
     if case == "complex operator":
         l_op = SparseMatrix.from_dense(random_hermitian(12, rng))
         rho0 = rng.standard_normal(12) * 1j
     else:  # a real operator, but rho0 neither real nor imaginary
         l_op = build_liouvillian(build_hamiltonian(benchmark_spec(2)))
         rho0 = initial_state(2) + 0.25
-    obs = {"w": rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)}
+    w = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
     scaling = extreme_eigs(l_op)
-    series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, obs, tau=20.0,
-                                         scaling=scaling)
+    series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, {"w": w}, 20.0, scaling)
     assert dtypes == {np.dtype(np.complex128)}
     assert matvecs == series.n_orders - 1
-    ref = _reference_sweep(l_op, rho0, np.array([obs["w"]]), scaling, series.n_orders)
+    ref = _reference_sweep(l_op, rho0, np.array([w]), scaling, series.n_orders)
     assert np.array_equal(series.tilde, ref)
