@@ -299,9 +299,18 @@ def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -
         return c[0] * v
     b1 = np.zeros_like(v)
     b2 = np.zeros_like(v)
+    # in place, b_k = 2 L_s b_{k+1} + c_k v - b_{k+2}: addition commutes, so
+    # the rounding matches the written-out sum term for term
     for k in range(c.shape[0] - 1, 0, -1):
-        b1, b2 = c[k] * v + 2.0 * spmv(l_s, b1) - b2, b1
-    return c[0] * v + spmv(l_s, b1) - b2
+        t = spmv(l_s, b1)
+        t *= 2.0
+        t += c[k] * v
+        t -= b2
+        b1, b2 = t, b1
+    t = spmv(l_s, b1)
+    t += c[0] * v
+    t -= b2
+    return t
 
 
 def cheb_step_propagate(

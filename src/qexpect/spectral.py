@@ -11,12 +11,14 @@ deciding after each vector whether to stop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 
+from .errors import NumericalError
 from .sparse import SparseMatrix, spmv
 
 __all__ = [
@@ -94,12 +96,15 @@ def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
         basis[:, j] = q
         w = spmv(l_op, q)
         a = np.vdot(q, w).real  # Hermitian operator: diagonal is real
-        w = w - a * q - beta_prev * q_prev
+        w -= a * q
+        w -= beta_prev * q_prev
         if reorthogonalize:
             # B_dagger w as conj(B.T conj(w)): avoids copying the basis
             proj = np.conj(basis[:, : j + 1].T @ np.conj(w))
             w -= basis[:, : j + 1] @ proj
-        b = np.linalg.norm(w)
+        b = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))  # as np.linalg.norm sums it
+        if not math.isfinite(b):
+            raise NumericalError(f"Lanczos vector {j + 1} is not finite")
         alphas[j] = a
         betas[j] = b
         breakdown = b < BREAKDOWN_TOL * norm0
@@ -107,9 +112,9 @@ def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
                              norm0)
         if breakdown:
             return
-        q_prev = q
+        w /= b
+        q_prev, q = q, w
         beta_prev = b
-        q = w / b
 
 
 def lanczos(
@@ -167,12 +172,7 @@ def extreme_eigs(
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
     fac = lanczos(l_op, v0, m_max=min(m, l_op.nrows))
-    if fac.m == 1:
-        ritz = fac.alpha
-    else:
-        ritz = scipy.linalg.eigh_tridiagonal(
-            fac.alpha, fac.beta[:-1], eigvals_only=True
-        )
+    ritz = fac.alpha if fac.m == 1 else _tridiag_eig(fac.alpha, fac.beta[:-1], False)[0]
     lo, hi = float(np.min(ritz)), float(np.max(ritz))
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
@@ -201,6 +201,24 @@ def _rescale_real(l_op: SparseMatrix, scaling: ScalingParams) -> SparseMatrix:
     return SparseMatrix._real(_rescaled(l_op.csr.real, scaling))
 
 
+def _tridiag_eig(alpha: np.ndarray, beta: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of the m x m (m >= 2) real symmetric tridiagonal T,
+    with its eigenvectors as columns when ``vectors`` is set (else ``None``).
+
+    Calls LAPACK ``?stev`` directly: ``?steqr`` with vectors, ``?sterf``
+    without. ``scipy.linalg.eigh_tridiagonal`` reaches the same routines
+    through ``?stevd`` for m <= 25 (and without vectors at any m), but its
+    argument checks cost more than the solve at these sizes. A nonzero
+    ``info`` (the QL/QR iteration did not converge) raises
+    :class:`NumericalError`.
+    """
+    lam, u, info = scipy.linalg.lapack.dstev(alpha, beta, compute_v=vectors)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolver ?stev failed (info={info}) "
+                             f"on a {alpha.shape[0]}x{alpha.shape[0]} matrix")
+    return lam, (u if vectors else None)
+
+
 def tridiag_expv(alpha: np.ndarray, beta: np.ndarray, t: float) -> np.ndarray:
     """First column of ``exp(-i*T*t)`` for the real symmetric tridiagonal T.
 
@@ -216,5 +234,5 @@ def tridiag_expv(alpha: np.ndarray, beta: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"beta must have length {alpha.size - 1}, got {beta.shape}")
     if alpha.size == 1:
         return np.array([np.exp(-1j * alpha[0] * t)])
-    lam, u = scipy.linalg.eigh_tridiagonal(alpha, beta)
+    lam, u = _tridiag_eig(alpha, beta, True)
     return u @ (np.exp(-1j * lam * t) * u[0, :])

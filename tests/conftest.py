@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from qexpect import SparseMatrix, SpinSystemSpec
 
@@ -7,6 +8,18 @@ from qexpect import SparseMatrix, SpinSystemSpec
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def failing_stev(monkeypatch):
+    """LAPACK ``dstev`` that solves, then reports ``info = 1`` (no convergence)."""
+    real = scipy.linalg.lapack.dstev
+
+    def stev(d, e, compute_v=1):
+        vals, z, _ = real(d, e, compute_v=compute_v)
+        return vals, z, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstev", stev)
 
 
 def random_hermitian(dim, rng, scale=1.0):

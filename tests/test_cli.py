@@ -256,6 +256,14 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_tridiagonal_solver_failure(tmp_path, capsys, failing_stev):
+    # a LAPACK failure inside a Krylov step is a numerical failure, not a traceback
+    cfg = tmp_path / "krylov.ini"
+    cfg.write_text(make_config(engine="krylov", steps="5"))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     # a coupled 8-spin chain: the block the trace reads has dimension 11440,
     # past the dense cap of 4096

@@ -14,6 +14,7 @@ from qexpect import (
     krylov_step,
     lanczos,
     observable_ip,
+    spmv,
     tridiag_expv,
 )
 
@@ -152,3 +153,56 @@ def test_step_and_lanczos_build_identical_tridiagonals(rng, monkeypatch, dt):
     assert np.array_equal(fac.beta[:-1], beta)
     assert np.array_equal(fac.basis @ (np.linalg.norm(rho) * tridiag_expv(alpha, beta, dt)),
                           result.state)
+
+
+def _reference_step(l_op, rho, dt, eps=1e-7, m_max=25):
+    """``krylov_step`` written out: a Lanczos loop with out-of-place updates and
+    ``np.linalg.norm``, and ``scipy.linalg.eigh_tridiagonal`` for ``exp(-i*T*dt) e_1``.
+
+    Every size is tested (``krylov_step`` tests each one up to 30); returns
+    ``(state, m_used)``.
+    """
+    norm0 = np.linalg.norm(rho)
+    basis = np.empty((rho.shape[0], m_max), dtype=complex)
+    alpha, beta = [], []
+    q, q_prev, beta_prev = rho / norm0, np.zeros_like(rho), 0.0
+    passed = False
+    for m in range(1, m_max + 1):
+        basis[:, m - 1] = q
+        w = spmv(l_op, q)
+        a = np.vdot(q, w).real
+        w = w - a * q - beta_prev * q_prev
+        w -= basis[:, :m] @ np.conj(basis[:, :m].T @ np.conj(w))
+        b = np.linalg.norm(w)
+        alpha.append(a)
+        beta.append(b)
+        if m == 1:
+            col = np.array([np.exp(-1j * a * dt)])
+        else:
+            lam, u = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
+            col = u @ (np.exp(-1j * lam * dt) * u[0, :])
+        breakdown = b < 1e-14 * norm0
+        done = passed or breakdown
+        passed = dt * b * abs(col[-1]) <= eps
+        if done or (passed and m == m_max):
+            return basis[:, :m] @ (norm0 * col), m
+        q_prev, q, beta_prev = q, w / b, b
+    return basis @ (norm0 * col), m_max
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2, 0.5])
+def test_step_is_bitwise_equal_to_the_eigh_tridiagonal_reference(rng, dt):
+    # for m <= 25 eigh_tridiagonal's ?stevd runs the same ?steqr as ?stev
+    systems = [random_sparse_hermitian(90, rng, density=0.2, scale=1.5)]
+    spec = SpinSystemSpec(n=4, omega0=[0.7, 1.3, 1.9, 2.2],
+                          j_coupling=0.1 * (np.ones((4, 4)) - np.eye(4)))
+    systems.append(build_liouvillian(build_hamiltonian(spec)))
+    for l_op in systems:
+        rho = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
+        for _ in range(3):
+            result = krylov_step(l_op, rho, dt)
+            state, m_used = _reference_step(l_op, rho, dt)
+            assert result.converged and 2 <= result.m_used <= 25
+            assert result.m_used == m_used
+            assert result.state.tobytes() == state.tobytes()
+            rho = result.state

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexpect import (
+    NumericalError,
     SparseMatrix,
     build_hamiltonian,
     build_liouvillian,
@@ -146,3 +149,34 @@ def test_lanczos_without_reorthogonalization(rng):
     fac = lanczos(l_op, v0, m_max=8, reorthogonalize=False)
     gram = fac.basis.conj().T @ fac.basis
     assert np.max(np.abs(gram - np.eye(fac.m))) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 7, 25, 26, 64, 128]),
+    t=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tridiag_expv_matches_expm(m, t, seed):
+    # LAPACK's ?stevd switches from ?steqr to divide and conquer past m = 25,
+    # so m = 25 and m = 26 sit on either side of where eigh_tridiagonal and
+    # the direct ?stev call could part
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-1.0, 1.0, m)
+    beta = rng.uniform(-1.0, 1.0, m - 1)
+    dense = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    ref = scipy.linalg.expm(-1j * t * dense)[:, 0]
+    assert np.max(np.abs(tridiag_expv(alpha, beta, t) - ref)) <= 1e-13
+
+
+def test_tridiagonal_solver_failure_is_a_numerical_error(failing_stev, rng):
+    with pytest.raises(NumericalError, match="info=1"):
+        tridiag_expv(rng.standard_normal(4), rng.standard_normal(3), 0.5)
+    with pytest.raises(NumericalError, match="info=1"):
+        extreme_eigs(random_sparse_hermitian(12, rng))
+
+
+def test_lanczos_rejects_a_non_finite_operator():
+    l_op = SparseMatrix.from_dense(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(NumericalError, match="not finite"):
+        lanczos(l_op, np.array([1.0, 1.0]), m_max=2)
