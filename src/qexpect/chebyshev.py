@@ -45,6 +45,14 @@ DEFAULT_EPS = 1e-7
 # Powers of (-i): coefficient k carries _PHASES[k % 4].
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
+# From this many columns on, the running products of a Bessel table are
+# formed one row at a time: ``cumprod`` along axis 0 walks each column with
+# a stride of a whole row, which loses to one contiguous multiply per row
+# once rows are wide. Measured crossover, numpy 2.4, one thread, tables of
+# 420-1900 rows: about 450-500 columns. At 1000 columns the row loop takes
+# about half as long as ``cumprod``, at 200 columns about twice as long.
+_ROW_PRODUCT_MIN_COLS = 500
+
 
 def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
     """``J_0(t) .. J_n_max(t)`` for every time in ``ts``, one column each.
@@ -58,7 +66,9 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
     rescaling at any ``t >= 0``, including tiny times where the plain
     recurrence grows past the double range, and ``t = 0`` gives exactly
     ``J_0 = 1``. The running products ``J_k / J_0`` are normalised with
-    ``J_0 + 2*sum_k J_2k = 1``.
+    ``J_0 + 2*sum_k J_2k = 1``; they are the same multiplications in the
+    same order whether formed by ``cumprod`` or row by row, so the table is
+    bitwise the same at any width.
     """
     t_max = float(ts.max())
     n_eff = max(n_max, math.ceil(t_max))
@@ -71,7 +81,11 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
         np.multiply(ts, p[k + 1], out=r)
         np.subtract(2.0 * k, r, out=r)
         np.divide(ts, r, out=r)
-    np.cumprod(p, axis=0, out=p)
+    if ts.shape[0] < _ROW_PRODUCT_MIN_COLS:
+        np.cumprod(p, axis=0, out=p)
+    else:
+        for k in range(1, top + 1):
+            np.multiply(p[k], p[k - 1], out=p[k])
     norm = 1.0 + 2.0 * p[2::2].sum(axis=0)
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError(f"Bessel normalisation failed for t <= {t_max}, n={n_max}")

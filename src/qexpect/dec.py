@@ -160,7 +160,9 @@ def dec_precompute(
         t_cur = spmv(l_s, t_prev)
         record(1, t_cur)
         for k in range(2, n_orders):
-            t_next = 2.0 * spmv(l_s, t_cur) - t_prev
+            t_next = spmv(l_s, t_cur)
+            t_next *= 2.0
+            t_next -= t_prev
             record(k, t_next)
             t_prev, t_cur = t_cur, t_next
     if unit == 1j:

@@ -26,6 +26,9 @@ from qexpect import (
     stop_order,
 )
 
+from qexpect.chebyshev import _ROW_PRODUCT_MIN_COLS as _CUT
+from qexpect.chebyshev import _bessel_columns
+
 from conftest import random_hermitian
 
 mp.mp.dps = 40
@@ -377,3 +380,38 @@ def test_banded_scan_on_synthetic_tables(seed, rows, single):
     first = rng.integers(1, rows + 3, size=40)
     assert np.array_equal(_first_hit(j, first, 1e-7, single),
                           _full_table_hits(j, first, 1e-7, single))
+
+
+def _bessel_columns_by_cumprod(ts, n_max):
+    """Reference kernel: the Miller recurrence of ``_bessel_columns`` with its
+    running products formed by one ``np.cumprod`` down the columns."""
+    t_max = float(ts.max())
+    n_eff = max(n_max, math.ceil(t_max))
+    top = n_eff + max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * np.cbrt(t_max)))
+    p = np.empty((top + 1, ts.shape[0]))
+    p[0] = 1.0
+    p[top] = ts / (2.0 * top)
+    for k in range(top - 1, 0, -1):
+        p[k] = ts / (2.0 * k - ts * p[k + 1])
+    p = np.cumprod(p, axis=0)
+    return p[: n_max + 1] / (1.0 + 2.0 * p[2::2].sum(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 7, _CUT - 1, _CUT, _CUT + 1, 2001]),
+    pool=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12]),
+                            st.floats(0.0, 1e-6), st.floats(1e-6, 300.0)),
+                  min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(-200, 40),
+)
+def test_bessel_columns_equal_the_cumprod_kernel_bitwise(width, pool, seed, extra):
+    # columns drawn with repeats from a small pool, in random order: zero,
+    # subnormal and tiny times, duplicates and unsorted grids at every width
+    # on both sides of the switch to row-by-row products
+    ts = np.random.default_rng(seed).choice(np.array(pool), size=width)
+    n_max = max(0, math.ceil(ts.max()) + extra)
+    j = _bessel_columns(ts, n_max)
+    assert j.shape == (n_max + 1, width)
+    assert j.tobytes() == _bessel_columns_by_cumprod(ts, n_max).tobytes()

@@ -226,3 +226,32 @@ def test_spmv_is_run_to_run_deterministic(rng):
     a = SparseMatrix.from_dense(a_dense)
     x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     assert np.array_equal(spmv(a, x), spmv(a, x))
+
+
+@pytest.mark.parametrize("storage", [np.float64, np.complex128])
+@pytest.mark.parametrize("vector", [np.float64, np.complex128])
+def test_spmv_equals_scipy_dot_bitwise(storage, vector, rng):
+    # the direct kernel call must give what scipy's csr.dot gives on the
+    # vector spmv has always passed it, for contiguous and strided vectors
+    dense = rng.standard_normal((40, 40))
+    if storage is np.complex128:
+        dense = dense + 1j * rng.standard_normal((40, 40))
+    dense[rng.random((40, 40)) < 0.7] = 0.0
+    a = (SparseMatrix._real(dense) if storage is np.float64
+         else SparseMatrix.from_dense(dense))
+    assert a.values.dtype == storage
+    wide = rng.standard_normal(80)
+    if vector is np.complex128:
+        wide = wide + 1j * rng.standard_normal(80)
+    basis = np.eye(40, dtype=vector)
+    for x in (wide[:40], wide[::2], wide[40:][::-1], basis[:, 7], basis[13]):
+        expected = a.csr.dot(x if x.dtype == a.csr.dtype else x.astype(np.complex128))
+        before = matvec_counter.count
+        y = spmv(a, x)
+        assert matvec_counter.count == before + 1
+        assert y.dtype == expected.dtype
+        assert y.tobytes() == expected.tobytes()
+    before = matvec_counter.count
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        spmv(a, wide)
+    assert matvec_counter.count == before
