@@ -255,3 +255,22 @@ def test_spmv_equals_scipy_dot_bitwise(storage, vector, rng):
     with pytest.raises(ValueError, match="dimension mismatch"):
         spmv(a, wide)
     assert matvec_counter.count == before
+
+
+def test_private_csr_kernel_spmv_relies_on_is_still_there():
+    # spmv calls scipy.sparse._sparsetools.csr_matvec, which is private
+    # scipy; a scipy release that renames or reshapes it fails here by name
+    try:
+        from scipy.sparse import _sparsetools
+        csr_matvec = _sparsetools.csr_matvec
+    except (ImportError, AttributeError) as exc:
+        pytest.fail(f"spmv needs scipy.sparse._sparsetools.csr_matvec, which this scipy lacks: {exc}")
+    # float64 storage times a complex vector into a complex output, the
+    # mixed case spmv passes on unchanged
+    indptr = np.array([0, 2, 3], dtype=np.int32)
+    indices = np.array([0, 1, 1], dtype=np.int32)
+    data = np.array([2.0, -1.0, 3.0])
+    x = np.array([1.0 + 1.0j, 0.5j])
+    y = np.zeros(2, dtype=np.complex128)
+    csr_matvec(2, 2, indptr, indices, data, x, y)
+    assert np.array_equal(y, [2.0 + 1.5j, 1.5j])
