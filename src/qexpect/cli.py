@@ -512,6 +512,8 @@ def _cmd_dec_precompute(args) -> int:
 
 
 def _cmd_dec_eval(args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be non-negative, got {args.steps}")
     series = load_series(args.series)
     times = args.dt * np.arange(args.steps + 1)
     trace = dec_evaluate_grid(series, times)

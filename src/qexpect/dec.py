@@ -262,6 +262,7 @@ def load_series(path) -> DECSeries:
     """Read a sidecar written by :func:`save_series`.
 
     Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
+    lacks a header field or holds one of the wrong type, declares no orders,
     or holds a different number of data bytes than its header declares.
     """
     try:
@@ -277,21 +278,17 @@ def load_series(path) -> DECSeries:
         raise ConfigError(f"cannot read series {path}: {exc}") from exc
     try:
         header = json.loads(header_line)
-        n_obs = len(header["labels"])
-        n_orders = int(header["n_orders"])
+        labels = header["labels"]
+        n_obs, n_orders = len(labels), int(header["n_orders"])
+        scalars = {key: float(header[key]) for key in ("shift", "half_width", "tau", "eps")}
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: unreadable sidecar header ({exc})") from exc
+    if n_orders < 1:
+        raise ConfigError(f"{path}: header declares {n_orders} orders, at least 1 is needed")
     if len(raw) != n_obs * n_orders * 16:
         raise ConfigError(
             f"{path}: {len(raw)} data bytes, header declares {n_obs} x {n_orders} "
             "complex128 values; the sidecar is truncated or corrupt"
         )
     tilde = np.frombuffer(raw, dtype=np.complex128).reshape((n_obs, n_orders))
-    return DECSeries(
-        shift=header["shift"],
-        half_width=header["half_width"],
-        tau=header["tau"],
-        eps=header["eps"],
-        labels=header["labels"],
-        tilde=tilde,
-    )
+    return DECSeries(labels=labels, tilde=tilde, **scalars)

@@ -200,44 +200,31 @@ def _row_entries(m, rows: np.ndarray):
     return owner, m.indices[flat], m.data[flat]
 
 
-def build_liouvillian(h: SparseMatrix, index=None) -> SparseMatrix:
+def build_liouvillian(h: SparseMatrix, blocks=None) -> SparseMatrix:
     """Commutator superoperator for column-stacked states, read off ``h``.
 
-    On coordinates ``p = i + j*dim`` (``rho[i, j]``), ``L[(i,j), (i',j)] =
-    H[i,i']`` and ``L[(i,j), (i,j')] = -H[j',j]``, so ``L vec(rho) =
-    vec(H rho - rho H)``, i.e. ``L = Id (x) H - H.T (x) Id``. With
-    ``index`` (distinct coordinates), returns the sub-matrix on those
-    coordinates in that order, equal to ``build_liouvillian(h).restrict(index)``
-    but built from the rows of ``h`` alone; ``None`` means the full space.
+    ``L[(i,j), (i',j)] = H[i,i']`` and ``L[(i,j), (i,j')] = -H[j',j]``, so
+    ``L vec(rho) = vec(H rho - rho H)``, i.e. ``L = Id (x) H - H.T (x) Id``
+    on coordinates ``i + j*dim``. ``blocks`` is ``(label, pairs)`` as
+    :func:`_kept_pairs` returns it: the operator is then the one on those
+    blocks, in the layout of :func:`_block_layout`, equal to
+    ``build_liouvillian(h).restrict(trace_block(...))``. ``None`` means the
+    full space, the case of one component and one pair.
     """
     dim = h.nrows
-    p = np.arange(dim * dim) if index is None else np.asarray(index, dtype=np.intp)
-    i, j = p % dim, p // dim
-    if index is not None:
-        # a candidate column's position in ``index`` comes from a binary
-        # search on the sorted coordinates (through their argsort when
-        # ``index`` is unsorted); the sentinel -1 matches no column
-        order = None if np.all(p[1:] > p[:-1]) else np.argsort(p)
-        ordered = np.append(p if order is None else p[order], -1)
-
-    def side(k, cols, vals):
-        """One side's entries, their columns mapped to positions in ``index``."""
-        if index is None:
-            return k, cols, vals
-        at = np.searchsorted(ordered[:-1], cols)
-        inside = ordered[at] == cols
-        if not inside.all():
-            k, vals, at = k[inside], vals[inside], at[inside]
-        return k, (at if order is None else order[at]), vals
-
+    if blocks is None:
+        blocks = np.zeros(dim, dtype=np.intp), np.zeros((1, 2), dtype=np.intp)
+    i, j, rank, height = _block_layout(*blocks)
+    # H only links states of one component, so both neighbours of a
+    # coordinate lie in its own block, at an offset its ranks give
     k, col, val = _row_entries(h.csr, i)
-    left = side(k, col + j[k] * dim, val)
+    left = k, k + (rank[col] - rank[i[k]]), val
     k, row, val = _row_entries(h.transpose().csr, j)
-    right = side(k, i[k] + row * dim, np.negative(val, out=val))
+    right = k, k + (rank[row] - rank[j[k]]) * height[k], np.negative(val, out=val)
     del k, col, row, val
     rows, cols, vals = (np.concatenate(pair) for pair in zip(left, right))
     del left, right
-    return SparseMatrix.from_triplets(rows, cols, vals, (p.shape[0], p.shape[0]))
+    return SparseMatrix.from_triplets(rows, cols, vals, (i.shape[0], i.shape[0]))
 
 
 def hilbert_components(h: SparseMatrix) -> np.ndarray:
@@ -283,13 +270,41 @@ def _kept_pairs(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray):
 
 
 def _sectors(label: np.ndarray):
-    """``(order, bounds)``: component c holds ``order[bounds[c]:bounds[c + 1]]``, ascending."""
+    """The sector table of the labels: ``(order, bounds, rank)``.
+
+    Component c holds the states ``order[bounds[c]:bounds[c + 1]]``, in
+    ascending order, and state s is number ``rank[s]`` of its component.
+    """
     order = np.argsort(label, kind="stable")
-    return order, np.searchsorted(label[order], np.arange(label.shape[0] + 1))
+    bounds = np.searchsorted(label[order], np.arange(label.shape[0] + 1))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0]) - bounds[label[order]]
+    return order, bounds, rank
+
+
+def _block_layout(label: np.ndarray, pairs: np.ndarray):
+    """Where each coordinate of the given blocks sits: ``(i, j, rank, height)``.
+
+    The blocks follow one another in the order of ``pairs``, and the block
+    ``X_ab`` of pair (a, b) is column-stacked, so ``rho[i, j]`` sits at
+    ``offset_ab + rank[i] + rank[j] * |a|``. Returns, per coordinate, its
+    row and column state ``i`` and ``j`` and the height ``|a|`` of its
+    block, with the ``rank`` of :func:`_sectors`.
+    """
+    order, bounds, rank = _sectors(label)
+    size = np.diff(bounds)
+    a, b = pairs[:, 0], pairs[:, 1]
+    count = size[a] * size[b]
+    pair = np.repeat(np.arange(pairs.shape[0]), count)
+    local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    height = size[a][pair]
+    i = order[bounds[a][pair] + local % height]
+    j = order[bounds[b][pair] + local // height]
+    return i, j, rank, height
 
 
 def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
-    """Sorted Liouville coordinates that carry ``w_rows @ rho(t)`` exactly.
+    """Liouville coordinates ``i + j*dim`` that carry ``w_rows @ rho(t)`` exactly.
 
     ``L`` only links ``rho[i, j]`` to ``rho[i', j]`` with ``H[i,i'] != 0``
     and to ``rho[i, j']`` with ``H[j',j] != 0``, so each pair (component a,
@@ -298,21 +313,17 @@ def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.nda
     add nothing, so the kept blocks are those ``rho0`` touches and some row
     of ``w_rows`` reads. When there are none every expectation is exactly
     zero, and ``rho0``'s own blocks are kept so that engines still have a
-    state to propagate.
+    state to propagate. The coordinates come pair by pair, each block
+    column-stacked (see :func:`_block_layout`): the order of the operator
+    ``assemble`` builds.
     """
-    label, pairs = _kept_pairs(h, rho0, w_rows)
-    return _block_index(label, pairs)
+    return _block_index(*_kept_pairs(h, rho0, w_rows))
 
 
 def _block_index(label: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Sorted Liouville coordinates of the blocks of the given component pairs."""
-    dim = label.shape[0]
-    order, bounds = _sectors(label)
-    parts = []
-    for a, b in pairs:
-        rows, cols = order[bounds[a]:bounds[a + 1]], order[bounds[b]:bounds[b + 1]]
-        parts.append((rows[:, None] + cols[None, :] * dim).ravel())
-    return np.sort(np.concatenate(parts))
+    """Liouville coordinates of the blocks of ``pairs``, in :func:`_block_layout` order."""
+    i, j, _, _ = _block_layout(label, pairs)
+    return i + j * label.shape[0]
 
 
 def initial_state(n: int) -> np.ndarray:
@@ -375,12 +386,14 @@ class TraceSystem:
     """What an engine propagates: operator, state and trace forms on one block.
 
     ``l_op`` is the Liouvillian on the coordinates kept by
-    :func:`trace_block`, and ``rho0`` and every trace form in
+    :func:`trace_block`, in its order, and ``rho0`` and every trace form in
     ``observables`` (label -> 1-D array) are restricted to them. Engines run
     on these unchanged and return the same expectations as on the full
     space. ``hamiltonian``, ``components`` (its :func:`hilbert_components`
     labels) and ``pairs`` (the kept component pairs, one row each) define
-    the block; :meth:`spectral_interval` reads its exact spectrum off them.
+    the block: pair k's block ``X_ab`` is column-stacked in the k-th slice
+    of every vector. :meth:`spectral_interval` reads the exact spectrum off
+    them.
     """
 
     l_op: SparseMatrix
@@ -407,23 +420,18 @@ class TraceSystem:
         ``INFLATION_FLOOR``, which keeps the half-width positive when the
         spectrum is a single point.
         """
-        h, label = self.hamiltonian.csr, self.components
-        order, bounds = _sectors(label)
+        h = self.hamiltonian.csr
+        order, bounds, rank = _sectors(self.components)
         size = np.diff(bounds)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.shape[0]) - bounds[label[order]]
-        # every stored entry of H links two states of one component: group
-        # the entries by it, and scatter each group into its dense sector
-        row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-        by_sector = np.argsort(label[row], kind="stable")
-        first = np.searchsorted(label[row][by_sector], np.arange(label.shape[0] + 1))
         low = np.array(h.diagonal().real)
         high = low.copy()
         for c in np.unique(self.pairs):
             if size[c] > 1:
-                e = by_sector[first[c]:first[c + 1]]
+                # H only links states of one component: the rows of c's
+                # states hold its whole sector
+                k, col, val = _row_entries(h, order[bounds[c]:bounds[c + 1]])
                 block = np.zeros((size[c], size[c]), dtype=h.dtype)
-                block[rank[row[e]], rank[h.indices[e]]] = h.data[e]
+                block[k, rank[col]] = val
                 ev = scipy.linalg.eigvalsh(block if np.any(block.imag) else block.real,
                                            check_finite=False)
                 low[c], high[c] = ev[0], ev[-1]
@@ -442,6 +450,6 @@ def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
         {name: observable_by_name(name, spec.n) for name in names}, spec.liouville_dim)
     components, pairs = _kept_pairs(h, rho0, w_rows)
     index = _block_index(components, pairs)
-    return TraceSystem(l_op=build_liouvillian(h, index), rho0=rho0[index],
+    return TraceSystem(l_op=build_liouvillian(h, (components, pairs)), rho0=rho0[index],
                        observables={label: w[index] for label, w in zip(labels, w_rows)},
                        hamiltonian=h, components=components, pairs=pairs)

@@ -80,14 +80,12 @@ def zte_detect(
     dt: float,
     delta_t: float,
     xi: float = DEFAULT_XI,
-    engine=None,
     eps: float = DEFAULT_EPS,
     m_max: int = DEFAULT_M_MAX,
 ) -> ZTEReduction:
     """Propagate through the window and keep coordinates that ever reach xi.
 
-    ``engine(l_op, rho, dt) -> rho`` advances one step in the full space;
-    the default is the adaptive Krylov step. The per-coordinate maximum is
+    Each step is one adaptive Krylov step. The per-coordinate maximum is
     taken over the sampled steps only (t = 0 included), so bursts between
     samples can be missed; that risk is inherent to the method.
     """
@@ -95,16 +93,12 @@ def zte_detect(
         raise ValueError("dt must be positive")
     if dt > delta_t:
         raise ValueError(f"dt={dt} exceeds the observation window delta_t={delta_t}")
-    if engine is None:
-        def engine(op, state, step):
-            return krylov_step(op, state, step, eps=eps, m_max=m_max).state
-
     window = RunRecord("zte")
     rho = np.asarray(rho0, dtype=np.complex128)
     max_mod = np.abs(rho)
     window_steps = int(np.ceil(delta_t / dt - 1e-12))
     for _ in range(window_steps):
-        rho = engine(l_op, rho, dt)
+        rho = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max).state
         np.maximum(max_mod, np.abs(rho), out=max_mod)
 
     kept = np.nonzero(max_mod >= xi)[0]

@@ -1,4 +1,5 @@
 import io
+import json
 import textwrap
 
 import numpy as np
@@ -357,7 +358,8 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize(
     "case",
-    ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau"],
+    ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau",
+     "negative_steps", "header_without_shift", "zero_orders", "non_numeric_tau"],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     cfg_path = tmp_path / "run.ini"
@@ -380,5 +382,17 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
         args = ["spectrum", "--fid", str(tmp_path / "bad.csv")]
     elif case == "past_tau":
         args[6] = "101"  # one step past the stored horizon tau = 100 * dt
+    elif case == "negative_steps":
+        args[6] = "-1"
+    else:
+        magic, header, raw = data.split(b"\n", 2)
+        header = json.loads(header)
+        if case == "header_without_shift":
+            del header["shift"]
+        elif case == "zero_orders":
+            header["n_orders"], raw = 0, b""
+        else:
+            header["tau"] = "soon"
+        sidecar.write_bytes(b"\n".join([magic, json.dumps(header).encode(), raw]))
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err

@@ -195,19 +195,3 @@ def test_reduction_report_mentions_sizes():
     assert "full dimension     : 2" in report
     assert "reduced dimension  : 1" in report
 
-
-def test_detect_accepts_custom_window_engine():
-    import scipy.linalg
-
-    l_op = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
-    u = {}
-
-    def exact_step(op, state, dt):
-        key = dt
-        if key not in u:
-            u[key] = scipy.linalg.expm(-1j * dt * op.to_dense())
-        return u[key] @ state
-
-    rho0 = np.array([1.0, 0.0, 0.5, 0.0], dtype=complex)
-    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, xi=1e-6, engine=exact_step)
-    assert np.array_equal(red.kept, [0, 2])
