@@ -23,7 +23,7 @@ from .dec import DECSeries, dec_evaluate, dec_evaluate_grid, dec_precompute, loa
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import KrylovStepResult, krylov_propagate, krylov_step
 from .oracle import ModeDecomposition, dense_eig, mode_amplitudes, oracle_expect
-from .sparse import SparseMatrix, kron, linear_combine, matvec_counter, spmv, trace_form, unvec, vec
+from .sparse import SparseMatrix, kron, matvec_counter, spmv, trace_form, unvec, vec
 from .spectral import ScalingParams, extreme_eigs, lanczos, rescale, tridiag_expv
 from .spinsys import (
     SpinOperatorSet,
@@ -44,7 +44,6 @@ from .trace import ExpectationTrace, normalize_observables
 from .zte import (
     ZTEReduction,
     counterexample_f,
-    reduction_report,
     resonant_triplet,
     zte_detect,
     zte_propagate,

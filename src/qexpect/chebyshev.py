@@ -26,7 +26,7 @@ import numpy as np
 
 from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, rescale
-from .trace import ExpectationTrace, RunRecord, normalize_observables, record_steps
+from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables, record_steps
 
 __all__ = [
     "bessel_sequence",
@@ -39,8 +39,6 @@ __all__ = [
     "clenshaw_apply",
     "cheb_step_propagate",
 ]
-
-DEFAULT_EPS = 1e-7
 
 # Powers of (-i): coefficient k carries _PHASES[k % 4].
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -299,8 +297,8 @@ def coefficients(t_scaled: float, eps: float = DEFAULT_EPS) -> ChebCoefficients:
 def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_k c_k T_k(L_s) v`` by the Clenshaw backward recurrence.
 
-    Never forms the polynomials: one matvec per order. Closure is the
-    first-kind one, ``c_0 v + L_s b_1 - b_2``.
+    Never forms the polynomials: degree n costs n matvecs, one per order
+    above zero. Closure is the first-kind one, ``c_0 v + L_s b_1 - b_2``.
     """
     v = np.asarray(v, dtype=np.complex128)
     if l_s.ncols != v.shape[0]:
@@ -309,13 +307,14 @@ def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -
             f"vector has length {v.shape[0]}"
         )
     c = coeffs.values
-    if c.shape[0] == 1:
+    n = c.shape[0] - 1
+    if n == 0:
         return c[0] * v
-    b1 = np.zeros_like(v)
+    b1 = c[n] * v  # b_{n+1} = b_{n+2} = 0
     b2 = np.zeros_like(v)
     # in place, b_k = 2 L_s b_{k+1} + c_k v - b_{k+2}: addition commutes, so
     # the rounding matches the written-out sum term for term
-    for k in range(c.shape[0] - 1, 0, -1):
+    for k in range(n - 1, 0, -1):
         t = spmv(l_s, b1)
         t *= 2.0
         t += c[k] * v

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import multiprocessing
 import platform
 import sys
@@ -31,11 +32,11 @@ from . import __version__
 from .chebyshev import cheb_step_propagate
 from .dec import dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
-from .krylov import krylov_propagate
+from .krylov import DEFAULT_M_MAX, krylov_propagate
 from .oracle import dense_eig, oracle_expect
 from .spinsys import SpinSystemSpec, assemble, observable_by_name
-from .trace import ExpectationTrace, RunRecord
-from .zte import zte_detect, zte_propagate, zte_window
+from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord
+from .zte import DEFAULT_XI, zte_detect, zte_propagate, zte_window
 
 ENGINES = ("dec", "cheb", "krylov", "zte", "oracle")
 
@@ -44,17 +45,21 @@ _FMT = "{:.17g}"  # round-trip safe for IEEE doubles
 
 @dataclass
 class RunConfig:
-    """Validated simulation request."""
+    """Validated simulation request.
+
+    Its field defaults are the defaults of every run: of a config file that
+    leaves a key out, of the CLI flags and of :func:`benchmark`.
+    """
 
     system: SpinSystemSpec
     engine: str = "dec"
     dt: float = 0.1
     steps: int = 1000
-    eps: float = 1e-7
+    eps: float = DEFAULT_EPS
     tau: float | None = None
-    xi: float = 1e-6
+    xi: float = DEFAULT_XI
     xi_apo: float = 0.0
-    m_max: int = 128
+    m_max: int = DEFAULT_M_MAX
     observables: tuple[str, ...] = ("ip",)
     fid_path: str | None = None
     spectrum_path: str | None = None
@@ -63,6 +68,11 @@ class RunConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"[run] engine: unknown engine {self.engine!r}, "
                               f"expected one of {ENGINES}")
+        for section, name in (("run", "dt"), ("run", "eps"), ("run", "tau"),
+                              ("zte", "xi"), ("run", "xi_apo")):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"[{section}] {name} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError("[run] dt must be positive")
         if self.steps < 1:
@@ -84,10 +94,8 @@ class RunConfig:
         return self.tau if self.tau is not None else self.steps * self.dt
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=None):
+def _get(parser: configparser.ConfigParser, section: str, key: str, cast):
     if not parser.has_option(section, key):
-        if default is not None:
-            return default
         raise ConfigError(f"missing required key [{section}] {key}")
     raw = parser.get(section, key)
     try:
@@ -98,6 +106,28 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, cast, defaul
 
 def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _tau(raw: str) -> float | None:
+    tau = float(raw)
+    return None if tau <= 0 else tau  # a horizon of 0 or less means steps * dt
+
+
+#: Optional config keys: (section, key) -> (RunConfig field, parser). A key
+#: the file leaves out keeps the field's RunConfig default.
+_RUN_KEYS = {
+    ("run", "engine"): ("engine", lambda raw: raw.strip().lower()),
+    ("run", "dt"): ("dt", float),
+    ("run", "steps"): ("steps", int),
+    ("run", "eps"): ("eps", float),
+    ("run", "tau"): ("tau", _tau),
+    ("run", "xi_apo"): ("xi_apo", float),
+    ("run", "m_max"): ("m_max", int),
+    ("run", "observables"): ("observables", lambda raw: tuple(raw.replace(",", " ").split())),
+    ("zte", "xi"): ("xi", float),
+    ("output", "fid"): ("fid_path", lambda raw: raw or None),
+    ("output", "spectrum"): ("spectrum_path", lambda raw: raw or None),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -137,27 +167,11 @@ def parse_config(text: str) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"[system] j_hz/{exc}") from exc
 
-    def opt(section, key, cast, default):
-        if not parser.has_section(section):
-            return default
-        return _get(parser, section, key, cast, default=default)
-
-    tau_raw = opt("run", "tau", float, 0.0)
-    obs_raw = opt("run", "observables", str, "ip")
-    cfg = RunConfig(
-        system=spec,
-        engine=opt("run", "engine", str, "dec").strip().lower(),
-        dt=opt("run", "dt", float, 0.1),
-        steps=opt("run", "steps", int, 1000),
-        eps=opt("run", "eps", float, 1e-7),
-        tau=tau_raw if tau_raw > 0 else None,
-        xi=opt("zte", "xi", float, 1e-6),
-        xi_apo=opt("run", "xi_apo", float, 0.0),
-        m_max=opt("run", "m_max", int, 128),
-        observables=tuple(obs_raw.replace(",", " ").split()),
-        fid_path=opt("output", "fid", str, "") or None,
-        spectrum_path=opt("output", "spectrum", str, "") or None,
-    )
+    cfg = RunConfig(system=spec, **{
+        field: _get(parser, section, key, cast)
+        for (section, key), (field, cast) in _RUN_KEYS.items()
+        if parser.has_option(section, key)
+    })
     for name in cfg.observables:
         observable_by_name(name, n)  # validates names early
     return cfg
@@ -265,8 +279,11 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
     ``S_k = sum_n f(t_n) exp(+2*pi*i*k*n/N)``; the positive-rotation kernel
     puts a signal at angular frequency ``+omega`` into the bin nearest
     ``omega / 2*pi``. Frequency axis is ``f_k = k / (N * dt)`` in cycles per
-    time unit (Hz for seconds). Requires a uniform grid.
+    time unit (Hz for seconds). Requires a uniform grid and a finite
+    ``xi_apo``.
     """
+    if not math.isfinite(xi_apo):
+        raise ConfigError(f"xi_apo must be finite, got {xi_apo}")
     dts = np.diff(trace.times)
     if dts.size == 0:
         raise ConfigError("spectrum needs at least two samples")
@@ -323,10 +340,8 @@ class BenchmarkRow:
     detail: str = ""
 
 
-def _bench_child(conn, spec, engine, dt, steps, eps, xi, m_max, tau):
+def _bench_child(conn, cfg: RunConfig):
     try:
-        cfg = RunConfig(system=spec, engine=engine, dt=dt, steps=steps,
-                        eps=eps, xi=xi, m_max=m_max, tau=tau)
         trace = run_simulation(cfg)
         conn.send(("ok", trace.times, trace.values, trace.metadata))
     except Exception as exc:  # report, do not crash the harness
@@ -335,11 +350,10 @@ def _bench_child(conn, spec, engine, dt, steps, eps, xi, m_max, tau):
         conn.close()
 
 
-def _run_benchmark_job(spec, engine, dt, steps, eps, xi, m_max, tau, timeout):
+def _run_benchmark_job(cfg: RunConfig, timeout):
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_bench_child,
-                       args=(child, spec, engine, dt, steps, eps, xi, m_max, tau))
+    proc = ctx.Process(target=_bench_child, args=(child, cfg))
     proc.start()
     child.close()
     payload = None
@@ -356,12 +370,11 @@ def _run_benchmark_job(spec, engine, dt, steps, eps, xi, m_max, tau, timeout):
 def benchmark(
     spin_counts,
     engines,
-    dt: float = 0.1,
-    steps: int = 1000,
-    eps: float = 1e-7,
-    xi: float = 1e-6,
-    m_max: int = 128,
-    tau: float | None = None,
+    dt: float = RunConfig.dt,
+    steps: int = RunConfig.steps,
+    eps: float = RunConfig.eps,
+    xi: float = RunConfig.xi,
+    tau: float | None = RunConfig.tau,
     timeout: float = 300.0,
     oracle_cap: int = 1024,
     seed: int = 0,
@@ -371,14 +384,19 @@ def benchmark(
 
     For each (size, engine) pair: wall time, matvec count, max error against
     the dense reference where the dimension permits, and the reduced
-    dimension for the pruning engine. Runs happen in a child process so a
-    stuck engine is recorded as timed out rather than hanging the table.
-    Timings are single threaded; numerical columns are deterministic.
+    dimension for the pruning engine. The run settings default to
+    :class:`RunConfig`'s and are validated by it before any run starts, so
+    unusable settings raise :class:`ConfigError`. Runs happen in a child
+    process so a stuck engine is recorded as timed out rather than hanging
+    the table. Timings are single threaded; numerical columns are
+    deterministic.
     """
     stream = stream or sys.stdout
     rows = []
     for n_spins in spin_counts:
         spec = benchmark_spec(n_spins, seed=seed)
+        configs = [RunConfig(system=spec, engine=engine, dt=dt, steps=steps, eps=eps,
+                             xi=xi, tau=tau) for engine in engines]
         dim = spec.liouville_dim
         reference = None
         system = assemble(spec, ("ip",))
@@ -386,10 +404,9 @@ def benchmark(
             reference = oracle_expect(dense_eig(system.l_op, max_dim=oracle_cap),
                                       system.rho0, system.observables,
                                       dt * np.arange(steps + 1))
-        for engine in engines:
-            row = BenchmarkRow(n_spins=n_spins, dim=dim, engine=engine, steps=steps)
-            payload = _run_benchmark_job(spec, engine, dt, steps, eps, xi,
-                                         m_max, tau, timeout)
+        for cfg in configs:
+            row = BenchmarkRow(n_spins=n_spins, dim=dim, engine=cfg.engine, steps=steps)
+            payload = _run_benchmark_job(cfg, timeout)
             if payload is None:
                 row.status = "timeout"
             elif payload[0] == "error":
@@ -491,8 +508,7 @@ def _cmd_benchmark(args) -> int:
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r} in --engines")
     rows = benchmark(spins, engines, dt=args.dt, steps=args.steps, eps=args.eps,
-                     xi=args.xi if args.xi is not None else 1e-6,
-                     timeout=args.timeout, oracle_cap=args.oracle_cap,
+                     xi=args.xi, timeout=args.timeout, oracle_cap=args.oracle_cap,
                      seed=args.seed)
     if args.out:
         write_benchmark_csv(rows, args.out)
@@ -514,6 +530,8 @@ def _cmd_dec_precompute(args) -> int:
 def _cmd_dec_eval(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be non-negative, got {args.steps}")
+    if not math.isfinite(args.dt):
+        raise ConfigError(f"--dt must be finite, got {args.dt}")
     series = load_series(args.series)
     times = args.dt * np.arange(args.steps + 1)
     trace = dec_evaluate_grid(series, times)
@@ -551,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="engine cost comparison table")
     bench.add_argument("--spins", default="3,4,5")
     bench.add_argument("--engines", default="dec,cheb,krylov")
-    bench.add_argument("--dt", type=float, default=0.1)
-    bench.add_argument("--steps", type=int, default=1000)
-    bench.add_argument("--eps", type=float, default=1e-7)
-    bench.add_argument("--xi", type=float)
+    bench.add_argument("--dt", type=float, default=RunConfig.dt)
+    bench.add_argument("--steps", type=int, default=RunConfig.steps)
+    bench.add_argument("--eps", type=float, default=RunConfig.eps)
+    bench.add_argument("--xi", type=float, default=RunConfig.xi)
     bench.add_argument("--timeout", type=float, default=300.0)
     bench.add_argument("--oracle-cap", type=int, default=1024)
     bench.add_argument("--seed", type=int, default=0)

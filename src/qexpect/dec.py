@@ -29,17 +29,11 @@ import json
 
 import numpy as np
 
-from .chebyshev import (
-    DEFAULT_EPS,
-    _coefficient_factors,
-    coefficient_grid,
-    coefficients,
-    stop_order,
-)
+from .chebyshev import _coefficient_factors, coefficient_grid, coefficients, stop_order
 from .errors import ConfigError, NumericalError
 from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, _rescale_real, extreme_eigs, rescale
-from .trace import ExpectationTrace, RunRecord, normalize_observables
+from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
     "DECSeries",
@@ -263,7 +257,9 @@ def load_series(path) -> DECSeries:
 
     Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
     lacks a header field or holds one of the wrong type, declares no orders,
-    or holds a different number of data bytes than its header declares.
+    holds a different number of data bytes than its header declares, or its
+    header scalars are unusable: each must be finite, with ``tau > 0``,
+    ``half_width > 0`` and ``0 < eps < 1``.
     """
     try:
         with open(path, "rb") as fh:
@@ -285,6 +281,12 @@ def load_series(path) -> DECSeries:
         raise ConfigError(f"{path}: unreadable sidecar header ({exc})") from exc
     if n_orders < 1:
         raise ConfigError(f"{path}: header declares {n_orders} orders, at least 1 is needed")
+    if not (np.isfinite(list(scalars.values())).all() and scalars["tau"] > 0
+            and scalars["half_width"] > 0 and 0 < scalars["eps"] < 1):
+        raise ConfigError(
+            f"{path}: unusable sidecar header scalars {scalars}; each must be finite, "
+            "with tau > 0, half_width > 0 and 0 < eps < 1"
+        )
     if len(raw) != n_obs * n_orders * 16:
         raise ConfigError(
             f"{path}: {len(raw)} data bytes, header declares {n_obs} x {n_orders} "

@@ -17,11 +17,10 @@ import numpy as np
 
 from .sparse import SparseMatrix
 from .spectral import _lanczos_steps, tridiag_expv
-from .trace import ExpectationTrace, RunRecord, normalize_observables, record_steps
+from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables, record_steps
 
 __all__ = ["KrylovStepResult", "krylov_step", "krylov_propagate"]
 
-DEFAULT_EPS = 1e-7
 DEFAULT_M_MAX = 128
 
 # Testing the stopping rule costs a small eigensolve; beyond this subspace

@@ -25,7 +25,6 @@ __all__ = [
     "matvec_counter",
     "spmv",
     "kron",
-    "linear_combine",
     "trace_form",
     "vec",
     "unvec",
@@ -211,13 +210,6 @@ def kron(a: SparseMatrix, b: SparseMatrix, max_dim: int = DEFAULT_MAX_KRON_DIM) 
             f"kron result {nrows}x{ncols} exceeds the configured maximum dimension {max_dim}"
         )
     return SparseMatrix(sp.kron(a.csr, b.csr, format="csr"))
-
-
-def linear_combine(alpha: complex, a: SparseMatrix, beta: complex, b: SparseMatrix) -> SparseMatrix:
-    """``alpha*A + beta*B`` with merged patterns; exact cancellations are pruned."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return SparseMatrix(alpha * a.csr + beta * b.csr)
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:

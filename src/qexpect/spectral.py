@@ -33,9 +33,12 @@ __all__ = [
 #: invariant subspace.
 BREAKDOWN_TOL = 1e-14
 
+#: Lanczos steps behind a spectral-interval estimate.
+INTERVAL_STEPS = 30
+
 #: Interval padding: guards against under-estimated spectral bounds, the
 #: dominant failure mode of the [-1, 1] rescaling.
-DEFAULT_INFLATION = 0.05
+INFLATION = 0.05
 INFLATION_FLOOR = 1e-8
 
 _SEED = 0x5EED
@@ -62,14 +65,14 @@ class _Factorization:
         return self.alpha.shape[0]
 
 
-def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
-                   reorthogonalize: bool = True):
+def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int):
     """Grow a Lanczos factorisation of ``l_op`` from ``v0``, one vector per step.
 
     Yields a :class:`_Factorization` of the first m vectors for m = 1, 2, ...
     up to ``m_max``, and stops after the step whose off-diagonal falls below
     ``BREAKDOWN_TOL`` relative to ``||v0||`` (an invariant subspace was
-    found; ``breakdown`` is then set).
+    found; ``breakdown`` is then set). Every new vector is always
+    reorthogonalised against the whole basis.
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     norm0 = np.linalg.norm(v0)
@@ -98,10 +101,9 @@ def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
         a = np.vdot(q, w).real  # Hermitian operator: diagonal is real
         w -= a * q
         w -= beta_prev * q_prev
-        if reorthogonalize:
-            # B_dagger w as conj(B.T conj(w)): avoids copying the basis
-            proj = np.conj(basis[:, : j + 1].T @ np.conj(w))
-            w -= basis[:, : j + 1] @ proj
+        # B_dagger w as conj(B.T conj(w)): avoids copying the basis
+        proj = np.conj(basis[:, : j + 1].T @ np.conj(w))
+        w -= basis[:, : j + 1] @ proj
         b = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))  # as np.linalg.norm sums it
         if not math.isfinite(b):
             raise NumericalError(f"Lanczos vector {j + 1} is not finite")
@@ -117,22 +119,17 @@ def _lanczos_steps(l_op: SparseMatrix, v0: np.ndarray, m_max: int,
         beta_prev = b
 
 
-def lanczos(
-    l_op: SparseMatrix,
-    v0: np.ndarray,
-    m_max: int,
-    reorthogonalize: bool = True,
-) -> _Factorization:
+def lanczos(l_op: SparseMatrix, v0: np.ndarray, m_max: int) -> _Factorization:
     """Three-term recurrence building an orthonormal Krylov basis.
 
     Returns the final factorisation (``basis``, ``alpha``, ``beta``,
     ``breakdown`` and ``m``). Stops early when the next off-diagonal falls
     below ``BREAKDOWN_TOL`` relative to ``||v0||`` (an invariant subspace was
-    found). Full reorthogonalisation is on by default; at the subspace sizes
+    found). Full reorthogonalisation is always done; at the subspace sizes
     used here its cost is negligible and it prevents ghost copies of
     converged Ritz values.
     """
-    for fac in _lanczos_steps(l_op, v0, m_max, reorthogonalize):
+    for fac in _lanczos_steps(l_op, v0, m_max):
         pass
     return fac
 
@@ -157,26 +154,23 @@ class ScalingParams:
         return cls(alpha=alpha, beta=beta, S=(alpha + beta) / 2.0, D=(alpha - beta) / 2.0)
 
 
-def extreme_eigs(
-    l_op: SparseMatrix,
-    m: int = 30,
-    inflation: float = DEFAULT_INFLATION,
-) -> ScalingParams:
+def extreme_eigs(l_op: SparseMatrix) -> ScalingParams:
     """Estimate the spectral interval of a Hermitian operator.
 
-    Runs an m-step Lanczos pass from a fixed pseudo-random start vector and
-    takes the extreme Ritz values, inflated outward by ``inflation`` of the
-    half-width plus an absolute floor of ``INFLATION_FLOOR``. Deterministic
-    across calls: repeated runs produce identical parameters.
+    Runs an ``INTERVAL_STEPS``-step Lanczos pass (fewer if ``l_op`` is
+    smaller) from a fixed pseudo-random start vector and takes the extreme
+    Ritz values, inflated outward by ``INFLATION`` of the half-width plus an
+    absolute floor of ``INFLATION_FLOOR``. Deterministic across calls:
+    repeated runs produce identical parameters.
     """
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
-    fac = lanczos(l_op, v0, m_max=min(m, l_op.nrows))
+    fac = lanczos(l_op, v0, m_max=min(INTERVAL_STEPS, l_op.nrows))
     ritz = fac.alpha if fac.m == 1 else _tridiag_eig(fac.alpha, fac.beta[:-1], False)[0]
     lo, hi = float(np.min(ritz)), float(np.max(ritz))
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    half = half * (1.0 + inflation) + INFLATION_FLOOR
+    half = half * (1.0 + INFLATION) + INFLATION_FLOOR
     return ScalingParams.from_bounds(alpha=mid + half, beta=mid - half)
 
 

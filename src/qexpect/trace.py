@@ -17,6 +17,10 @@ from .sparse import SparseMatrix, matvec_counter, trace_form
 
 __all__ = ["ExpectationTrace", "RunRecord", "normalize_observables", "record_steps"]
 
+#: Accuracy target of every engine (see each engine for what it bounds) and
+#: of a run that sets none.
+DEFAULT_EPS = 1e-7
+
 
 @dataclass
 class ExpectationTrace:
@@ -69,10 +73,6 @@ file).
         # grids are legal (direct series evaluation treats points
         # independently), but downstream spectrum analysis requires a
         # uniform grid and will reject anything else
-
-    def value(self, label: str) -> np.ndarray:
-        """Series for one observable."""
-        return self.values[self.labels.index(label)]
 
     @property
     def n_times(self) -> int:

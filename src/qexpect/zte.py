@@ -21,7 +21,7 @@ from .errors import NumericalError
 from .krylov import DEFAULT_M_MAX, krylov_propagate, krylov_step
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
-from .trace import ExpectationTrace, RunRecord, normalize_observables
+from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
     "ZTEReduction",
@@ -30,11 +30,9 @@ __all__ = [
     "zte_propagate",
     "counterexample_f",
     "resonant_triplet",
-    "reduction_report",
 ]
 
 DEFAULT_XI = 1e-6
-DEFAULT_EPS = 1e-7
 
 
 @dataclass
@@ -206,17 +204,3 @@ def resonant_triplet():
     rho0 = q @ mu
     w = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
     return SparseMatrix.from_dense(l_dense), rho0.astype(np.complex128), w
-
-
-def reduction_report(reduction: ZTEReduction) -> str:
-    """Structured text block for benchmark tables."""
-    lines = [
-        "zero-track elimination report",
-        f"  full dimension     : {reduction.full_dim}",
-        f"  reduced dimension  : {reduction.reduced_dim}",
-        f"  pruned coordinates : {reduction.full_dim - reduction.reduced_dim}",
-        f"  threshold xi       : {reduction.xi:g}",
-        f"  window delta_t     : {reduction.delta_t:g}",
-        f"  window steps       : {reduction.window_steps}",
-    ]
-    return "\n".join(lines)

@@ -19,6 +19,7 @@ from qexpect import (
     error_bound,
     extreme_eigs,
     initial_state,
+    matvec_counter,
     observable_ip,
     rescale,
     scalar_coefficients,
@@ -188,6 +189,19 @@ def test_clenshaw_matches_direct_summation(rng):
         direct = _direct_sum(a, c, v)
         clenshaw = clenshaw_apply(a, coeffs, v)
         assert np.linalg.norm(clenshaw - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_clenshaw_costs_one_matvec_per_order_above_zero(rng):
+    from qexpect.chebyshev import ChebCoefficients
+
+    a = SparseMatrix.from_dense(random_hermitian(6, rng))
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for order in (0, 1, 2, 7):
+        coeffs = ChebCoefficients(t_scaled=0.0, values=rng.standard_normal(order + 1) + 0j,
+                                  eps=1.0)
+        before = matvec_counter.count
+        clenshaw_apply(a, coeffs, v)
+        assert matvec_counter.count - before == order
 
 
 def test_clenshaw_dimension_mismatch(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import textwrap
@@ -48,6 +49,9 @@ def make_config(**overrides):
 
 def test_parse_minimal_defaults():
     cfg = parse_config("[system]\nn = 1\nlarmor_hz = 50\n")
+    for field in dataclasses.fields(RunConfig):
+        if field.name != "system":
+            assert getattr(cfg, field.name) == field.default, field.name
     assert cfg.engine == "dec"
     assert cfg.eps == 1e-7
     assert cfg.dt == 0.1
@@ -354,12 +358,37 @@ def test_run_config_validation():
         RunConfig(system=spec_cfg, steps=0)
     with pytest.raises(ConfigError, match="eps"):
         RunConfig(system=spec_cfg, eps=2.0)
+    for name, value in [("dt", np.nan), ("dt", np.inf), ("eps", np.nan), ("tau", np.nan),
+                        ("tau", np.inf), ("xi", np.nan), ("xi", np.inf), ("xi_apo", np.nan),
+                        ("xi_apo", -np.inf)]:
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            RunConfig(system=spec_cfg, **{name: value})
+
+
+#: Sidecar header edits that leave the file unusable.
+_BAD_HEADERS = {
+    "header_without_shift": lambda h: h.pop("shift"),
+    "non_numeric_tau": lambda h: h.update(tau="soon"),
+    "nan_tau_header": lambda h: h.update(tau=float("nan")),
+    "nan_half_width_header": lambda h: h.update(half_width=float("nan")),
+    "negative_half_width_header": lambda h: h.update(half_width=-1.0),
+    "infinite_eps_header": lambda h: h.update(eps=float("inf")),
+    "infinite_shift_header": lambda h: h.update(shift=float("inf")),
+}
+
+#: Config files whose [run] or [zte] settings are unusable.
+_BAD_CONFIGS = {
+    "nan_dt_config": make_config(dt="nan"),
+    "infinite_dt_config": make_config(dt="inf"),
+    "nan_xi_config": make_config(engine="zte") + "\n[zte]\nxi = nan\n",
+}
 
 
 @pytest.mark.parametrize(
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau",
-     "negative_steps", "header_without_shift", "zero_orders", "non_numeric_tau"],
+     "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
+     "nan_xi_apo", "benchmark_negative_dt", *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     cfg_path = tmp_path / "run.ini"
@@ -384,15 +413,26 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
         args[6] = "101"  # one step past the stored horizon tau = 100 * dt
     elif case == "negative_steps":
         args[6] = "-1"
+    elif case == "nan_eval_dt":
+        args[4] = "nan"
+    elif case in ("nan_tau_flag", "infinite_tau_flag"):
+        args = ["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar),
+                "--tau", "nan" if case == "nan_tau_flag" else "inf"]
+    elif case == "nan_xi_apo":
+        (tmp_path / "ok.csv").write_text("t,re_ip,im_ip\n0,1,0\n0.1,0,1\n")
+        args = ["spectrum", "--fid", str(tmp_path / "ok.csv"), "--xi-apo", "nan"]
+    elif case == "benchmark_negative_dt":
+        args = ["benchmark", "--spins", "2", "--engines", "dec,cheb", "--dt", "-1"]
+    elif case in _BAD_CONFIGS:
+        cfg_path.write_text(_BAD_CONFIGS[case])
+        args = ["simulate", "--config", str(cfg_path)]
     else:
         magic, header, raw = data.split(b"\n", 2)
         header = json.loads(header)
-        if case == "header_without_shift":
-            del header["shift"]
-        elif case == "zero_orders":
+        if case == "zero_orders":
             header["n_orders"], raw = 0, b""
         else:
-            header["tau"] = "soon"
+            _BAD_HEADERS[case](header)
         sidecar.write_bytes(b"\n".join([magic, json.dumps(header).encode(), raw]))
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err

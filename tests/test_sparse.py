@@ -5,7 +5,6 @@ from qexpect import (
     ResourceError,
     SparseMatrix,
     kron,
-    linear_combine,
     matvec_counter,
     spmv,
     trace_form,
@@ -109,31 +108,6 @@ def test_kron_dimension_guard():
     a = SparseMatrix.identity(1 << 13)
     with pytest.raises(ResourceError, match="exceeds"):
         kron(a, a, max_dim=1 << 20)
-
-
-def test_linear_combine_cancellation():
-    a = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    c = linear_combine(1.0, a, -1.0, a)
-    assert c.nnz == 0
-
-
-def test_linear_combine_copy():
-    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    b = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    c = linear_combine(1.0, a, 0.0, b)
-    assert np.array_equal(c.to_dense(), a.to_dense())
-
-
-def test_linear_combine_merged_pattern():
-    a = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
-    b = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    c = linear_combine(1.0, a, 1.0, b)
-    assert np.array_equal(c.to_dense(), np.array([[1.0, 1.0], [1.0, 2.0]]))
-
-
-def test_linear_combine_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        linear_combine(1.0, SparseMatrix.identity(2), 1.0, SparseMatrix.identity(3))
 
 
 def test_triplets_sum_duplicates_and_accept_unordered():

@@ -142,15 +142,6 @@ def test_tridiag_expv_unitary(rng):
     assert abs(np.linalg.norm(col) - 1.0) <= 1e-12
 
 
-def test_lanczos_without_reorthogonalization(rng):
-    # available as a benchmarking flag; short runs stay well conditioned
-    l_op = random_sparse_hermitian(40, rng, density=0.4)
-    v0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    fac = lanczos(l_op, v0, m_max=8, reorthogonalize=False)
-    gram = fac.basis.conj().T @ fac.basis
-    assert np.max(np.abs(gram - np.eye(fac.m))) <= 1e-6
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.sampled_from([1, 2, 7, 25, 26, 64, 128]),

@@ -11,7 +11,6 @@ from qexpect import (
     initial_state,
     krylov_propagate,
     observable_ip,
-    reduction_report,
     resonant_triplet,
     spmv,
     zte_detect,
@@ -186,12 +185,3 @@ def test_pruning_failure_mode_reproduced():
     truth = counterexample_f(times)
     err = np.abs(reduced.values[0] - truth)
     assert err.max() > 0.5  # long-time failure, exactly as predicted
-
-
-def test_reduction_report_mentions_sizes():
-    l_op = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
-    red = zte_detect(l_op, np.array([1.0, 0.0]), dt=0.5, delta_t=1.0, xi=1e-9)
-    report = reduction_report(red)
-    assert "full dimension     : 2" in report
-    assert "reduced dimension  : 1" in report
-
