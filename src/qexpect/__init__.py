@@ -23,7 +23,7 @@ from .dec import DECSeries, dec_evaluate, dec_evaluate_grid, dec_precompute, loa
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import KrylovStepResult, krylov_propagate, krylov_step
 from .oracle import ModeDecomposition, dense_eig, mode_amplitudes, oracle_expect
-from .sparse import SparseMatrix, kron, matvec_counter, spmv, trace_form, unvec, vec
+from .sparse import SparseMatrix, matvec_counter, spmv, trace_form
 from .spectral import ScalingParams, extreme_eigs, lanczos, rescale, tridiag_expv
 from .spinsys import (
     SpinOperatorSet,
@@ -36,7 +36,6 @@ from .spinsys import (
     initial_state,
     observable_by_name,
     observable_ip,
-    observable_iz,
     spin_half,
     trace_block,
 )

@@ -138,7 +138,7 @@ def _order_guess(ts: np.ndarray, eps: float) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def _first_hit(j: np.ndarray, first: np.ndarray, eps: float, single: bool) -> np.ndarray:
+def _first_hit(j: np.ndarray, first: np.ndarray, eps: float) -> np.ndarray:
     """Per column of the table ``j``, the first row ``k >= first`` passing the stopping test.
 
     Returns -1 for columns with no such row. Rows are tested from each
@@ -154,12 +154,9 @@ def _first_hit(j: np.ndarray, first: np.ndarray, eps: float, single: bool) -> np
         k = start[:, None] + np.arange(width)
         inside = k < rows
         np.minimum(k, rows - 1, out=k)
-        cur = j[k, cols[:, None]]
-        # |c_k| = 2|J_k| for every k >= 1 that either rule tests
-        if single:
-            hit = np.abs(cur) < 0.5 * eps
-        else:
-            hit = np.hypot(j[k - 1, cols[:, None]], cur) < 0.5 * eps
+        # |c_k| = 2|J_k| for every k >= 1 tested, so the pair test against
+        # eps is this one on J against eps/2
+        hit = np.hypot(j[k - 1, cols[:, None]], j[k, cols[:, None]]) < 0.5 * eps
         hit &= inside
         found = hit.any(axis=1)
         hit_row[cols[found]] = k[found, hit[found].argmax(axis=1)]
@@ -169,27 +166,24 @@ def _first_hit(j: np.ndarray, first: np.ndarray, eps: float, single: bool) -> np
     return hit_row
 
 
-def _stop_scan(ts: np.ndarray, eps: float, single: bool = False):
+def _stop_scan(ts: np.ndarray, eps: float):
     """Stopping order per time, with the Bessel table it was read from.
 
     Returns ``(n_stop, j)`` where ``j[k, i] = J_k(ts[i])`` for every k up to
-    at least ``n_stop[i]``. The two-coefficient rule takes the first
-    ``n > t`` (and ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``;
-    ``single`` takes the first ``n >= 1`` with ``|c_n| < eps``. The table is
-    sized by the a-priori order guess; columns without a hit in it are run
-    again through the same recurrence with a window widened by half.
+    at least ``n_stop[i]``. The stopping order is the first ``n > t`` (and
+    ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``, and 1 at
+    ``t = 0``. The table is sized by the a-priori order guess; columns
+    without a hit in it are run again through the same recurrence with a
+    window widened by half.
     """
     n_t = ts.shape[0]
-    if single:
-        first = np.ones(n_t, dtype=np.int64)
-    else:
-        first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
+    first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
     cap = int(np.max(np.maximum(_order_guess(ts, eps), first))) + 8
     n_stop = np.zeros(n_t, dtype=np.int64)
     cols = np.arange(n_t)
     j = part = _bessel_columns(ts, cap)
     while True:
-        hit = _first_hit(part, first[cols], eps, single)
+        hit = _first_hit(part, first[cols], eps)
         found = hit >= 0
         n_stop[cols[found]] = hit[found]
         cols = cols[~found]
@@ -210,34 +204,29 @@ def _coefficient_factors(n: int) -> np.ndarray:
     return factors
 
 
-def _scan_one(t_scaled: float, eps: float, criterion: str = "two_term"):
+def _scan_one(t_scaled: float, eps: float):
     """Checked one-time :func:`_stop_scan`: ``(stopping order, J_0.. column)``."""
     if t_scaled < 0:
         raise ValueError("t_scaled must be non-negative")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if criterion not in ("two_term", "single"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    n_stop, j = _stop_scan(np.array([float(t_scaled)]), eps, single=criterion == "single")
+    n_stop, j = _stop_scan(np.array([float(t_scaled)]), eps)
     return int(n_stop[0]), j[:, 0]
 
 
-def stop_order(t_scaled: float, eps: float, criterion: str = "two_term") -> int:
+def stop_order(t_scaled: float, eps: float) -> int:
     """Truncation order for the coefficient series at one rescaled time.
 
-    The default rule returns the smallest ``n > t_scaled`` with
+    Returns the smallest ``n > t_scaled`` with
     ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``. The search starts above
     ``t_scaled`` because below it the coefficients oscillate without
     decaying and any rule can trigger spuriously; starting in the decay
     region also makes the order monotone in ``t_scaled``, which the direct
-    expectation series relies on.
-
-    ``criterion="single"`` is the naive rule ``|c_n| < eps`` scanned from
-    n = 1 with no oscillation guard. It is kept for demonstration only: a
-    single coefficient can vanish at a zero of its Bessel function long
-    before the expansion converges, silently truncating an O(1) tail.
+    expectation series relies on. The rule tests two coefficients because
+    one alone can vanish at a zero of its Bessel function long before the
+    expansion converges, silently truncating an O(1) tail.
     """
-    return _scan_one(t_scaled, eps, criterion)[0]
+    return _scan_one(t_scaled, eps)[0]
 
 
 def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
@@ -270,13 +259,12 @@ def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, 
 class ChebCoefficients:
     """Expansion coefficients ``c_0 .. c_n`` for one rescaled time.
 
-    ``values[k] = (2 - delta_k0) * (-i)^k * J_k(t_scaled)`` with the final
-    pair below ``eps`` in the two-coefficient sense.
+    From :func:`coefficients`, ``values[k] = (2 - delta_k0) * (-i)^k *
+    J_k(t_scaled)`` with the final pair below ``eps`` in the two-coefficient
+    sense; :func:`clenshaw_apply` takes any ``values``.
     """
 
-    t_scaled: float
     values: np.ndarray
-    eps: float
 
     @property
     def n_max(self) -> int:
@@ -291,7 +279,7 @@ def coefficients(t_scaled: float, eps: float = DEFAULT_EPS) -> ChebCoefficients:
     n, j = _scan_one(t_scaled, eps)
     values = j[: n + 1] * _coefficient_factors(n)
     values.flags.writeable = False
-    return ChebCoefficients(t_scaled=t_scaled, values=values, eps=eps)
+    return ChebCoefficients(values)
 
 
 def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -> np.ndarray:

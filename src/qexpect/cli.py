@@ -48,7 +48,9 @@ class RunConfig:
     """Validated simulation request.
 
     Its field defaults are the defaults of every run: of a config file that
-    leaves a key out, of the CLI flags and of :func:`benchmark`.
+    leaves a key out, of the CLI flags and of :func:`benchmark`. ``tau`` is
+    the series horizon: ``None`` means ``steps * dt``, and a value set must
+    reach at least that far. ``observables`` must name at least one.
     """
 
     system: SpinSystemSpec
@@ -88,6 +90,8 @@ class RunConfig:
             raise ConfigError("[zte] xi must be non-negative")
         if self.m_max < 1:
             raise ConfigError("[run] m_max must be positive")
+        if not self.observables:
+            raise ConfigError("[run] observables must name at least one observable")
 
     @property
     def horizon(self) -> float:
@@ -108,11 +112,6 @@ def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _tau(raw: str) -> float | None:
-    tau = float(raw)
-    return None if tau <= 0 else tau  # a horizon of 0 or less means steps * dt
-
-
 #: Optional config keys: (section, key) -> (RunConfig field, parser). A key
 #: the file leaves out keeps the field's RunConfig default.
 _RUN_KEYS = {
@@ -120,7 +119,7 @@ _RUN_KEYS = {
     ("run", "dt"): ("dt", float),
     ("run", "steps"): ("steps", int),
     ("run", "eps"): ("eps", float),
-    ("run", "tau"): ("tau", _tau),
+    ("run", "tau"): ("tau", float),
     ("run", "xi_apo"): ("xi_apo", float),
     ("run", "m_max"): ("m_max", int),
     ("run", "observables"): ("observables", lambda raw: tuple(raw.replace(",", " ").split())),
@@ -385,12 +384,17 @@ def benchmark(
     For each (size, engine) pair: wall time, matvec count, max error against
     the dense reference where the dimension permits, and the reduced
     dimension for the pruning engine. The run settings default to
-    :class:`RunConfig`'s and are validated by it before any run starts, so
-    unusable settings raise :class:`ConfigError`. Runs happen in a child
+    :class:`RunConfig`'s and are validated by it before any run starts, as
+    are ``timeout`` (positive and finite) and ``oracle_cap`` (non-negative),
+    so unusable settings raise :class:`ConfigError`. Runs happen in a child
     process so a stuck engine is recorded as timed out rather than hanging
     the table. Timings are single threaded; numerical columns are
     deterministic.
     """
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ConfigError(f"benchmark timeout must be positive and finite, got {timeout}")
+    if oracle_cap < 0:
+        raise ConfigError(f"benchmark oracle_cap must be non-negative, got {oracle_cap}")
     stream = stream or sys.stdout
     rows = []
     for n_spins in spin_counts:
@@ -502,8 +506,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    spins = [int(tok) for tok in args.spins.replace(",", " ").split()]
-    engines = [tok.strip() for tok in args.engines.replace(",", " ").split()]
+    try:
+        spins = [int(tok) for tok in args.spins.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"--spins must list whole numbers, got {args.spins!r}") from exc
+    engines = args.engines.replace(",", " ").split()
+    if not spins or not engines:
+        raise ConfigError("--spins and --engines must each list at least one entry")
     for engine in engines:
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r} in --engines")

@@ -7,7 +7,9 @@ this module pins down the conventions the rest of the package relies on:
   row, entries that are exactly zero dropped) and immutable after
   construction;
 * density matrices are vectorised by column stacking, ``vec(M)[i + j*m] =
-  M[i, j]``, so ``vec(A X B) = kron(B.T, A) vec(X)``;
+  M[i, j]``, so ``vec(A X B) = kron(B.T, A) vec(X)``. ``vec`` and ``kron``
+  are notation here, not functions: in numpy, ``vec(M)`` is
+  ``M.ravel(order="F")`` and its inverse ``v.reshape((m, m), order="F")``;
 * every sparse matrix-vector product goes through :func:`spmv`, which
   increments a module-level counter used for cost reporting.
 """
@@ -18,34 +20,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .errors import ResourceError
-
 __all__ = [
     "SparseMatrix",
     "matvec_counter",
     "spmv",
-    "kron",
     "trace_form",
-    "vec",
-    "unvec",
 ]
-
-#: Guard against runaway Kronecker products (dimension of the result).
-DEFAULT_MAX_KRON_DIM = 1 << 24
 
 
 class MatvecCounter:
     """Running count of sparse matrix-vector products.
 
-    Purely instrumentation: engines snapshot it around a run to report the
-    number of matvecs honestly. Not meant to be thread safe.
+    Purely instrumentation: :func:`spmv` adds one to ``count`` per product,
+    and engines snapshot it around a run to report the number of matvecs
+    honestly. Not meant to be thread safe.
     """
 
     def __init__(self):
         self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
 
     def reset(self) -> int:
         """Zero the counter and return the previous value."""
@@ -190,7 +182,7 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: matrix is {a.nrows}x{a.ncols}, vector has length {x.shape}"
         )
-    matvec_counter.add()
+    matvec_counter.count += 1
     m = a.csr
     if x.dtype != m.dtype:
         x = x.astype(np.complex128)
@@ -199,31 +191,6 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     y = np.zeros(m.shape[0], dtype=x.dtype)
     _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, y)
     return y
-
-
-def kron(a: SparseMatrix, b: SparseMatrix, max_dim: int = DEFAULT_MAX_KRON_DIM) -> SparseMatrix:
-    """Kronecker product ``C[(i*Bn + k), (j*Bm + l)] = A[i, j] * B[k, l]``."""
-    nrows = a.nrows * b.nrows
-    ncols = a.ncols * b.ncols
-    if max(nrows, ncols) > max_dim:
-        raise ResourceError(
-            f"kron result {nrows}x{ncols} exceeds the configured maximum dimension {max_dim}"
-        )
-    return SparseMatrix(sp.kron(a.csr, b.csr, format="csr"))
-
-
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorisation of a square matrix."""
-    return np.asarray(matrix, dtype=np.complex128).ravel(order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    m = int(round(np.sqrt(v.shape[0])))
-    if m * m != v.shape[0]:
-        raise ValueError(f"length {v.shape[0]} is not a perfect square")
-    return v.reshape((m, m), order="F")
 
 
 def trace_form(q: SparseMatrix) -> np.ndarray:

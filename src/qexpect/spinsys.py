@@ -38,7 +38,6 @@ __all__ = [
     "assemble",
     "initial_state",
     "observable_ip",
-    "observable_iz",
     "observable_by_name",
 ]
 
@@ -350,13 +349,6 @@ def observable_ip(n: int) -> SparseMatrix:
     if n < 1:
         raise ValueError("need at least one spin")
     return _site_sum(spin_half().ip, range(n), n)
-
-
-def observable_iz(n: int) -> SparseMatrix:
-    """Total ``Iz`` (longitudinal magnetisation)."""
-    if n < 1:
-        raise ValueError("need at least one spin")
-    return _site_sum(spin_half().iz, range(n), n)
 
 
 def observable_by_name(name: str, n: int) -> SparseMatrix:

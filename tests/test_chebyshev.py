@@ -172,7 +172,7 @@ def test_clenshaw_pure_first_order(rng):
 
     a = SparseMatrix.from_dense(random_hermitian(5, rng))
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    coeffs = ChebCoefficients(t_scaled=0.0, values=np.array([0.0, 1.0 + 0j]), eps=1.0)
+    coeffs = ChebCoefficients(np.array([0.0, 1.0 + 0j]))
     assert np.allclose(clenshaw_apply(a, coeffs, v), a.to_dense() @ v, atol=1e-14)
 
 
@@ -185,7 +185,7 @@ def test_clenshaw_matches_direct_summation(rng):
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     for order in (10, 33, 64):
         c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
-        coeffs = ChebCoefficients(t_scaled=0.0, values=c, eps=1.0)
+        coeffs = ChebCoefficients(c)
         direct = _direct_sum(a, c, v)
         clenshaw = clenshaw_apply(a, coeffs, v)
         assert np.linalg.norm(clenshaw - direct) <= 1e-12 * np.linalg.norm(direct)
@@ -197,8 +197,7 @@ def test_clenshaw_costs_one_matvec_per_order_above_zero(rng):
     a = SparseMatrix.from_dense(random_hermitian(6, rng))
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for order in (0, 1, 2, 7):
-        coeffs = ChebCoefficients(t_scaled=0.0, values=rng.standard_normal(order + 1) + 0j,
-                                  eps=1.0)
+        coeffs = ChebCoefficients(rng.standard_normal(order + 1) + 0j)
         before = matvec_counter.count
         clenshaw_apply(a, coeffs, v)
         assert matvec_counter.count - before == order
@@ -251,24 +250,19 @@ def test_step_propagation_preserves_norm():
 
 
 def test_single_coefficient_rule_misfires_at_bessel_zero():
-    # at the first zero of J_5 the naive |c_n| < eps rule stops at n = 5
-    # even though the series still carries an order-one tail; the paired
-    # rule sails past the zero
+    # at the first zero of J_5 the naive |c_n| < eps rule, scanned from n = 1,
+    # stops at n = 5 even though the series still carries an order-one tail;
+    # the paired rule of stop_order sails past the zero
     from scipy.special import jn_zeros
 
     t0 = float(jn_zeros(5, 1)[0])
-    n_single = stop_order(t0, 1e-7, criterion="single")
     n_pair = stop_order(t0, 1e-7)
+    c = np.abs(scalar_coefficients(t0, n_pair + 6))
+    n_single = 1 + int(np.argmax(c[1:] < 1e-7))
     assert n_single == 5
     assert n_pair > t0
-    c = np.abs(scalar_coefficients(t0, n_pair + 6))
     assert np.sum(c[n_single + 1 :]) > 1.0  # truncated weight is O(1)
     assert math.hypot(c[n_pair - 1], c[n_pair]) < 1e-7
-
-
-def test_stop_order_rejects_unknown_criterion():
-    with pytest.raises(ValueError, match="criterion"):
-        stop_order(1.0, 1e-7, criterion="triple")
 
 
 def test_coefficients_terminal_pair_below_eps():
@@ -347,14 +341,11 @@ def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
     assert stop_order(140.0, eps) == cap
 
 
-def _full_table_hits(j, first, eps, single):
+def _full_table_hits(j, first, eps):
     """Reference stopping test: every row of the table is tested, and the first
     passing row at or after ``first`` is kept (-1 where none passes)."""
-    if single:
-        hit = np.abs(j) < 0.5 * eps
-    else:
-        hit = np.zeros(j.shape, dtype=bool)
-        hit[1:] = np.hypot(j[:-1], j[1:]) < 0.5 * eps
+    hit = np.zeros(j.shape, dtype=bool)
+    hit[1:] = np.hypot(j[:-1], j[1:]) < 0.5 * eps
     hit &= np.arange(j.shape[0])[:, None] >= first
     return np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
 
@@ -364,27 +355,22 @@ def _full_table_hits(j, first, eps, single):
     times=st.lists(st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 400.0)),
                    min_size=1, max_size=12),
     eps=st.sampled_from([1e-4, 1e-7, 1e-10, 1e-14]),
-    single=st.booleans(),
     extra=st.integers(-300, 120),
 )
-def test_banded_scan_finds_the_same_orders_as_the_full_table(times, eps, single, extra):
+def test_banded_scan_finds_the_same_orders_as_the_full_table(times, eps, extra):
     # tables that end before some columns' hits (extra < 0) must report -1 there
     from qexpect.chebyshev import _bessel_columns, _first_hit
 
     ts = np.array(times)
     n_max = max(2, math.ceil(ts.max()) + extra)
     j = _bessel_columns(ts, n_max)
-    if single:
-        first = np.ones(ts.shape[0], dtype=np.int64)
-    else:
-        first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
-    assert np.array_equal(_first_hit(j, first, eps, single),
-                          _full_table_hits(j, first, eps, single))
+    first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
+    assert np.array_equal(_first_hit(j, first, eps), _full_table_hits(j, first, eps))
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 200), single=st.booleans())
-def test_banded_scan_on_synthetic_tables(seed, rows, single):
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 200))
+def test_banded_scan_on_synthetic_tables(seed, rows):
     # random magnitudes put hits at every offset from `first`, including the
     # last rows of a band and of the table
     from qexpect.chebyshev import _first_hit
@@ -392,8 +378,7 @@ def test_banded_scan_on_synthetic_tables(seed, rows, single):
     rng = np.random.default_rng(seed)
     j = 10.0 ** rng.uniform(-9.0, 0.0, size=(rows, 40))
     first = rng.integers(1, rows + 3, size=40)
-    assert np.array_equal(_first_hit(j, first, 1e-7, single),
-                          _full_table_hits(j, first, 1e-7, single))
+    assert np.array_equal(_first_hit(j, first, 1e-7), _full_table_hits(j, first, 1e-7))
 
 
 def _bessel_columns_by_cumprod(ts, n_max):

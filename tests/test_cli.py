@@ -381,6 +381,23 @@ _BAD_CONFIGS = {
     "nan_dt_config": make_config(dt="nan"),
     "infinite_dt_config": make_config(dt="inf"),
     "nan_xi_config": make_config(engine="zte") + "\n[zte]\nxi = nan\n",
+    "negative_tau": make_config(extra_run="tau = -5"),
+    "zero_tau": make_config(extra_run="tau = 0"),
+    "no_observables": make_config(extra_run="observables ="),
+}
+
+#: ``qexpect benchmark`` arguments that leave the run unusable.
+_BAD_BENCHMARKS = {
+    "benchmark_negative_dt": ["--spins", "2", "--engines", "dec,cheb", "--dt", "-1"],
+    "benchmark_non_integer_spins": ["--spins", "x", "--steps", "5"],
+    "benchmark_no_spins": ["--spins", "", "--steps", "5"],
+    "benchmark_no_engines": ["--spins", "2", "--engines", "", "--steps", "5"],
+    "benchmark_negative_timeout": ["--spins", "2", "--engines", "dec", "--steps", "5",
+                                   "--timeout", "-1"],
+    "benchmark_infinite_timeout": ["--spins", "2", "--engines", "dec", "--steps", "5",
+                                   "--timeout", "inf"],
+    "benchmark_negative_oracle_cap": ["--spins", "2", "--engines", "dec", "--steps", "5",
+                                      "--oracle-cap", "-1"],
 }
 
 
@@ -388,7 +405,7 @@ _BAD_CONFIGS = {
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau",
      "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
-     "nan_xi_apo", "benchmark_negative_dt", *_BAD_HEADERS, *_BAD_CONFIGS],
+     "nan_xi_apo", *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     cfg_path = tmp_path / "run.ini"
@@ -421,8 +438,8 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     elif case == "nan_xi_apo":
         (tmp_path / "ok.csv").write_text("t,re_ip,im_ip\n0,1,0\n0.1,0,1\n")
         args = ["spectrum", "--fid", str(tmp_path / "ok.csv"), "--xi-apo", "nan"]
-    elif case == "benchmark_negative_dt":
-        args = ["benchmark", "--spins", "2", "--engines", "dec,cheb", "--dt", "-1"]
+    elif case in _BAD_BENCHMARKS:
+        args = ["benchmark", *_BAD_BENCHMARKS[case]]
     elif case in _BAD_CONFIGS:
         cfg_path.write_text(_BAD_CONFIGS[case])
         args = ["simulate", "--config", str(cfg_path)]

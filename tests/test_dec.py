@@ -20,8 +20,8 @@ from qexpect import (
     load_series,
     matvec_counter,
     normalize_observables,
+    observable_by_name,
     observable_ip,
-    observable_iz,
     oracle_expect,
     rescale,
     save_series,
@@ -82,7 +82,7 @@ def test_multi_observable_matches_single_runs(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
-    obs_p, obs_z = observable_ip(2), observable_iz(2)
+    obs_p, obs_z = observable_ip(2), observable_by_name("iz", 2)
     both = dec_precompute(l_op, rho0, {"ip": obs_p, "iz": obs_z}, tau=10.0)
     only_p = dec_precompute(l_op, rho0, {"ip": obs_p}, tau=10.0)
     only_z = dec_precompute(l_op, rho0, {"iz": obs_z}, tau=10.0)
@@ -144,7 +144,7 @@ def test_prefix_equals_shorter_horizon(rng):
 def test_hermitian_observable_real_series(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(2), {"iz": observable_iz(2)}, tau=50.0)
+    series = dec_precompute(l_op, initial_state(2), {"iz": observable_by_name("iz", 2)}, tau=50.0)
     trace = dec_evaluate_grid(series, np.linspace(0.0, 50.0, 200))
     assert np.max(np.abs(trace.values[0].imag)) <= 1e-9
 
@@ -179,7 +179,7 @@ def test_sidecar_roundtrip(tmp_path, rng):
     l_op = build_liouvillian(build_hamiltonian(spec))
     series = dec_precompute(
         l_op, initial_state(2),
-        {"ip": observable_ip(2), "iz": observable_iz(2)}, tau=25.0,
+        {"ip": observable_ip(2), "iz": observable_by_name("iz", 2)}, tau=25.0,
     )
     path = tmp_path / "series.decs"
     save_series(series, path)
@@ -255,7 +255,7 @@ def test_trace_error_within_eps_times_norms(n, seed, eps, tau):
     spec = benchmark_spec(n, seed)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(n)
-    obs = {"ip": observable_ip(n), "iz": observable_iz(n)}
+    obs = {"ip": observable_ip(n), "iz": observable_by_name("iz", n)}
     times = np.linspace(0.0, tau, 201)
     trace = dec_evaluate_grid(dec_precompute(l_op, rho0, obs, tau=tau, eps=eps), times)
     ref = oracle_expect(dense_eig(l_op), rho0, obs, times)
@@ -333,7 +333,7 @@ def test_real_sweep_matches_the_complex_recurrence(monkeypatch, n, start):
     rho0 = initial_state(n)
     if start == "real":
         rho0 = rho0.imag.astype(np.complex128)
-    obs = {"ip": observable_ip(n), "iz": observable_iz(n)}
+    obs = {"ip": observable_ip(n), "iz": observable_by_name("iz", n)}
     _assert_real_sweep_matches_reference(monkeypatch, l_op, rho0, obs, 60.0,
                                          extreme_eigs(l_op))
 

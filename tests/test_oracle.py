@@ -10,8 +10,8 @@ from qexpect import (
     dense_eig,
     initial_state,
     mode_amplitudes,
+    observable_by_name,
     observable_ip,
-    observable_iz,
     oracle_expect,
     trace_form,
 )
@@ -66,12 +66,12 @@ def test_time_reversal_symmetry(rng):
     l_op = build_liouvillian(build_hamiltonian(spec))
     dec = dense_eig(l_op)
     rho0 = initial_state(2)
-    obs = {"iz": observable_iz(2)}
+    obs = {"iz": observable_by_name("iz", 2)}
     times = np.linspace(0.1, 5.0, 17)
     fwd = oracle_expect(dec, rho0, obs, times)
     # negative times: evaluate by conjugating the phase sum directly
     bwd = np.array([
-        (trace_form(observable_iz(2)) @ (
+        (trace_form(observable_by_name("iz", 2)) @ (
             dec.X @ (np.exp(1j * dec.lam * t) * (dec.X.conj().T @ rho0))
         ))
         for t in times

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from qexpect import (
-    ResourceError,
     SparseMatrix,
-    kron,
     matvec_counter,
     spmv,
     trace_form,
-    unvec,
-    vec,
 )
 
 from conftest import random_hermitian
@@ -72,44 +68,6 @@ def test_spmv_keeps_real_vectors_real_on_real_storage(rng):
     assert spmv(complex_op, x).dtype == np.complex128
 
 
-def test_kron_identity_factor():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    c = kron(SparseMatrix.identity(2), SparseMatrix.from_dense(m))
-    expected = np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m]])
-    assert np.array_equal(c.to_dense(), expected)
-
-
-def test_kron_diagonal_case():
-    m = SparseMatrix.from_dense(np.diag([2.0, 5.0]))
-    c = kron(m, SparseMatrix.identity(2))
-    assert np.array_equal(np.diag(c.to_dense()).real, [2.0, 2.0, 5.0, 5.0])
-
-
-def test_kron_pauli_example():
-    sz = SparseMatrix.from_dense(np.diag([1.0, -1.0]))
-    sx = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    c = kron(sz, sx).to_dense()
-    expected = np.zeros((4, 4))
-    expected[0, 1] = expected[1, 0] = 1.0
-    expected[2, 3] = expected[3, 2] = -1.0
-    assert np.array_equal(c, expected)
-
-
-def test_kron_matches_dense_product(rng):
-    a_d = random_hermitian(4, rng)
-    b_d = random_hermitian(4, rng)
-    c = kron(SparseMatrix.from_dense(a_d), SparseMatrix.from_dense(b_d))
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    ref = np.kron(a_d, b_d) @ x
-    assert np.linalg.norm(spmv(c, x) - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-def test_kron_dimension_guard():
-    a = SparseMatrix.identity(1 << 13)
-    with pytest.raises(ResourceError, match="exceeds"):
-        kron(a, a, max_dim=1 << 20)
-
-
 def test_triplets_sum_duplicates_and_accept_unordered():
     a = SparseMatrix.from_triplets(
         rows=[1, 0, 1, 0], cols=[0, 1, 0, 1], values=[2.0, 1.0, 3.0, -1.0], shape=(2, 2)
@@ -138,7 +96,7 @@ def test_storage_is_immutable():
 
 def test_trace_form_identity():
     w = trace_form(SparseMatrix.identity(2))
-    rho = vec(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    rho = np.array([[1.0, 2.0], [3.0, 4.0]]).ravel(order="F")  # column stacking
     assert w @ rho == pytest.approx(5.0)  # a + d
 
 
@@ -152,7 +110,7 @@ def test_trace_form_shift_up_against_dense():
     iy = np.array([[0.0, -0.5j], [0.5j, 0.0]])
     ip = np.array([[0.0, 1.0], [0.0, 0.0]])
     w = trace_form(SparseMatrix.from_dense(ip))
-    value = w @ vec(-iy)
+    value = w @ (-iy).ravel(order="F")
     assert value == pytest.approx(-0.5j)
     assert value == pytest.approx(np.trace((-iy) @ ip))
 
@@ -174,7 +132,7 @@ def test_trace_form_linearity(rng):
 def test_trace_form_hermitian_real(rng):
     q = random_hermitian(8, rng)
     rho_mat = random_hermitian(8, rng)
-    value = trace_form(SparseMatrix.from_dense(q)) @ vec(rho_mat)
+    value = trace_form(SparseMatrix.from_dense(q)) @ rho_mat.ravel(order="F")
     assert abs(value.imag) <= 1e-12
 
 
@@ -182,16 +140,6 @@ def test_trace_form_requires_square():
     a = SparseMatrix.from_triplets([0], [0], [1.0], shape=(2, 3))
     with pytest.raises(ValueError, match="square"):
         trace_form(a)
-
-
-def test_vec_unvec_roundtrip(rng):
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert np.array_equal(unvec(vec(m)), m)
-
-
-def test_vec_is_column_stacking():
-    m = np.array([[1.0, 3.0], [2.0, 4.0]])
-    assert np.array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_spmv_is_run_to_run_deterministic(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from qexpect import (
     ConfigError,
@@ -9,14 +10,10 @@ from qexpect import (
     build_liouvillian,
     embed,
     initial_state,
-    kron,
     observable_by_name,
     observable_ip,
-    observable_iz,
     spin_half,
     trace_form,
-    unvec,
-    vec,
 )
 
 from qexpect.cli import benchmark_spec
@@ -25,9 +22,9 @@ from conftest import random_spin_spec, same_csr
 
 
 def _kron_site(op, site, n):
-    """Reference single-site operator, ``Id (x) op (x) Id`` from Kronecker products."""
-    left = kron(SparseMatrix.identity(2**site), SparseMatrix.from_dense(op))
-    return kron(left, SparseMatrix.identity(2 ** (n - 1 - site))).csr
+    """Reference single-site operator, ``Id (x) op (x) Id`` from scipy Kronecker products."""
+    left = scipy.sparse.kron(scipy.sparse.identity(2**site), op)
+    return SparseMatrix(scipy.sparse.kron(left, scipy.sparse.identity(2 ** (n - 1 - site)))).csr
 
 
 def _kron_hamiltonian(spec):
@@ -143,7 +140,8 @@ def test_liouvillian_is_commutator_superoperator(n, rng):
     dim = spec.hilbert_dim
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h_d = h.to_dense()
-    lhs = unvec(l_op.csr @ vec(rho))
+    # vec(M) is column stacking, M.ravel(order="F")
+    lhs = (l_op.csr @ rho.ravel(order="F")).reshape((dim, dim), order="F")
     rhs = h_d @ rho - rho @ h_d
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
@@ -183,7 +181,7 @@ def test_liouvillian_sparsity_matches_dense_count(n, rng):
 
 
 def test_initial_state_single_spin():
-    rho = unvec(initial_state(1))
+    rho = initial_state(1).reshape((2, 2), order="F")
     assert np.allclose(rho, np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
     assert abs(np.trace(rho)) == 0.0
     assert np.allclose(rho, rho.conj().T)
@@ -194,7 +192,7 @@ def _dense_initial_state(n):
     rho = np.zeros((2**n, 2**n), dtype=np.complex128)
     for j in range(n):
         rho -= _kron_site(spin_half().iy, j, n).toarray()
-    return vec(rho)
+    return rho.ravel(order="F")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -227,12 +225,13 @@ def test_fid_at_time_zero_additive():
         expected = -0.5j * n * 2 ** (n - 1)
         assert f0 == pytest.approx(expected)
         # cross-checked against the dense trace
-        dense = np.trace(unvec(initial_state(n)) @ observable_ip(n).to_dense())
+        rho = initial_state(n).reshape((2**n, 2**n), order="F")
+        dense = np.trace(rho @ observable_ip(n).to_dense())
         assert f0 == pytest.approx(dense)
 
 
 def test_observable_iz_total():
-    q = observable_iz(2).to_dense()
+    q = observable_by_name("iz", 2).to_dense()
     assert np.allclose(q, np.diag([1.0, 0.0, 0.0, -1.0]))
 
 
