@@ -10,11 +10,12 @@ picks truncation orders, evaluates the polynomial acting on a vector via the
 Clenshaw recurrence, and provides the step-wise propagation engine.
 
 Every Bessel value comes from one kernel, a backward (Miller) recurrence
-vectorised over columns of times: :func:`bessel_sequence` is its one-column
-case and :func:`coefficient_grid` its many-column case. Every truncation
-order comes from one scan over that kernel's table, shared by
-:func:`stop_order`, :func:`coefficients` and :func:`coefficient_grid`; the
-last two take their values from the table the scan read.
+over a column of orders per time: :func:`bessel_sequence` and
+:func:`scalar_coefficients` read one column of it. Every truncation order
+comes from one scan over that kernel's column, shared by :func:`stop_order`
+and :func:`coefficients`; the latter takes its values from the column the
+scan read. A stored series is evaluated on a grid without Bessel values at
+all, through its Chebyshev-Gauss line list (:mod:`qexpect.dec`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observabl
 __all__ = [
     "bessel_sequence",
     "scalar_coefficients",
-    "coefficient_grid",
     "ChebCoefficients",
     "coefficients",
     "stop_order",
@@ -43,14 +43,6 @@ __all__ = [
 # Powers of (-i): coefficient k carries _PHASES[k % 4].
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-# From this many columns on, the running products of a Bessel table are
-# formed one row at a time: ``cumprod`` along axis 0 walks each column with
-# a stride of a whole row, which loses to one contiguous multiply per row
-# once rows are wide. Measured crossover, numpy 2.4, one thread, tables of
-# 420-1900 rows: about 450-500 columns. At 1000 columns the row loop takes
-# about half as long as ``cumprod``, at 200 columns about twice as long.
-_ROW_PRODUCT_MIN_COLS = 500
-
 
 def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
     """``J_0(t) .. J_n_max(t)`` for every time in ``ts``, one column each.
@@ -60,13 +52,14 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
     both ``n_max`` and the largest ``t``. The buffer absorbs the arbitrary
     start: it must clear the turning point near ``k = t``, where orders only
     shrink by ~``1 - O(t^(-1/3))`` per step (Airy regime), and the cube-root
-    term provides roughly sixteen decades of decay there. The ratios need no
-    rescaling at any ``t >= 0``, including tiny times where the plain
-    recurrence grows past the double range, and ``t = 0`` gives exactly
-    ``J_0 = 1``. The running products ``J_k / J_0`` are normalised with
-    ``J_0 + 2*sum_k J_2k = 1``; they are the same multiplications in the
-    same order whether formed by ``cumprod`` or row by row, so the table is
-    bitwise the same at any width.
+    term ``12 cbrt(t)`` provides roughly sixteen decades of decay there;
+    the line list of :mod:`qexpect.dec` sizes its alias margin as half of
+    it. The ratios need no rescaling at any ``t >= 0``, including tiny
+    times where the plain recurrence grows past the double range, and
+    ``t = 0`` gives exactly ``J_0 = 1``. The running products
+    ``J_k / J_0``, one ``cumprod`` down the columns, are normalised with
+    ``J_0 + 2*sum_k J_2k = 1``. Every caller in the package passes a single
+    time.
     """
     t_max = float(ts.max())
     n_eff = max(n_max, math.ceil(t_max))
@@ -79,11 +72,7 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
         np.multiply(ts, p[k + 1], out=r)
         np.subtract(2.0 * k, r, out=r)
         np.divide(ts, r, out=r)
-    if ts.shape[0] < _ROW_PRODUCT_MIN_COLS:
-        np.cumprod(p, axis=0, out=p)
-    else:
-        for k in range(1, top + 1):
-            np.multiply(p[k], p[k - 1], out=p[k])
+    np.cumprod(p, axis=0, out=p)
     norm = 1.0 + 2.0 * p[2::2].sum(axis=0)
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError(f"Bessel normalisation failed for t <= {t_max}, n={n_max}")
@@ -232,27 +221,6 @@ def stop_order(t_scaled: float, eps: float) -> int:
 def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
     """Coefficients ``c_k = (2 - delta_k0) * (-i)^k * J_k(t_scaled)``, k <= n."""
     return bessel_sequence(t_scaled, n) * _coefficient_factors(n)
-
-
-def coefficient_grid(t_values, eps: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated Bessel columns for many rescaled times at once.
-
-    Returns ``(J, n_used)`` where ``J[k, i] = J_k(t_i)`` for ``k <= n_used[i]``
-    and ``n_used[i]`` is the two-coefficient stopping order for ``t_i``
-    capped at ``max_order``. ``J`` is real and has ``max(n_used) + 1`` rows;
-    entries of column i past row ``n_used[i]`` are not part of the result.
-    The coefficients are ``c_k(t_i) = (2 - delta_k0) * (-i)^k * J[k, i]``,
-    the same as :func:`stop_order` and :func:`scalar_coefficients` per time
-    give, but one vectorised backward recurrence serves all columns.
-    """
-    ts = np.asarray(t_values, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("t_values must be 1-D")
-    if not np.all(ts >= 0):
-        raise ValueError("rescaled times must be non-negative")
-    n_stop, j = _stop_scan(ts, eps)
-    n_used = np.minimum(n_stop, max_order)
-    return j[: int(n_used.max()) + 1], n_used
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from qexpect import (
     stop_order,
 )
 
-from qexpect.chebyshev import _ROW_PRODUCT_MIN_COLS as _CUT
 from qexpect.chebyshev import _bessel_columns
 
 from conftest import random_hermitian
@@ -284,61 +283,21 @@ def test_coefficients_match_the_scalar_path(eps):
         assert np.max(np.abs(values - ref)) <= 1e-13
 
 
-def test_coefficient_grid_matches_scalar_path(rng):
-    from qexpect.chebyshev import _coefficient_factors, coefficient_grid
-
-    eps = 1e-7
-    times = np.array([0.0, 1e-9, 0.3, 2.0, 7.7, 26.0, 61.5, 140.0])
-    cap = stop_order(times.max(), eps)
-    grid, n_used = coefficient_grid(times, eps, cap)
-    assert grid.dtype == np.float64
-    assert grid.shape == (n_used.max() + 1, times.shape[0])
-    for i, t in enumerate(times):
-        n_ref = min(stop_order(t, eps), cap)
-        assert n_used[i] == n_ref
-        ref = scalar_coefficients(t, n_ref)
-        coeff = grid[: n_ref + 1, i] * _coefficient_factors(n_ref)
-        assert np.allclose(coeff, ref, rtol=0, atol=1e-13)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    times=st.lists(st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 300.0)),
-                   min_size=1, max_size=8),
-    eps=st.sampled_from([1e-4, 1e-7, 1e-10]),
-)
-def test_coefficient_grid_equals_scalar_path_property(times, eps):
-    # tiny times are where a plain backward recurrence needs rescaling; the
-    # cap is above every stopping order in range, so none is clipped
-    from qexpect.chebyshev import _coefficient_factors, coefficient_grid
-
-    cap = 2 * stop_order(300.0, eps)
-    grid, n_used = coefficient_grid(times, eps, cap)
-    assert grid.shape == (n_used.max() + 1, len(times))
-    for i, t in enumerate(times):
-        n_ref = stop_order(t, eps)
-        assert n_used[i] == n_ref
-        ref = scalar_coefficients(t, n_ref)
-        coeff = grid[: n_ref + 1, i] * _coefficient_factors(n_ref)
-        assert np.max(np.abs(coeff - ref)) <= 1e-13
-
-
-def test_coefficient_grid_widens_a_too_small_window(monkeypatch):
+def test_stop_scan_widens_a_too_small_window(monkeypatch):
     # the a-priori guess always covers the stopping order in practice; force
-    # it to fall short so every column is re-run with a wider window
+    # it to fall short so every time is re-run with a wider window
     import qexpect.chebyshev as cheb
 
     eps = 1e-7
-    times = np.array([0.0, 1e-9, 0.3, 7.7, 61.5, 140.0])
-    cap = stop_order(times.max(), eps)
-    expected, n_expected = cheb.coefficient_grid(times, eps, cap)
+    times = [0.0, 1e-9, 0.3, 7.7, 61.5, 140.0]
+    orders = [stop_order(t, eps) for t in times]
+    expected = [coefficients(t, eps).values for t in times]
     monkeypatch.setattr(cheb, "_order_guess", lambda ts, eps: np.full(ts.shape, 2))
-    grid, n_used = cheb.coefficient_grid(times, eps, cap)
-    assert np.array_equal(n_used, n_expected)
-    assert grid.shape == expected.shape
-    for i, n in enumerate(n_used):
-        assert np.max(np.abs(grid[: n + 1, i] - expected[: n + 1, i])) <= 1e-13
-    assert stop_order(140.0, eps) == cap
+    assert [stop_order(t, eps) for t in times] == orders
+    for t, ref in zip(times, expected):
+        values = coefficients(t, eps).values
+        assert values.shape == ref.shape
+        assert np.max(np.abs(values - ref)) <= 1e-13
 
 
 def _full_table_hits(j, first, eps):
@@ -398,7 +357,7 @@ def _bessel_columns_by_cumprod(ts, n_max):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 7, _CUT - 1, _CUT, _CUT + 1, 2001]),
+    width=st.sampled_from([1, 2, 7, 499, 500, 501, 2001]),
     pool=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12]),
                             st.floats(0.0, 1e-6), st.floats(1e-6, 300.0)),
                   min_size=1, max_size=8),
@@ -407,8 +366,7 @@ def _bessel_columns_by_cumprod(ts, n_max):
 )
 def test_bessel_columns_equal_the_cumprod_kernel_bitwise(width, pool, seed, extra):
     # columns drawn with repeats from a small pool, in random order: zero,
-    # subnormal and tiny times, duplicates and unsorted grids at every width
-    # on both sides of the switch to row-by-row products
+    # subnormal and tiny times, duplicates and unsorted grids, narrow and wide
     ts = np.random.default_rng(seed).choice(np.array(pool), size=width)
     n_max = max(0, math.ceil(ts.max()) + extra)
     j = _bessel_columns(ts, n_max)

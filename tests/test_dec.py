@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpect import (
+    ConfigError,
     NumericalError,
     ScalingParams,
     SparseMatrix,
@@ -153,8 +154,9 @@ def test_time_beyond_horizon_rejected_and_clamped():
     spec = SpinSystemSpec(n=1, omega0=[1.0], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
     series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)}, tau=10.0)
-    with pytest.raises(ValueError, match="horizon"):
-        dec_evaluate(series, 10.5)
+    for t in (10.5, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match="horizon"):
+            dec_evaluate(series, t)
     # endpoint rounding is clamped, not rejected
     val = dec_evaluate(series, 10.0 * (1.0 + 1e-13))
     assert val[0] == pytest.approx(dec_evaluate(series, 10.0)[0], abs=1e-9)
@@ -164,8 +166,12 @@ def test_grid_error_names_offending_index():
     spec = SpinSystemSpec(n=1, omega0=[1.0], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
     series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)}, tau=1.0)
-    with pytest.raises(ValueError, match="grid point 2"):
-        dec_evaluate_grid(series, [0.0, 0.5, 1.5])
+    for times, match in [([0.0, 0.5, 1.5], "grid point 2"),
+                         ([0.0, float("nan"), 0.5], r"grid point 1 \(t=nan\)"),
+                         ([0.0, 0.5, float("inf")], r"grid point 2 \(t=inf\)"),
+                         ([], "empty")]:
+        with pytest.raises(ConfigError, match=match):
+            dec_evaluate_grid(series, times)
 
 
 def test_precompute_rejects_bad_tau():
@@ -203,18 +209,48 @@ def test_sidecar_rejects_bad_magic(tmp_path):
 
 
 def test_grid_path_matches_pointwise_evaluation(rng):
-    # dec_evaluate_grid uses one vectorised coefficient sweep; it must agree
-    # with the per-point reference path to roundoff
+    # dec_evaluate_grid sums the series through its line list, dec_evaluate
+    # through the Bessel recurrence; they must agree to roundoff, also on a
+    # 5-spin series of about 1800 orders with six observables
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
-    rho0 = initial_state(3)
-    series = dec_precompute(l_op, rho0, {"ip": observable_ip(3)}, tau=60.0)
-    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 60.0, 40)), [60.0]])
-    times = np.unique(times)
-    grid = dec_evaluate_grid(series, times)
-    pointwise = np.array([dec_evaluate(series, t)[0] for t in times])
-    scale = np.max(np.abs(pointwise))
-    assert np.max(np.abs(grid.values[0] - pointwise)) <= 1e-12 * scale
+    small = dec_precompute(l_op, initial_state(3), {"ip": observable_ip(3)}, tau=60.0)
+    system = assemble(benchmark_spec(5), ("ip",) + tuple(f"ip:{k}" for k in range(5)))
+    large = dec_precompute(system.l_op, system.rho0, system.observables, tau=200.0,
+                           scaling=system.spectral_interval())
+    cases = [(small, np.concatenate([[0.0], rng.uniform(0.0, 60.0, 40), [60.0]]), 1),
+             (large, np.linspace(0.0, 200.0, 2001), 40),
+             (large, rng.uniform(0.0, 200.0, 50), 1)]
+    for series, times, stride in cases:
+        grid = dec_evaluate_grid(series, times).values[:, ::stride]
+        pointwise = np.array([dec_evaluate(series, t) for t in times[::stride]]).T
+        scale = np.max(np.abs(pointwise))
+        assert np.max(np.abs(grid - pointwise)) <= 1e-12 * scale
+
+
+def test_progression_grids_take_the_factored_phase_table(rng):
+    for dt in (1e-4, 0.1, 1.0 / 3.0, 0.7):
+        for steps in (1, 2, 199, 2000):
+            assert dec_module._progression_step(dt * np.arange(steps + 1)) is not None
+    for t_end, n in ((200.0, 2001), (137.3, 1001), (1.0, 3)):
+        grid = np.linspace(0.0, t_end, n)
+        assert dec_module._progression_step(grid) is not None
+        assert dec_module._progression_step(grid[n // 2 :]) is not None
+        off = grid.copy()
+        off[n // 2] += 0.25 * (grid[1] - grid[0])
+        assert dec_module._progression_step(off) is None
+
+    # the two phase-table routes agree on the points they share
+    spec = random_spin_spec(3, rng)
+    system = assemble(spec, ("ip", "iz"))
+    series = dec_precompute(system.l_op, system.rho0, system.observables, tau=60.0,
+                            scaling=system.spectral_interval())
+    grid = 0.1 * np.arange(601)
+    extra = np.append(grid, 12.345)
+    assert dec_module._progression_step(np.unique(extra)) is None
+    factored = dec_evaluate_grid(series, grid).values
+    direct = dec_evaluate_grid(series, extra).values[:, :-1]
+    assert np.max(np.abs(factored - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_grid_evaluation_is_order_independent(rng):
