@@ -196,8 +196,8 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
         series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps,
                                 scaling=system.spectral_interval())
         trace = dec_evaluate_grid(series, times)
-        trace.metadata.update(matvecs=series.n_orders - 1,
-                              wall_time_s=series_run.cost()[1])
+        matvecs, seconds = series_run.cost()
+        trace.metadata.update(matvecs=matvecs, wall_time_s=seconds)
     elif cfg.engine == "cheb":
         trace = cheb_step_propagate(l_op, system.spectral_interval(), rho0, cfg.dt,
                                     cfg.steps, observables, eps=cfg.eps)

@@ -7,7 +7,9 @@ leaves per-order scalars
     tilde_T[q, k] = trace_form(Q_q) @ (T_k(L_s) rho0),
 
 which are precomputed once with the three-term Chebyshev recurrence on
-vectors (three live vectors, one matvec per order). Afterwards the
+vectors (three live vectors, one matvec per order). When the scalars are
+autocorrelations, as for ``ip`` on its trace block, the moment doubling of
+the kernel polynomial method stores two orders per matvec. Afterwards the
 expectation at *any* time t <= tau is a pure scalar sum
 
     f_q(t) = exp(-i*S*t) * sum_k c_k(t*D) * tilde_T[q, k]
@@ -112,8 +114,8 @@ def dec_precompute(
     Rescales by ``scaling``, then iterates ``t_{k+1} = 2 L_s t_k - t_{k-1}``
     from ``t_0 = rho0``, ``t_1 = L_s rho0``, recording one inner product per
     observable per order. Orders ``0 .. n-1`` are stored where ``n`` is the
-    stopping order for ``tau``; that costs exactly ``n - 1`` matvecs, and
-    only three state vectors are ever alive.
+    stopping order for ``tau``; that costs ``n - 1`` matvecs (half that on
+    the doubled sweep below), and only three state vectors are ever alive.
 
     The interval: spin-system callers (``run_simulation``, ``dec-precompute``)
     pass the exact one from the sectors of H,
@@ -127,6 +129,22 @@ def dec_precompute(
     stores ``w @ t_k`` or ``i * (w @ y_k)``. Orders and matvecs are those
     of the complex sweep, and the scalars agree with it to roundoff.
     Otherwise the states are complex.
+
+    The doubled sweep: when, on top of that, every trace form is an exact
+    multiple of the real start vector, ``w_q == beta_q * y`` entry for entry,
+    and the float64 ``L_s`` equals its transpose entry for entry, every
+    scalar is ``unit * beta_q * mu_k`` with ``mu_k = y @ T_k(L_s) y``. Then
+    ``mu_{2k} = 2 phi_k @ phi_k - mu_0`` and
+    ``mu_{2k-1} = 2 phi_k @ phi_{k-1} - mu_1`` (``phi_k = T_k(L_s) y``) give
+    two orders per product, so the same ``n`` orders cost
+    ``ceil((n - 1) / 2)`` matvecs and agree with the plain sweep to
+    roundoff. ``ip`` alone on its trace block qualifies (``rho0`` is
+    ``-0.5i`` times its trace form; a form that is zero on the block, such
+    as ``iz``'s, is the multiple 0). Mixed sets such as ``ip`` with
+    ``ip:0``, ``ix``, complex operators, mixed ``rho0`` and the full space
+    do not, and sweep one order per product, as above. Both checks are
+    exact; the symmetry check, a comparison of the CSR and CSC arrays of
+    ``L_s``, runs only once the proportionality check has passed.
 
     ``eps`` bounds the first dropped pair of expansion coefficients, not the
     trace. The trace error of :func:`dec_evaluate` and
@@ -153,31 +171,27 @@ def dec_precompute(
 
     n_orders = stop_order(tau * scaling.D, eps)
     # real sweep: rho0 = unit * y with y real, and then every T_k(L_s) y is real
-    t_prev, unit = rho0, None
+    start, unit = rho0, None
     if not np.any(l_op.values.imag):
         if not np.any(rho0.imag):
-            t_prev, unit = np.ascontiguousarray(rho0.real), 1
+            start, unit = np.ascontiguousarray(rho0.real), 1
         elif not np.any(rho0.real):
-            t_prev, unit = np.ascontiguousarray(rho0.imag), 1j
+            start, unit = np.ascontiguousarray(rho0.imag), 1j
     l_s = rescale(l_op, scaling) if unit is None else _rescale_real(l_op, scaling)
 
-    # one plain dot per observable per order, so a multi-observable sweep
-    # reproduces single-observable runs bit for bit
-    def record(k, state):
-        for i in range(w_rows.shape[0]):
-            tilde[i, k] = w_rows[i] @ state
-
-    tilde = np.empty((len(labels), n_orders), dtype=np.complex128)
-    record(0, t_prev)
-    if n_orders > 1:
-        t_cur = spmv(l_s, t_prev)
-        record(1, t_cur)
-        for k in range(2, n_orders):
-            t_next = spmv(l_s, t_cur)
-            t_next *= 2.0
-            t_next -= t_prev
-            record(k, t_next)
-            t_prev, t_cur = t_cur, t_next
+    # doubled sweep: every w_q = beta_q * y and L_s = L_s^T, so each scalar is
+    # beta_q times an autocorrelation moment of y
+    beta = None if unit is None else _proportionality(w_rows, start)
+    if beta is not None and _is_symmetric(l_s):
+        tilde = np.outer(beta, _doubled_moments(l_s, start, n_orders))
+    else:
+        # one plain dot per observable per order, so a row is bitwise the same
+        # in every observable set swept this way; a doubled row agrees with it
+        # to roundoff
+        tilde = np.empty((len(labels), n_orders), dtype=np.complex128)
+        for k, (_, state) in enumerate(_chebyshev_vectors(l_s, start, n_orders - 1)):
+            for i in range(w_rows.shape[0]):
+                tilde[i, k] = w_rows[i] @ state
     if unit == 1j:
         tilde = 1j * tilde
 
@@ -199,6 +213,78 @@ def dec_precompute(
         labels=labels,
         tilde=tilde,
     )
+
+
+def _chebyshev_vectors(l_s: SparseMatrix, v: np.ndarray, n_products: int):
+    """Yield ``(T_{k-1}(L_s) v, T_k(L_s) v)`` for ``k = 0 .. n_products``.
+
+    ``T_{-1}`` is ``None``. ``T_{k+1} = 2 L_s T_k - T_{k-1}`` costs one
+    :func:`spmv` per step, and three vectors are alive at a time.
+    """
+    prev, cur = None, v
+    yield prev, cur
+    for _ in range(n_products):
+        nxt = spmv(l_s, cur)
+        if prev is not None:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
+        yield prev, cur
+
+
+def _proportionality(w_rows: np.ndarray, y: np.ndarray):
+    """Factors ``beta`` with ``w_rows[q] == beta[q] * y`` exactly for every row, else None.
+
+    Real and imaginary parts are matched separately. A factor's part
+    ``c`` and the quotient at the largest ``|y_j|`` differ by at most one
+    ulp unless ``c * y_j`` under- or overflows, so that quotient and its two
+    neighbours are the only candidates; a factor missed that way only costs
+    the plain sweep.
+    """
+    j = int(np.argmax(np.abs(y)))
+    if not y[j]:
+        return None
+    parts = []
+    for row in np.concatenate([w_rows.real, w_rows.imag]):
+        guess = row[j] / y[j]
+        for c in (guess, np.nextafter(guess, np.inf), np.nextafter(guess, -np.inf)):
+            if np.array_equal(row, c * y):
+                parts.append(c)
+                break
+        else:
+            return None
+    n_obs = w_rows.shape[0]
+    return np.array(parts[:n_obs]) + 1j * np.array(parts[n_obs:])
+
+
+def _is_symmetric(a: SparseMatrix) -> bool:
+    """Whether ``a`` equals its transpose entry for entry.
+
+    Canonical CSR arrays equal the (sorted) CSC arrays of the same matrix
+    exactly when it is symmetric.
+    """
+    m = a.csr
+    t = m.tocsc()
+    return (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+            and np.array_equal(m.data, t.data))
+
+
+def _doubled_moments(l_s: SparseMatrix, y: np.ndarray, n_orders: int) -> np.ndarray:
+    """``mu_k = y @ T_k(L_s) y`` for ``k < n_orders``, from ``n_orders // 2`` products.
+
+    For symmetric ``L_s``, ``T_j T_k = (T_{j+k} + T_{|j-k|}) / 2`` gives
+    ``mu_{2k} = 2 phi_k @ phi_k - mu_0`` and
+    ``mu_{2k-1} = 2 phi_k @ phi_{k-1} - mu_1`` with ``phi_k = T_k(L_s) y``
+    (the moment doubling of the kernel polynomial method).
+    """
+    mu = np.empty(n_orders + 1)
+    for k, (prev, cur) in enumerate(_chebyshev_vectors(l_s, y, n_orders // 2)):
+        if k == 0:
+            mu[0] = cur @ cur
+            continue
+        mu[2 * k - 1] = cur @ prev if k == 1 else 2.0 * (cur @ prev) - mu[1]
+        mu[2 * k] = 2.0 * (cur @ cur) - mu[0]
+    return mu[:n_orders]
 
 
 def _check_time(series: DECSeries, t: float) -> float:

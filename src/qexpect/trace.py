@@ -47,10 +47,11 @@ file).
     (the whole run, system build included), ``liouville_dim`` (``4**n``) and
     ``block_dim`` (the coordinates the engine propagated, see
     :func:`qexpect.spinsys.trace_block`; zte's ``full_dim`` is this block's
-    dimension). For ``dec`` it sets ``matvecs`` to the ``n_orders - 1``
-    products of the sweep and ``wall_time_s`` to the time of
-    ``dec_precompute`` (spectral estimate included) plus
-    ``dec_evaluate_grid``.
+    dimension). For ``dec`` it sets ``matvecs`` to the products of the
+    sweep, as counted (``n_orders - 1``, or ``ceil((n_orders - 1) / 2)`` on
+    the doubled sweep of :func:`qexpect.dec.dec_precompute`), and
+    ``wall_time_s`` to the time of ``dec_precompute`` (spectral estimate
+    included) plus ``dec_evaluate_grid``.
     """
 
     times: np.ndarray

@@ -219,7 +219,9 @@ def test_metadata_matvec_honesty(engine):
     assert set(trace.metadata) == _COMMON_KEYS | _ENGINE_KEYS[engine]
     assert trace.metadata["engine"] == engine
     if engine == "dec":
-        assert trace.metadata["matvecs"] == trace.metadata["n_orders"] - 1
+        # `ip` alone on its trace block takes the doubled sweep:
+        # ceil((n_orders - 1) / 2) products
+        assert trace.metadata["matvecs"] == trace.metadata["n_orders"] // 2
     if engine == "zte":
         # the detection window counts towards the engine's own matvecs
         assert trace.metadata["matvecs"] == trace.metadata["total_matvecs"]
@@ -336,10 +338,11 @@ def test_benchmark_is_deterministic_and_reports_costs(tmp_path):
     rows2 = benchmark(**kwargs)
     by_engine = {r.engine: r for r in rows1}
     assert all(r.status == "ok" for r in rows1)
-    # dec cost equals the stored order count minus one, independent of grid
+    # dec cost is the doubled sweep's ceil((n_orders - 1) / 2) products,
+    # independent of grid
     dec_row = by_engine["dec"]
     assert dec_row.detail.startswith("n_orders=")
-    assert dec_row.matvecs == int(dec_row.detail.split("=")[1]) - 1
+    assert dec_row.matvecs == int(dec_row.detail.split("=")[1]) // 2
     # pruning engine reports its reduced size
     assert by_engine["zte"].reduced_dim is not None
     assert by_engine["zte"].reduced_dim < 256

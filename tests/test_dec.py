@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qexpect import (
@@ -30,7 +30,10 @@ from qexpect import (
     trace_form,
 )
 import qexpect.dec as dec_module
+from qexpect.chebyshev import stop_order
 from qexpect.cli import benchmark_spec
+from qexpect.spectral import _rescale_real
+from qexpect.trace import DEFAULT_EPS
 
 from conftest import random_hermitian, random_spin_spec
 
@@ -381,18 +384,167 @@ def test_block_sweep_is_real_and_matches_the_complex_recurrence(monkeypatch):
                                          system.spectral_interval())
 
 
-@pytest.mark.parametrize("case", ["complex operator", "mixed start"])
+@pytest.mark.parametrize("case", ["complex operator", "proportional form", "mixed start"])
 def test_complex_sweep_is_unchanged(monkeypatch, rng, case):
-    if case == "complex operator":
+    if case in ("complex operator", "proportional form"):
         l_op = SparseMatrix.from_dense(random_hermitian(12, rng))
         rho0 = rng.standard_normal(12) * 1j
     else:  # a real operator, but rho0 neither real nor imaginary
         l_op = build_liouvillian(build_hamiltonian(benchmark_spec(2)))
         rho0 = initial_state(2) + 0.25
     w = rng.standard_normal(l_op.nrows) + 1j * rng.standard_normal(l_op.nrows)
+    if case == "proportional form":  # an autocorrelation, but L is complex
+        w = -2j * rho0
     scaling = extreme_eigs(l_op)
     series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, {"w": w}, 20.0, scaling)
     assert dtypes == {np.dtype(np.complex128)}
     assert matvecs == series.n_orders - 1
     ref = _reference_sweep(l_op, rho0, np.array([w]), scaling, series.n_orders)
     assert np.array_equal(series.tilde, ref)
+
+
+def _plain_real_reference(l_op, rho0, w_rows, scaling, n_orders):
+    """The plain real sweep, one dot per observable per order: float64
+    ``L_s`` and states, times the unit of a real or imaginary rho0."""
+    rho0 = np.asarray(rho0, dtype=np.complex128)
+    unit, y = (1j, rho0.imag) if np.any(rho0.imag) else (1, rho0.real)
+    l_s = _rescale_real(l_op, scaling)
+    states = [np.ascontiguousarray(y)]
+    while len(states) < n_orders:
+        product = spmv(l_s, states[-1])
+        states.append(product if len(states) == 1 else 2.0 * product - states[-2])
+    tilde = np.array([[w @ state for state in states] for w in w_rows])
+    return 1j * tilde if unit == 1j else tilde
+
+
+def _one_ulp_off_ip():
+    system = assemble(benchmark_spec(4), ("ip",))
+    _, w_rows = normalize_observables(system.observables, system.l_op.nrows)
+    w = w_rows[0].copy()
+    w[7] = np.nextafter(w[7].real, np.inf)
+    return system.l_op, system.rho0, {"w": w}, system.spectral_interval()
+
+
+def _nonsymmetric_block():
+    system = assemble(benchmark_spec(4), ("ip",))
+    csr = system.l_op.csr.copy()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    k = np.flatnonzero(csr.indices != rows)[0]
+    csr.data[k] = np.nextafter(csr.data[k].real, np.inf)
+    return SparseMatrix(csr), system.rho0, system.observables, system.spectral_interval()
+
+
+def _criterion_5_full_space():
+    l_op = build_liouvillian(build_hamiltonian(random_spin_spec(3, np.random.default_rng(5))))
+    return l_op, initial_state(3), {"ip": observable_ip(3)}, extreme_eigs(l_op)
+
+
+def _ip_with_ip0():
+    system = assemble(benchmark_spec(6), ("ip", "ip:0"))
+    return system.l_op, system.rho0, system.observables, system.spectral_interval()
+
+
+@pytest.mark.parametrize("case", [_one_ulp_off_ip, _nonsymmetric_block, _criterion_5_full_space,
+                                  _ip_with_ip0])
+def test_plain_sweep_unless_every_doubling_condition_holds(monkeypatch, case):
+    l_op, rho0, obs, scaling = case()
+    series, matvecs, dtypes = _spy_sweep(monkeypatch, l_op, rho0, obs, 40.0, scaling)
+    assert dtypes == {np.dtype(np.float64)}
+    assert matvecs == series.n_orders - 1
+    _, w_rows = normalize_observables(obs, l_op.nrows)
+    assert np.array_equal(series.tilde, _plain_real_reference(l_op, rho0, w_rows, scaling,
+                                                              series.n_orders))
+
+
+#: Horizons that store 1, 2 and 3 orders at half-width 1/4 and the default eps
+#: (at the smallest double, tau * D underflows to 0).
+_FEW_ORDERS = {5e-324: 1, 1e-9: 2, 1e-4: 3}
+
+_NORMAL_PART = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.one_of(
+        st.builds(lambda e, sign: sign * 2.0**e, st.integers(-30, 30),
+                  st.sampled_from([1, -1, 1j, -1j])),
+        st.builds(complex, _NORMAL_PART, _NORMAL_PART),
+        st.just("uniform"),
+    ),
+    imaginary=st.booleans(),
+    tau=st.one_of(st.sampled_from(sorted(_FEW_ORDERS)), st.floats(0.01, 150.0)),
+)
+@example(dim=5, density=0.5, seed=0, beta=-2.0, imaginary=True, tau=5e-324)
+@example(dim=5, density=0.5, seed=1, beta=0.3 - 1.7j, imaginary=False, tau=1e-9)
+@example(dim=5, density=0.5, seed=2, beta=4.0, imaginary=True, tau=1e-4)
+def test_doubled_sweep_matches_the_complex_recurrence(dim, density, seed, beta, imaginary,
+                                                      tau):
+    # a random real symmetric sparse operator with spectrum in [-1/4, 1/4], so
+    # that the interval [-1/4, 1/4] rescales it into [-1, 1]
+    rng = np.random.default_rng(seed)
+    mask = rng.random((dim, dim)) < density
+    a = np.where(mask | mask.T, random_hermitian(dim, rng).real, 0.0)
+    np.fill_diagonal(a, rng.standard_normal(dim))
+    a *= 0.25 / np.max(np.abs(np.linalg.eigvalsh(a)))
+    l_op = SparseMatrix.from_dense(a)
+    scaling = ScalingParams.from_bounds(0.25, -0.25)
+    y = rng.standard_normal(dim)
+    rho0 = 1j * y if imaginary else y.astype(np.complex128)
+    if beta == "uniform":  # full mantissas, which hypothesis seldom draws
+        beta = complex(*rng.uniform(-1e3, 1e3, 2))
+    w = beta * y
+
+    before = matvec_counter.count
+    series = dec_precompute(l_op, rho0, {"w": w}, tau=tau, scaling=scaling)
+    assert matvec_counter.count - before == -(-(series.n_orders - 1) // 2)
+    if tau in _FEW_ORDERS:
+        assert series.n_orders == _FEW_ORDERS[tau]
+    ref = _reference_sweep(l_op, rho0, np.array([w]), scaling, series.n_orders)
+    bound = 1e-13 * np.linalg.norm(w) * np.linalg.norm(rho0)
+    assert np.max(np.abs(series.tilde - ref)) <= bound
+
+
+def test_doubled_sweep_recovers_a_factor_the_quotient_misses():
+    # (beta * y_0) / y_0 rounds one ulp away from beta here, so the factor is
+    # found among the quotient's neighbours
+    beta, y = -932.8288493890713, np.array([1.4482932618839026, -0.25, 0.5, 1.0])
+    assert (beta * y[0]) / y[0] != beta
+    l_op = SparseMatrix.from_dense(np.diag([0.5, -0.5, 0.25, 0.0]) + 0.125 * np.eye(4, k=1)
+                                   + 0.125 * np.eye(4, k=-1))
+    before = matvec_counter.count
+    series = dec_precompute(l_op, -0.5j * y, {"w": beta * y}, tau=20.0,
+                            scaling=ScalingParams.from_bounds(1.0, -1.0))
+    assert matvec_counter.count - before == series.n_orders // 2
+
+
+def test_too_narrow_interval_raises_on_the_doubled_sweep_too():
+    system = assemble(benchmark_spec(5), ("ip",))
+    exact = system.spectral_interval()
+    narrow = ScalingParams.from_bounds(exact.S + 0.5 * exact.D, exact.S - 0.5 * exact.D)
+    before = matvec_counter.count
+    with pytest.raises(NumericalError, match="diverged"):
+        dec_precompute(system.l_op, system.rho0, system.observables, tau=100.0,
+                       scaling=narrow)
+    # the doubled sweep ran, and the guard still read its result
+    assert matvec_counter.count - before == stop_order(100.0 * narrow.D, DEFAULT_EPS) // 2
+
+
+def test_doubled_and_plain_sweeps_agree_on_the_block():
+    # `ip` alone sweeps doubled; with `ip:0` beside it the same block sweeps plain
+    def sweep(observables):
+        system = assemble(benchmark_spec(6), observables)
+        before = matvec_counter.count
+        series = dec_precompute(system.l_op, system.rho0, system.observables, tau=100.0,
+                                scaling=system.spectral_interval())
+        return series, matvec_counter.count - before, system
+
+    doubled, doubled_matvecs, system = sweep(("ip",))
+    plain, plain_matvecs, _ = sweep(("ip", "ip:0"))
+    assert doubled.n_orders == plain.n_orders
+    assert (doubled_matvecs, plain_matvecs) == (doubled.n_orders // 2, plain.n_orders - 1)
+    _, w_rows = normalize_observables(system.observables, system.l_op.nrows)
+    bound = 1e-13 * np.linalg.norm(w_rows[0]) * np.linalg.norm(system.rho0)
+    assert np.max(np.abs(doubled.tilde[0] - plain.tilde[0])) <= bound
