@@ -10,12 +10,12 @@ picks truncation orders, evaluates the polynomial acting on a vector via the
 Clenshaw recurrence, and provides the step-wise propagation engine.
 
 Every Bessel value comes from one kernel, a backward (Miller) recurrence
-over a column of orders per time: :func:`bessel_sequence` and
-:func:`scalar_coefficients` read one column of it. Every truncation order
-comes from one scan over that kernel's column, shared by :func:`stop_order`
-and :func:`coefficients`; the latter takes its values from the column the
-scan read. A stored series is evaluated on a grid without Bessel values at
-all, through its Chebyshev-Gauss line list (:mod:`qexpect.dec`).
+over the orders at one time: :func:`bessel_sequence` and
+:func:`scalar_coefficients` return its column. Every truncation order
+comes from one scan over that column, shared by :func:`stop_order` and
+:func:`coefficients`; the latter takes its values from the column the scan
+read. A stored series is evaluated on a grid without Bessel values at all,
+through its Chebyshev-Gauss line list (:mod:`qexpect.dec`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import numpy as np
 
 from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, rescale
-from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables, record_steps
+from .trace import (
+    DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord, normalize_observables, record_steps,
+)
 
 __all__ = [
     "bessel_sequence",
@@ -44,38 +46,32 @@ __all__ = [
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
-    """``J_0(t) .. J_n_max(t)`` for every time in ``ts``, one column each.
+def _bessel_column(t: float, n_max: int) -> np.ndarray:
+    """``J_0(t) .. J_n_max(t)``.
 
     Miller's backward recurrence in ratio form, ``r_k = J_k / J_{k-1} =
     t / (2k - t*r_{k+1})``, started from ``r = 0`` at a buffered order above
-    both ``n_max`` and the largest ``t``. The buffer absorbs the arbitrary
-    start: it must clear the turning point near ``k = t``, where orders only
-    shrink by ~``1 - O(t^(-1/3))`` per step (Airy regime), and the cube-root
-    term ``12 cbrt(t)`` provides roughly sixteen decades of decay there;
-    the line list of :mod:`qexpect.dec` sizes its alias margin as half of
-    it. The ratios need no rescaling at any ``t >= 0``, including tiny
-    times where the plain recurrence grows past the double range, and
-    ``t = 0`` gives exactly ``J_0 = 1``. The running products
-    ``J_k / J_0``, one ``cumprod`` down the columns, are normalised with
-    ``J_0 + 2*sum_k J_2k = 1``. Every caller in the package passes a single
-    time.
+    both ``n_max`` and ``t``. The buffer absorbs the arbitrary start: it
+    must clear the turning point near ``k = t``, where orders only shrink by
+    ~``1 - O(t^(-1/3))`` per step (Airy regime), and the cube-root term
+    ``12 cbrt(t)`` provides roughly sixteen decades of decay there; the line
+    list of :mod:`qexpect.dec` sizes its alias margin as half of it. The
+    ratios need no rescaling at any ``t >= 0``, including tiny times where
+    the plain recurrence grows past the double range, and ``t = 0`` gives
+    exactly ``J_0 = 1``. The running products ``J_k / J_0``, one
+    ``cumprod``, are normalised with ``J_0 + 2*sum_k J_2k = 1``.
     """
-    t_max = float(ts.max())
-    n_eff = max(n_max, math.ceil(t_max))
-    top = n_eff + max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * np.cbrt(t_max)))
-    p = np.empty((top + 1, ts.shape[0]))
+    n_eff = max(n_max, math.ceil(t))
+    top = n_eff + max(20, math.ceil(0.1 * n_eff), math.ceil(12.0 * np.cbrt(t)))
+    p = np.empty(top + 1)
     p[0] = 1.0
-    np.divide(ts, 2.0 * top, out=p[top])  # r = 0 above the start order
+    r = p[top] = t / (2.0 * top)  # r = 0 above the start order
     for k in range(top - 1, 0, -1):
-        r = p[k]
-        np.multiply(ts, p[k + 1], out=r)
-        np.subtract(2.0 * k, r, out=r)
-        np.divide(ts, r, out=r)
-    np.cumprod(p, axis=0, out=p)
-    norm = 1.0 + 2.0 * p[2::2].sum(axis=0)
-    if not np.all(np.isfinite(norm)):
-        raise ArithmeticError(f"Bessel normalisation failed for t <= {t_max}, n={n_max}")
+        r = p[k] = t / (2.0 * k - t * r)
+    np.cumprod(p, out=p)
+    norm = 1.0 + 2.0 * p[2::2].sum()
+    if not math.isfinite(norm):
+        raise ArithmeticError(f"Bessel normalisation failed for t = {t}, n={n_max}")
     j = p[: n_max + 1]
     j /= norm
     return j
@@ -84,15 +80,19 @@ def _bessel_columns(ts: np.ndarray, n_max: int) -> np.ndarray:
 def bessel_sequence(t: float, n_max: int) -> np.ndarray:
     """Bessel functions of the first kind ``J_0(t) .. J_n(t)``.
 
-    The one-column case of the backward recurrence behind every coefficient
-    (the forward direction is unstable once the order exceeds ``t``). Exact
-    at ``t == 0``.
+    The backward recurrence behind every coefficient (the forward direction
+    is unstable once the order exceeds ``t``). Exact at ``t == 0``.
     """
     if t < 0:
         raise ValueError("argument must be non-negative")
     if n_max < 0:
         raise ValueError("order must be non-negative")
-    return _bessel_columns(np.array([float(t)]), n_max)[:, 0]
+    return _bessel_column(float(t), n_max)
+
+
+def _log_bound(x: float, m: float) -> float:
+    """``log(error_bound / 4) = m*(1 - x^2 + log x)`` at ``x = t/(2m)``."""
+    return m * (1.0 - x * x + math.log(x))
 
 
 def error_bound(t: float, m: int) -> float:
@@ -107,83 +107,20 @@ def error_bound(t: float, m: int) -> float:
         raise ValueError(f"bound requires m > t (got m={m}, t={t})")
     if t == 0.0:
         return 0.0
-    x = t / (2.0 * m)
     # log-space keeps very small bounds from rounding through zero prematurely
-    log_val = m * (1.0 - x * x + math.log(x))
-    return 4.0 * math.exp(log_val)
+    return 4.0 * math.exp(_log_bound(t / (2.0 * m), m))
 
 
-def _order_guess(ts: np.ndarray, eps: float) -> np.ndarray:
-    """Smallest m found with ``error_bound(t, m) < eps`` per time; sizes the scan."""
-    m = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2).astype(float)
+def _order_guess(t: float, eps: float) -> int:
+    """Smallest m found with ``error_bound(t, m) < eps``; sizes the scan."""
+    m = max(math.ceil(t) + 1, 2)
     log_eps = math.log(eps)
     for _ in range(400):
-        x = np.maximum(ts / (2.0 * m), 1e-300)  # the floor keeps log(x) finite at t = 0
-        log_bound = math.log(4.0) + m * (1.0 - x * x + np.log(x))
-        bad = log_bound >= log_eps
-        if not bad.any():
+        x = max(t / (2.0 * m), 1e-300)  # the floor keeps log(x) finite at t = 0
+        if math.log(4.0) + _log_bound(x, m) < log_eps:
             break
-        m = np.where(bad, np.ceil(m * 1.1) + 1.0, m)
-    return m.astype(np.int64)
-
-
-def _first_hit(j: np.ndarray, first: np.ndarray, eps: float) -> np.ndarray:
-    """Per column of the table ``j``, the first row ``k >= first`` passing the stopping test.
-
-    Returns -1 for columns with no such row. Rows are tested from each
-    column's ``first`` on, in bands of doubling width, so a column costs
-    about the rows up to its hit instead of the whole table.
-    """
-    rows = j.shape[0]
-    hit_row = np.full(j.shape[1], -1, dtype=np.int64)
-    cols = np.flatnonzero(first < rows)
-    start = first[cols]
-    width = 16
-    while cols.size:
-        k = start[:, None] + np.arange(width)
-        inside = k < rows
-        np.minimum(k, rows - 1, out=k)
-        # |c_k| = 2|J_k| for every k >= 1 tested, so the pair test against
-        # eps is this one on J against eps/2
-        hit = np.hypot(j[k - 1, cols[:, None]], j[k, cols[:, None]]) < 0.5 * eps
-        hit &= inside
-        found = hit.any(axis=1)
-        hit_row[cols[found]] = k[found, hit[found].argmax(axis=1)]
-        more = ~found & (start + width < rows)
-        cols, start = cols[more], start[more] + width
-        width *= 2
-    return hit_row
-
-
-def _stop_scan(ts: np.ndarray, eps: float):
-    """Stopping order per time, with the Bessel table it was read from.
-
-    Returns ``(n_stop, j)`` where ``j[k, i] = J_k(ts[i])`` for every k up to
-    at least ``n_stop[i]``. The stopping order is the first ``n > t`` (and
-    ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``, and 1 at
-    ``t = 0``. The table is sized by the a-priori order guess; columns
-    without a hit in it are run again through the same recurrence with a
-    window widened by half.
-    """
-    n_t = ts.shape[0]
-    first = np.maximum(np.ceil(ts).astype(np.int64) + 1, 2)
-    cap = int(np.max(np.maximum(_order_guess(ts, eps), first))) + 8
-    n_stop = np.zeros(n_t, dtype=np.int64)
-    cols = np.arange(n_t)
-    j = part = _bessel_columns(ts, cap)
-    while True:
-        hit = _first_hit(part, first[cols], eps)
-        found = hit >= 0
-        n_stop[cols[found]] = hit[found]
-        cols = cols[~found]
-        if not cols.size:
-            break
-        cap = math.ceil(cap * 1.5) + 8
-        part = _bessel_columns(ts[cols], cap)
-        j = np.pad(j, ((0, part.shape[0] - j.shape[0]), (0, 0)))
-        j[:, cols] = part
-    n_stop[ts == 0.0] = 1  # c_0 alone is exact at t = 0
-    return n_stop, j
+        m = math.ceil(m * 1.1) + 1
+    return m
 
 
 def _coefficient_factors(n: int) -> np.ndarray:
@@ -194,13 +131,31 @@ def _coefficient_factors(n: int) -> np.ndarray:
 
 
 def _scan_one(t_scaled: float, eps: float):
-    """Checked one-time :func:`_stop_scan`: ``(stopping order, J_0.. column)``."""
+    """Stopping order at one time, with the Bessel column it was read from.
+
+    Returns ``(n_stop, j)`` where ``j[k] = J_k(t_scaled)`` for every k up to
+    at least ``n_stop``. The stopping order is the first ``n > t`` (and
+    ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``, and 1 at
+    ``t = 0``. The column is sized by the a-priori order guess; without a
+    hit in it, it is run again through the same recurrence with a window
+    widened by half.
+    """
     if t_scaled < 0:
         raise ValueError("t_scaled must be non-negative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    n_stop, j = _stop_scan(np.array([float(t_scaled)]), eps)
-    return int(n_stop[0]), j[:, 0]
+    if not EPS_MIN <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{EPS_MIN}, 1)")
+    t = float(t_scaled)
+    first = max(math.ceil(t) + 1, 2)
+    cap = max(_order_guess(t, eps), first) + 8
+    while True:
+        j = _bessel_column(t, cap)
+        # |c_k| = 2|J_k| for every k >= 1 tested, so the pair test against
+        # eps is this one on J against eps/2
+        hit = np.flatnonzero(np.hypot(j[first - 1 : -1], j[first:]) < 0.5 * eps)
+        if hit.size:
+            # c_0 alone is exact at t = 0
+            return (first + int(hit[0]) if t > 0.0 else 1), j
+        cap = math.ceil(cap * 1.5) + 8
 
 
 def stop_order(t_scaled: float, eps: float) -> int:

@@ -35,7 +35,7 @@ from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import DEFAULT_M_MAX, krylov_propagate
 from .oracle import dense_eig, oracle_expect
 from .spinsys import SpinSystemSpec, assemble, observable_by_name
-from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord
+from .trace import DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord
 from .zte import DEFAULT_XI, zte_detect, zte_propagate, zte_window
 
 ENGINES = ("dec", "cheb", "krylov", "zte", "oracle")
@@ -79,8 +79,8 @@ class RunConfig:
             raise ConfigError("[run] dt must be positive")
         if self.steps < 1:
             raise ConfigError("[run] steps must be at least 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError("[run] eps must lie in (0, 1)")
+        if not EPS_MIN <= self.eps < 1.0:
+            raise ConfigError(f"[run] eps must lie in [{EPS_MIN}, 1)")
         if self.tau is not None and self.tau < self.steps * self.dt:
             raise ConfigError(
                 f"[run] tau={self.tau} is shorter than the grid end "
@@ -385,16 +385,20 @@ def benchmark(
     the dense reference where the dimension permits, and the reduced
     dimension for the pruning engine. The run settings default to
     :class:`RunConfig`'s and are validated by it before any run starts, as
-    are ``timeout`` (positive and finite) and ``oracle_cap`` (non-negative),
-    so unusable settings raise :class:`ConfigError`. Runs happen in a child
-    process so a stuck engine is recorded as timed out rather than hanging
-    the table. Timings are single threaded; numerical columns are
-    deterministic.
+    are ``timeout`` (positive and finite), ``oracle_cap`` and ``seed``
+    (non-negative) and the spin counts (at least 1), so unusable settings
+    raise :class:`ConfigError`. Runs happen in a child process so a stuck
+    engine is recorded as timed out rather than hanging the table. Timings
+    are single threaded; numerical columns are deterministic.
     """
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ConfigError(f"benchmark timeout must be positive and finite, got {timeout}")
     if oracle_cap < 0:
         raise ConfigError(f"benchmark oracle_cap must be non-negative, got {oracle_cap}")
+    if seed < 0:
+        raise ConfigError(f"benchmark seed must be non-negative, got {seed}")
+    if any(n_spins < 1 for n_spins in spin_counts):
+        raise ConfigError(f"benchmark spin counts must be at least 1, got {list(spin_counts)}")
     stream = stream or sys.stdout
     rows = []
     for n_spins in spin_counts:

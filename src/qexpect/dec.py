@@ -287,8 +287,13 @@ def _doubled_moments(l_s: SparseMatrix, y: np.ndarray, n_orders: int) -> np.ndar
     return mu[:n_orders]
 
 
+def _in_horizon(series: DECSeries, times):
+    """Whether each time lies in ``[0, tau]``, up to the clamping slack; NaN does not."""
+    return (times >= 0.0) & (times <= series.tau * (1.0 + _CLAMP_REL))
+
+
 def _check_time(series: DECSeries, t: float) -> float:
-    if not 0.0 <= t <= series.tau * (1.0 + _CLAMP_REL):  # NaN fails too
+    if not _in_horizon(series, t):
         raise ConfigError(
             f"time {t} lies outside [0, tau={series.tau}], the precomputed horizon; "
             "a later time needs a precomputation with a larger tau"
@@ -416,7 +421,7 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ConfigError("the time grid is empty")
-    bad = np.flatnonzero(~((times >= 0.0) & (times <= series.tau * (1.0 + _CLAMP_REL))))
+    bad = np.flatnonzero(~_in_horizon(series, times))
     if bad.size:
         raise ConfigError(
             f"grid point {bad[0]} (t={times[bad[0]]}) lies outside "

@@ -21,6 +21,10 @@ __all__ = ["ExpectationTrace", "RunRecord", "normalize_observables", "record_ste
 #: of a run that sets none.
 DEFAULT_EPS = 1e-7
 
+#: Smallest usable ``eps``, the smallest normal double: below it ``eps/2``
+#: can round to 0, and no pair of coefficients passes the truncation test.
+EPS_MIN = float(np.finfo(float).tiny)
+
 
 @dataclass
 class ExpectationTrace:
@@ -28,8 +32,8 @@ class ExpectationTrace:
 
     ``values[q, k]`` is the expectation of observable ``labels[q]`` at
     ``times[k]``. ``metadata`` is filled by the :class:`RunRecord` of the
-engine run that produced the trace (it is empty for a trace read from a
-file).
+    engine run that produced the trace (it is empty for a trace read from a
+    file).
 
     Every engine writes the keys ``engine``, ``eps``, ``matvecs`` (sparse
     products between opening and closing the record), ``wall_time_s`` and

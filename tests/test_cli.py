@@ -387,6 +387,8 @@ _BAD_CONFIGS = {
     "negative_tau": make_config(extra_run="tau = -5"),
     "zero_tau": make_config(extra_run="tau = 0"),
     "no_observables": make_config(extra_run="observables ="),
+    # eps/2 rounds to 0 below the smallest normal double: the stop test never passes
+    "tiny_eps_config": make_config(extra_run="eps = 5e-324"),
 }
 
 #: ``qexpect benchmark`` arguments that leave the run unusable.
@@ -401,6 +403,9 @@ _BAD_BENCHMARKS = {
                                    "--timeout", "inf"],
     "benchmark_negative_oracle_cap": ["--spins", "2", "--engines", "dec", "--steps", "5",
                                       "--oracle-cap", "-1"],
+    "benchmark_negative_spins": ["--spins", "-1", "--engines", "dec", "--steps", "5"],
+    "benchmark_negative_seed": ["--spins", "2", "--engines", "dec", "--steps", "5",
+                                "--seed", "-5000"],
 }
 
 
