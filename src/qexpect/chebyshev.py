@@ -105,10 +105,9 @@ def error_bound(t: float, m: int) -> float:
         raise ValueError("t must be non-negative")
     if m <= t:
         raise ValueError(f"bound requires m > t (got m={m}, t={t})")
-    if t == 0.0:
-        return 0.0
+    x = t / (2.0 * m)  # 0 at t = 0, and at a subnormal t whose quotient rounds to 0
     # log-space keeps very small bounds from rounding through zero prematurely
-    return 4.0 * math.exp(_log_bound(t / (2.0 * m), m))
+    return 4.0 * math.exp(_log_bound(x, m)) if x else 0.0
 
 
 def _order_guess(t: float, eps: float) -> int:

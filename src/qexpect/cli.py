@@ -12,7 +12,7 @@ Config files are sectioned key-value text (INI). Frequencies are given in
 Hz and converted to angular frequencies on ingestion; times are in seconds.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 resource limit or timeout.
+4 resource limit (the dense cap, or out of memory) or timeout.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         spec = SpinSystemSpec(n=n, omega0=omega0, j_coupling=j_coupling)
     except ConfigError as exc:
-        raise ConfigError(f"[system] j_hz/{exc}") from exc
+        raise ConfigError(f"[system] {exc}") from exc
 
     cfg = RunConfig(system=spec, **{
         field: _get(parser, section, key, cast)
@@ -386,8 +386,9 @@ def benchmark(
     dimension for the pruning engine. The run settings default to
     :class:`RunConfig`'s and are validated by it before any run starts, as
     are ``timeout`` (positive and finite), ``oracle_cap`` and ``seed``
-    (non-negative) and the spin counts (at least 1), so unusable settings
-    raise :class:`ConfigError`. Runs happen in a child process so a stuck
+    (non-negative) and the spin counts (1 to 31, through every system's
+    :class:`SpinSystemSpec`), so unusable settings raise
+    :class:`ConfigError`. Runs happen in a child process so a stuck
     engine is recorded as timed out rather than hanging the table. Timings
     are single threaded; numerical columns are deterministic.
     """
@@ -401,11 +402,11 @@ def benchmark(
         raise ConfigError(f"benchmark spin counts must be at least 1, got {list(spin_counts)}")
     stream = stream or sys.stdout
     rows = []
-    for n_spins in spin_counts:
-        spec = benchmark_spec(n_spins, seed=seed)
+    # every system first, so that an unusable spin count fails before any run
+    for spec in [benchmark_spec(n_spins, seed=seed) for n_spins in spin_counts]:
         configs = [RunConfig(system=spec, engine=engine, dt=dt, steps=steps, eps=eps,
                              xi=xi, tau=tau) for engine in engines]
-        dim = spec.liouville_dim
+        n_spins, dim = spec.n, spec.liouville_dim
         reference = None
         system = assemble(spec, ("ip",))
         if system.block_dim <= oracle_cap:
@@ -618,8 +619,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ResourceError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

@@ -379,37 +379,45 @@ def _powers(base: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(p, axis=0, out=p)
 
 
-def _phase_sum(omega: np.ndarray, g: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``g @ exp(-1j * outer(omega, times))`` for sorted, distinct ``times``.
+def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``amp @ exp(-1j * outer(omega, times))``, the evaluator of every line list.
 
-    On an arithmetic progression ``t_j = t_0 + j h``, ``j = b B + r`` with
-    ``B = ceil(sqrt(M))`` splits each phase into a coarse factor
-    ``exp(-i omega (t_0 + b B h))`` and a fine one ``exp(-i omega r h)``,
-    both filled by repeated multiplication; one matrix product then serves
-    every observable. Other grids take the phase table directly, a block
-    of times at a time.
+    Both stored series (see :func:`_line_list`) and the exact modes of
+    :func:`qexpect.oracle.oracle_expect` go through it. ``times`` may come
+    in any order, with repeats and negative values: the sum is taken on the
+    sorted distinct times and scattered back, so each value depends only on
+    its time and the set of times.
+
+    When the distinct times form an arithmetic progression
+    ``t_j = t_0 + j h``, ``j = b B + r`` with ``B = ceil(sqrt(M))`` splits
+    each phase into a coarse factor ``exp(-i omega (t_0 + b B h))`` and a
+    fine one ``exp(-i omega r h)``, both filled by repeated multiplication;
+    one matrix product then serves every row of ``amp``. Other grids take
+    the phase table directly, a block of times at a time.
     """
+    times, where = np.unique(times, return_inverse=True)
     m = times.shape[0]
     step = _progression_step(times)
     if step is None:
-        values = np.empty((g.shape[0], m), dtype=np.complex128)
+        values = np.empty((amp.shape[0], m), dtype=np.complex128)
         for lo in range(0, m, _TIME_BLOCK):
             block = times[lo : lo + _TIME_BLOCK]
-            values[:, lo : lo + block.shape[0]] = g @ np.exp(-1j * np.outer(omega, block))
-        return values
-    width = math.isqrt(m - 1) + 1
-    n_rows = -(-m // width)
-    fine = _powers(np.exp(-1j * step * omega), width)
-    coarse = np.exp(-1j * times[0] * omega) * _powers(np.exp(-1j * (width * step) * omega), n_rows)
-    blocks = (g[:, None, :] * coarse).reshape(-1, omega.shape[0]) @ fine.T
-    return blocks.reshape(g.shape[0], n_rows * width)[:, :m]
+            values[:, lo : lo + block.shape[0]] = amp @ np.exp(-1j * np.outer(omega, block))
+    else:
+        width = math.isqrt(m - 1) + 1
+        n_rows = -(-m // width)
+        fine = _powers(np.exp(-1j * step * omega), width)
+        coarse = np.exp(-1j * times[0] * omega) * _powers(np.exp(-1j * (width * step) * omega), n_rows)
+        blocks = (amp[:, None, :] * coarse).reshape(-1, omega.shape[0]) @ fine.T
+        values = blocks.reshape(amp.shape[0], n_rows * width)[:, :m]
+    return values[:, where]
 
 
 def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
     """:func:`dec_evaluate` at every grid point, through the series' line list.
 
-    The stored series becomes one line list (see :func:`_line_list`), and
-    its phase sum is taken on the sorted distinct times, then scattered
+    The stored series becomes one line list (see :func:`_line_list`),
+    summed by :func:`_phase_sum` on the sorted distinct times and scattered
     back to the grid. Each value therefore depends only on its time and the
     set of times, not on their order or repeats. It agrees with
     :func:`dec_evaluate` to roundoff (about 1e-13 of ``max|f|``), and at
@@ -428,12 +436,9 @@ def dec_evaluate_grid(series: DECSeries, times) -> ExpectationTrace:
             f"[0, tau={series.tau}]"
         )
     run = RunRecord("dec", eps=series.eps, n_orders=series.n_orders)
-    distinct, where = np.unique(np.minimum(times, series.tau), return_inverse=True)
-    omega, g = _line_list(series)
-    values = _phase_sum(omega, g, distinct)
-    if distinct[0] == 0.0:
-        values[:, 0] = series.tilde[:, 0]
-    return run.close(times, series.labels, values[:, where])
+    values = _phase_sum(*_line_list(series), np.minimum(times, series.tau))
+    values[:, times == 0.0] = series.tilde[:, :1]
+    return run.close(times, series.labels, values)
 
 
 def save_series(series: DECSeries, path) -> None:
@@ -457,7 +462,8 @@ def load_series(path) -> DECSeries:
     """Read a sidecar written by :func:`save_series`.
 
     Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
-    lacks a header field or holds one of the wrong type, declares no orders,
+    lacks a header field or holds one of the wrong type, declares a
+    ``dtype`` other than ``complex128``, declares no orders,
     holds a different number of data bytes than its header declares, or its
     header scalars are unusable: each must be finite, with ``tau > 0``,
     ``half_width > 0`` and ``0 < eps < 1``.
@@ -478,8 +484,11 @@ def load_series(path) -> DECSeries:
         labels = header["labels"]
         n_obs, n_orders = len(labels), int(header["n_orders"])
         scalars = {key: float(header[key]) for key in ("shift", "half_width", "tau", "eps")}
+        dtype = header["dtype"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: unreadable sidecar header ({exc})") from exc
+    if dtype != "complex128":
+        raise ConfigError(f"{path}: header declares dtype {dtype!r}, only complex128 is read")
     if n_orders < 1:
         raise ConfigError(f"{path}: header declares {n_orders} orders, at least 1 is needed")
     if not (np.isfinite(list(scalars.values())).all() and scalars["tau"] > 0

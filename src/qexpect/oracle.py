@@ -2,8 +2,10 @@
 
 Every coordinate of the evolving state is a superposition of oscillators at
 the eigenfrequencies, so expectations at arbitrary times reduce to phase
-sums over modal amplitudes. Exact to roundoff, but dense: dimension is
-capped, and beyond the cap callers are pointed at the sparse engines.
+sums over modal amplitudes: a line list, summed by the same evaluator as
+the stored series of :mod:`qexpect.dec`. Exact to roundoff, but dense:
+dimension is capped, and beyond the cap callers are pointed at the sparse
+engines.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dec import _phase_sum
 from .errors import ResourceError
 from .sparse import SparseMatrix
 from .trace import ExpectationTrace, RunRecord, normalize_observables
@@ -19,7 +22,6 @@ from .trace import ExpectationTrace, RunRecord, normalize_observables
 __all__ = ["ModeDecomposition", "dense_eig", "mode_amplitudes", "oracle_expect"]
 
 DEFAULT_MAX_DIM = 4096
-_TIME_BLOCK = 256
 
 
 @dataclass
@@ -67,20 +69,14 @@ def oracle_expect(
 ) -> ExpectationTrace:
     """Exact expectations at arbitrary times.
 
-    Folds each observable's trace form through the eigenbasis once, after
-    which every time point costs one phase sum: ``f_q(t) = sum_j a_qj
-    exp(-i lam_j t)`` with ``a_q = (w_q @ X) * (X_dagger rho0)``.
+    Folds each observable's trace form through the eigenbasis once into the
+    line list ``f_q(t) = sum_j a_qj exp(-i lam_j t)`` with
+    ``a_q = (w_q @ X) * (X_dagger rho0)``, then sums it with
+    :func:`qexpect.dec._phase_sum`. Times may come in any order, with
+    repeats and negative values.
     """
     times = np.asarray(times, dtype=float)
     labels, w_rows = normalize_observables(observables, dec.dim)
     run = RunRecord("oracle", eps=0.0)
-    mu = mode_amplitudes(dec, rho0)
-    amp = (w_rows @ dec.X) * mu  # (n_obs, dim)
-
-    values = np.empty((len(labels), times.shape[0]), dtype=np.complex128)
-    for lo in range(0, times.shape[0], _TIME_BLOCK):
-        block = times[lo : lo + _TIME_BLOCK]
-        phases = np.exp(-1j * np.outer(dec.lam, block))
-        values[:, lo : lo + block.shape[0]] = amp @ phases
-
-    return run.close(times, labels, values)
+    amp = (w_rows @ dec.X) * mode_amplitudes(dec, rho0)  # (n_obs, dim)
+    return run.close(times, labels, _phase_sum(dec.lam, amp, times))

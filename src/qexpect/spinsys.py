@@ -45,6 +45,9 @@ __all__ = [
 #: ``eigvalsh`` roundoff and the rounding of the rescaled operator's entries.
 SECTOR_PAD = 1e-12
 
+#: Largest spin count whose Liouville dimension ``4**n`` fits in a 64-bit index.
+MAX_SPINS = 31
+
 
 @dataclass(frozen=True)
 class SpinOperatorSet:
@@ -83,8 +86,9 @@ class SpinSystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "omega0", np.asarray(self.omega0, dtype=float))
         object.__setattr__(self, "j_coupling", np.asarray(self.j_coupling, dtype=float))
-        if self.n < 1:
-            raise ConfigError("spin count must be at least 1")
+        if not 1 <= self.n <= MAX_SPINS:
+            raise ConfigError(f"spin count {self.n} lies outside 1..{MAX_SPINS}; the "
+                              "Liouville dimension 4**n must fit in a 64-bit index")
         if self.omega0.shape != (self.n,):
             raise ConfigError(
                 f"omega0 has shape {self.omega0.shape}, expected ({self.n},)"

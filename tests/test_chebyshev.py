@@ -135,6 +135,8 @@ def test_error_bound_monotone_and_guarded():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError, match="m > t"):
         error_bound(10.0, 10)
+    # t/(2m) rounds to 0 at the smallest subnormal t, where log x has no value
+    assert error_bound(0.0, 2) == error_bound(5e-324, 2) == error_bound(1e-310, 2) == 0.0
 
 
 @pytest.mark.parametrize("dim", [8, 32, 64])

@@ -286,6 +286,19 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch):
+    import qexpect.cli as cli
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(cli, "run_simulation", exhausted)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(make_config(steps="5"))
+    assert main(["simulate", "--config", str(cfg)]) == 4
+    assert "resource limit: Unable to allocate" in capsys.readouterr().err
+
+
 def test_simulate_writes_fid(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     out = tmp_path / "fid.csv"
@@ -377,6 +390,8 @@ _BAD_HEADERS = {
     "negative_half_width_header": lambda h: h.update(half_width=-1.0),
     "infinite_eps_header": lambda h: h.update(eps=float("inf")),
     "infinite_shift_header": lambda h: h.update(shift=float("inf")),
+    "float64_dtype_header": lambda h: h.update(dtype="float64"),
+    "header_without_dtype": lambda h: h.pop("dtype"),
 }
 
 #: Config files whose [run] or [zte] settings are unusable.
@@ -389,6 +404,17 @@ _BAD_CONFIGS = {
     "no_observables": make_config(extra_run="observables ="),
     # eps/2 rounds to 0 below the smallest normal double: the stop test never passes
     "tiny_eps_config": make_config(extra_run="eps = 5e-324"),
+    # 4**32 overflows a 64-bit index
+    "too_many_spins_config": make_config(
+        n=32, larmor_hz=" ".join(["100"] * 32),
+        j_hz="\n" + "\n".join(["  " + " ".join(["0"] * 32)] * 32)),
+}
+
+#: The message each case must name, where "config error" alone could come
+#: from another check.
+_BAD_CASE_MESSAGES = {
+    "too_many_spins_config": "spin count 32 lies outside 1..31",
+    "benchmark_too_many_spins": "spin count 32 lies outside 1..31",
 }
 
 #: ``qexpect benchmark`` arguments that leave the run unusable.
@@ -406,6 +432,7 @@ _BAD_BENCHMARKS = {
     "benchmark_negative_spins": ["--spins", "-1", "--engines", "dec", "--steps", "5"],
     "benchmark_negative_seed": ["--spins", "2", "--engines", "dec", "--steps", "5",
                                 "--seed", "-5000"],
+    "benchmark_too_many_spins": ["--spins", "32", "--engines", "dec", "--steps", "5"],
 }
 
 
@@ -460,4 +487,6 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
             _BAD_HEADERS[case](header)
         sidecar.write_bytes(b"\n".join([magic, json.dumps(header).encode(), raw]))
     assert main(args) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert _BAD_CASE_MESSAGES.get(case, "") in err

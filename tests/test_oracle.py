@@ -91,3 +91,20 @@ def test_dimension_cap_points_to_sparse_engines():
     big = SparseMatrix.identity(8192)
     with pytest.raises(ResourceError, match="sparse engine"):
         dense_eig(big, max_dim=4096)
+
+
+def test_phase_sum_on_any_grid_matches_the_direct_sum(rng):
+    # the shared evaluator sorts, merges repeats and scatters back; on a
+    # progression it also factors the phase table
+    spec = random_spin_spec(3, rng)
+    dec = dense_eig(build_liouvillian(build_hamiltonian(spec)))
+    rho0 = initial_state(3)
+    obs = {"ip": observable_ip(3), "iz": observable_by_name("iz", 3)}
+    w_rows = np.vstack([trace_form(q) for q in obs.values()])
+    amp = (w_rows @ dec.X) * mode_amplitudes(dec, rho0)
+    base = rng.uniform(0.0, 30.0, 40)
+    scrambled = np.concatenate([base, base[:7], [0.0, 0.0, -3.5]])
+    for times in (scrambled[rng.permutation(scrambled.size)], 0.1 * np.arange(301)):
+        values = oracle_expect(dec, rho0, obs, times).values
+        direct = amp @ np.exp(-1j * np.outer(dec.lam, times))
+        assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
