@@ -26,6 +26,7 @@ from .oracle import ModeDecomposition, dense_eig, mode_amplitudes, oracle_expect
 from .sparse import SparseMatrix, matvec_counter, spmv, trace_form
 from .spectral import ScalingParams, extreme_eigs, lanczos, rescale, tridiag_expv
 from .spinsys import (
+    SectorOperator,
     SpinOperatorSet,
     SpinSystemSpec,
     TraceSystem,

@@ -182,27 +182,28 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     Every engine, the oracle's dense cap included, runs on the trace block
     of :func:`qexpect.spinsys.assemble`. ``dec`` and ``cheb`` rescale by the
     block's exact spectral interval, read off H's sectors
-    (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`).
+    (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`). ``dec`` sweeps
+    the block's sector operator; the other engines get its CSR.
     """
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
-    l_op, rho0, observables = system.l_op, system.rho0, system.observables
+    rho0, observables = system.rho0, system.observables
     times = cfg.dt * np.arange(cfg.steps + 1)
 
     if cfg.engine == "oracle":
-        trace = oracle_expect(dense_eig(l_op), rho0, observables, times)
+        trace = oracle_expect(dense_eig(system.l_op), rho0, observables, times)
     elif cfg.engine == "dec":
         series_run = RunRecord("dec")
-        series = dec_precompute(l_op, rho0, observables, tau=cfg.horizon, eps=cfg.eps,
-                                scaling=system.spectral_interval())
+        series = dec_precompute(system.sector_op, rho0, observables, tau=cfg.horizon,
+                                eps=cfg.eps, scaling=system.spectral_interval())
         trace = dec_evaluate_grid(series, times)
         matvecs, seconds = series_run.cost()
         trace.metadata.update(matvecs=matvecs, wall_time_s=seconds)
     elif cfg.engine == "cheb":
-        trace = cheb_step_propagate(l_op, system.spectral_interval(), rho0, cfg.dt,
+        trace = cheb_step_propagate(system.l_op, system.spectral_interval(), rho0, cfg.dt,
                                     cfg.steps, observables, eps=cfg.eps)
     elif cfg.engine == "krylov":
-        trace = krylov_propagate(l_op, rho0, cfg.dt, cfg.steps, observables,
+        trace = krylov_propagate(system.l_op, rho0, cfg.dt, cfg.steps, observables,
                                  eps=cfg.eps, m_max=cfg.m_max)
     elif cfg.engine == "zte":
         delta_t = zte_window(cfg.system)
@@ -211,7 +212,7 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
                 f"[run] dt={cfg.dt} exceeds the observation window "
                 f"{delta_t:.6g} set by the slowest Larmor period"
             )
-        reduction = zte_detect(l_op, rho0, cfg.dt, delta_t, xi=cfg.xi,
+        reduction = zte_detect(system.l_op, rho0, cfg.dt, delta_t, xi=cfg.xi,
                                eps=cfg.eps, m_max=cfg.m_max)
         trace = zte_propagate(reduction, rho0, cfg.dt, cfg.steps, observables,
                               eps=cfg.eps, m_max=cfg.m_max)
@@ -533,7 +534,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_dec_precompute(args) -> int:
     cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
     system = assemble(cfg.system, cfg.observables)
-    series = dec_precompute(system.l_op, system.rho0, system.observables,
+    series = dec_precompute(system.sector_op, system.rho0, system.observables,
                             tau=cfg.horizon, eps=cfg.eps, scaling=system.spectral_interval())
     save_series(series, args.out)
     print(f"series with {series.n_orders} orders (tau={series.tau}) "

@@ -102,7 +102,7 @@ class DECSeries:
 
 
 def dec_precompute(
-    l_op: SparseMatrix,
+    l_op,
     rho0: np.ndarray,
     observables,
     tau: float,
@@ -117,6 +117,14 @@ def dec_precompute(
     stopping order for ``tau``; that costs ``n - 1`` matvecs (half that on
     the doubled sweep below), and only three state vectors are ever alive.
 
+    The operator: ``l_op`` is a :class:`SparseMatrix`, or the
+    :class:`qexpect.spinsys.SectorOperator` of a trace block, which
+    ``run_simulation`` and ``dec-precompute`` pass. The sector operator
+    folds ``S`` and ``D`` into its small blocks and carries exact ``real``
+    and ``symmetric`` flags, so it needs no rescaled CSR and no CSR
+    comparison; with the same interval both kinds store the same orders at
+    the same matvec count, and agree to roundoff.
+
     The interval: spin-system callers (``run_simulation``, ``dec-precompute``)
     pass the exact one from the sectors of H,
     :meth:`qexpect.spinsys.TraceSystem.spectral_interval`. Without
@@ -125,7 +133,7 @@ def dec_precompute(
 
     The arithmetic: when every entry of ``l_op`` is real and ``rho0`` is
     purely real or purely imaginary (``rho0 = i*y``), every ``t_k`` is too,
-    so the sweep runs on float64 vectors with a float64 copy of ``L_s`` and
+    so the sweep runs on float64 vectors with a float64 ``L_s`` and
     stores ``w @ t_k`` or ``i * (w @ y_k)``. Orders and matvecs are those
     of the complex sweep, and the scalars agree with it to roundoff.
     Otherwise the states are complex.
@@ -143,8 +151,9 @@ def dec_precompute(
     as ``iz``'s, is the multiple 0). Mixed sets such as ``ip`` with
     ``ip:0``, ``ix``, complex operators, mixed ``rho0`` and the full space
     do not, and sweep one order per product, as above. Both checks are
-    exact; the symmetry check, a comparison of the CSR and CSC arrays of
-    ``L_s``, runs only once the proportionality check has passed.
+    exact. On a CSR the symmetry check compares the CSR and CSC arrays of
+    ``L_s``, and runs only once the proportionality check has passed; a
+    sector operator reads its ``symmetric`` flag.
 
     ``eps`` bounds the first dropped pair of expansion coefficients, not the
     trace. The trace error of :func:`dec_evaluate` and
@@ -170,19 +179,24 @@ def dec_precompute(
         scaling = extreme_eigs(l_op)
 
     n_orders = stop_order(tau * scaling.D, eps)
+    csr = isinstance(l_op, SparseMatrix)  # else a qexpect.spinsys.SectorOperator
+    real = not np.any(l_op.values.imag) if csr else l_op.real
     # real sweep: rho0 = unit * y with y real, and then every T_k(L_s) y is real
     start, unit = rho0, None
-    if not np.any(l_op.values.imag):
+    if real:
         if not np.any(rho0.imag):
             start, unit = np.ascontiguousarray(rho0.real), 1
         elif not np.any(rho0.real):
             start, unit = np.ascontiguousarray(rho0.imag), 1j
-    l_s = rescale(l_op, scaling) if unit is None else _rescale_real(l_op, scaling)
+    if csr:
+        l_s = rescale(l_op, scaling) if unit is None else _rescale_real(l_op, scaling)
+    else:
+        l_s = l_op.rescale(scaling)
 
     # doubled sweep: every w_q = beta_q * y and L_s = L_s^T, so each scalar is
     # beta_q times an autocorrelation moment of y
     beta = None if unit is None else _proportionality(w_rows, start)
-    if beta is not None and _is_symmetric(l_s):
+    if beta is not None and (_is_symmetric(l_s) if csr else l_s.symmetric):
         tilde = np.outer(beta, _doubled_moments(l_s, start, n_orders))
     else:
         # one plain dot per observable per order, so a row is bitwise the same
@@ -215,7 +229,7 @@ def dec_precompute(
     )
 
 
-def _chebyshev_vectors(l_s: SparseMatrix, v: np.ndarray, n_products: int):
+def _chebyshev_vectors(l_s, v: np.ndarray, n_products: int):
     """Yield ``(T_{k-1}(L_s) v, T_k(L_s) v)`` for ``k = 0 .. n_products``.
 
     ``T_{-1}`` is ``None``. ``T_{k+1} = 2 L_s T_k - T_{k-1}`` costs one
@@ -269,7 +283,7 @@ def _is_symmetric(a: SparseMatrix) -> bool:
             and np.array_equal(m.data, t.data))
 
 
-def _doubled_moments(l_s: SparseMatrix, y: np.ndarray, n_orders: int) -> np.ndarray:
+def _doubled_moments(l_s, y: np.ndarray, n_orders: int) -> np.ndarray:
     """``mu_k = y @ T_k(L_s) y`` for ``k < n_orders``, from ``n_orders // 2`` products.
 
     For symmetric ``L_s``, ``T_j T_k = (T_{j+k} + T_{|j-k|}) / 2`` gives

@@ -11,7 +11,8 @@ this module pins down the conventions the rest of the package relies on:
   are notation here, not functions: in numpy, ``vec(M)`` is
   ``M.ravel(order="F")`` and its inverse ``v.reshape((m, m), order="F")``;
 * every sparse matrix-vector product goes through :func:`spmv`, which
-  increments a module-level counter used for cost reporting.
+  increments a module-level counter used for cost reporting, also for an
+  operator that is not stored as a CSR.
 """
 
 from __future__ import annotations
@@ -161,11 +162,17 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def spmv(a, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``y = A x``.
 
-    Per-row accumulation runs left to right over the stored (sorted) column
-    indices and is single threaded, so results are bitwise reproducible.
+    ``a`` is a :class:`SparseMatrix` or any square operator with ``nrows``,
+    ``ncols`` and ``matvec(x)``, such as the
+    :class:`qexpect.spinsys.SectorOperator` of a trace block; the product is
+    counted either way, and the operator's ``matvec`` does the work.
+
+    For a :class:`SparseMatrix`, per-row accumulation runs left to right
+    over the stored (sorted) column indices and is single threaded, so
+    results are bitwise reproducible.
     The product is complex128, except that a float64 vector times a matrix
     with float64 storage (see ``SparseMatrix._real``) stays float64.
 
@@ -183,6 +190,8 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {a.nrows}x{a.ncols}, vector has length {x.shape}"
         )
     matvec_counter.count += 1
+    if not isinstance(a, SparseMatrix):
+        return a.matvec(x)
     m = a.csr
     if x.dtype != m.dtype:
         x = x.astype(np.complex128)

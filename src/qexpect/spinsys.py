@@ -15,7 +15,7 @@ suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +34,7 @@ __all__ = [
     "build_liouvillian",
     "hilbert_components",
     "trace_block",
+    "SectorOperator",
     "TraceSystem",
     "assemble",
     "initial_state",
@@ -377,57 +378,182 @@ def observable_by_name(name: str, n: int) -> SparseMatrix:
     return embed(table[base], site, n)
 
 
+def _sector_stacks(h: SparseMatrix, components: np.ndarray, kept: np.ndarray) -> dict:
+    """H on the sectors ``kept``, dense: ``{m: (labels, blocks)}`` per sector size m.
+
+    ``blocks[k]`` is H on component ``labels[k]``, its states in ascending
+    order. Every stack is float64 when each kept sector is real, else
+    complex128. H only links states of one component, so the rows of a
+    sector's states hold its whole block.
+    """
+    order, bounds, rank = _sectors(components)
+    size = np.diff(bounds)[kept]
+    stacks = {}
+    for m in map(int, np.unique(size)):
+        labels = kept[size == m]
+        k, col, val = _row_entries(h.csr, order[bounds[labels][:, None] + np.arange(m)].ravel())
+        blocks = np.zeros((labels.shape[0], m, m), dtype=np.complex128)
+        blocks[k // m, k % m, rank[col]] = val
+        stacks[m] = labels, blocks
+    if not any(np.any(blocks.imag) for _, blocks in stacks.values()):
+        stacks = {m: (labels, blocks.real.copy()) for m, (labels, blocks) in stacks.items()}
+    return stacks
+
+
+class SectorOperator:
+    """The Liouvillian of a trace block, held as the dense sectors of H.
+
+    On kept pair (a, b) it maps the column-stacked block ``X_ab`` to
+    ``H_a X - X H_b``, where ``H_a`` is H on component a: the operator that
+    ``build_liouvillian(h, blocks)`` stores as a CSR, in the same layout
+    (see :func:`_block_layout`). The sector blocks are dense, and float64
+    when every kept sector of H is real. Pairs whose blocks have the same
+    shape ``(|a|, |b|)`` are stacked, so :meth:`matvec` is one batched
+    ``matmul`` pair per distinct shape. :func:`qexpect.sparse.spmv`
+    dispatches to it and counts each product.
+
+    ``real`` says every entry is real. ``symmetric`` says the operator
+    equals its transpose entry for entry, which holds exactly when every
+    kept sector is real and bitwise symmetric. ``nnz`` counts the stored
+    block entries one product reads.
+    """
+
+    def __init__(self, groups, nrows: int, real: bool, symmetric: bool):
+        # one (where, left, right) per shape: left[k] = H_a^T and right[k] = H_b^T
+        # for its k-th pair, whose coordinates x[where] holds in turn
+        self._groups = groups
+        self.nrows = self.ncols = nrows
+        self.real = real
+        self.symmetric = symmetric
+        self.nnz = sum(left.size + right.size for _, left, right in groups)
+        self._dtype = np.dtype(np.float64 if real else np.complex128)
+
+    @classmethod
+    def from_sectors(cls, stacks: dict, pairs: np.ndarray) -> "SectorOperator":
+        """The operator of ``pairs`` on the sector blocks ``stacks`` of
+        :attr:`TraceSystem.sector_stacks`."""
+        size = np.zeros(1 + int(pairs.max()), dtype=np.intp)
+        place = np.zeros_like(size)  # a sector's index in the stack of its size
+        for m, (labels, _) in stacks.items():
+            size[labels], place[labels] = m, np.arange(labels.shape[0])
+        a, b = pairs[:, 0], pairs[:, 1]
+        p, q = size[a], size[b]
+        offset = np.cumsum(p * q) - p * q
+        shapes, shape = np.unique(p * (q.max() + 1) + q, return_inverse=True)
+        groups = []
+        for s in range(shapes.shape[0]):
+            k = np.flatnonzero(shape == s)
+            p_k, q_k = p[k[0]], q[k[0]]
+            if k[-1] - k[0] == k.shape[0] - 1:  # consecutive pairs: a slice of the vector
+                where = slice(offset[k[0]], offset[k[0]] + k.shape[0] * p_k * q_k)
+            else:
+                where = (offset[k][:, None] + np.arange(p_k * q_k)).ravel()
+            left = stacks[p_k][1][place[a[k]]].transpose(0, 2, 1)
+            right = stacks[q_k][1][place[b[k]]].transpose(0, 2, 1)
+            groups.append((where, np.ascontiguousarray(left), np.ascontiguousarray(right)))
+        stacked = [blocks for _, blocks in stacks.values()]
+        real = all(blocks.dtype == np.float64 for blocks in stacked)
+        symmetric = real and all(np.array_equal(blocks, blocks.transpose(0, 2, 1))
+                                 for blocks in stacked)
+        return cls(groups, int(np.sum(p * q)), real, symmetric)
+
+    def rescale(self, scaling: ScalingParams) -> "SectorOperator":
+        """``(L - S)/D``, with ``S`` and ``D`` folded into the blocks:
+        ``(H_a - S)/D`` on the left and ``H_b/D`` on the right."""
+        if scaling.D <= 0.0:
+            raise ValueError("half-width must be positive (inflation floor guarantees this)")
+        groups = [(where, (left - scaling.S * np.eye(left.shape[1])) / scaling.D,
+                   right / scaling.D) for where, left, right in self._groups]
+        return SectorOperator(groups, self.nrows, self.real, self.symmetric)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``L x``: float64 when ``x`` and the blocks are, else complex128."""
+        y = np.empty(self.nrows, dtype=np.promote_types(x.dtype, self._dtype))
+        for where, left, right in self._groups:
+            # read row-major, a column-stacked X is X^T, and
+            # (H_a X - X H_b)^T = X^T H_a^T - H_b^T X^T
+            xt = x[where].reshape(left.shape[0], right.shape[1], left.shape[1])
+            out = xt @ left
+            out -= right @ xt
+            y[where] = out.reshape(-1)
+        return y
+
+    def __repr__(self):
+        return f"SectorOperator(nrows={self.nrows}, shapes={len(self._groups)}, nnz={self.nnz})"
+
+
 @dataclass(frozen=True)
 class TraceSystem:
     """What an engine propagates: operator, state and trace forms on one block.
 
-    ``l_op`` is the Liouvillian on the coordinates kept by
-    :func:`trace_block`, in its order, and ``rho0`` and every trace form in
-    ``observables`` (label -> 1-D array) are restricted to them. Engines run
-    on these unchanged and return the same expectations as on the full
-    space. ``hamiltonian``, ``components`` (its :func:`hilbert_components`
-    labels) and ``pairs`` (the kept component pairs, one row each) define
-    the block: pair k's block ``X_ab`` is column-stacked in the k-th slice
-    of every vector. :meth:`spectral_interval` reads the exact spectrum off
-    them.
+    ``rho0`` and every trace form in ``observables`` (label -> 1-D array) are
+    restricted to the coordinates kept by :func:`trace_block`, in its order.
+    ``hamiltonian``, ``components`` (its :func:`hilbert_components` labels)
+    and ``pairs`` (the kept component pairs, one row each) define the block:
+    pair k's block ``X_ab`` is column-stacked in the k-th slice of every
+    vector. The Liouvillian on the block comes in two forms, each built on
+    first use: ``l_op``, a CSR, and ``sector_op``, a
+    :class:`SectorOperator` on the dense sectors of H in
+    ``sector_stacks``. ``dec`` sweeps ``sector_op`` and the other engines
+    take ``l_op``; either way they return the same expectations as on the
+    full space. :meth:`spectral_interval` reads the exact spectrum off the
+    same sector blocks.
     """
 
-    l_op: SparseMatrix
     rho0: np.ndarray
     observables: dict
     hamiltonian: SparseMatrix
     components: np.ndarray
     pairs: np.ndarray
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _once(self, name: str, build):
+        if name not in self._built:
+            self._built[name] = build()
+        return self._built[name]
 
     @property
     def block_dim(self) -> int:
-        return self.l_op.nrows
+        return self.rho0.shape[0]
+
+    @property
+    def l_op(self) -> SparseMatrix:
+        """The block Liouvillian as a CSR, ``build_liouvillian(h, (components, pairs))``."""
+        return self._once("l_op", lambda: build_liouvillian(self.hamiltonian,
+                                                            (self.components, self.pairs)))
+
+    @property
+    def sector_stacks(self) -> dict:
+        """H on every kept sector, dense, as :func:`_sector_stacks` returns it."""
+        return self._once("sector_stacks", lambda: _sector_stacks(
+            self.hamiltonian, self.components, np.unique(self.pairs)))
+
+    @property
+    def sector_op(self) -> SectorOperator:
+        """The block Liouvillian as a :class:`SectorOperator` on :attr:`sector_stacks`."""
+        return self._once("sector_op", lambda: SectorOperator.from_sectors(
+            self.sector_stacks, self.pairs))
 
     def spectral_interval(self) -> ScalingParams:
-        """Exact spectral interval of ``l_op``, read off the sectors of H.
+        """Exact spectral interval of the block Liouvillian, read off the sectors of H.
 
         On the block of pair (a, b), ``L`` maps ``X`` to ``H_a X - X H_b``,
         where ``H_a`` is H on component a, so its eigenvalues are
-        ``lambda_i(H_a) - lambda_j(H_b)``. ``eigvalsh`` on each sector of a
-        pair (the diagonal entry for a single state) gives the exact
-        extremes. The interval is padded outward by ``SECTOR_PAD`` times its
-        largest endpoint modulus, which covers ``eigvalsh`` roundoff and the
-        rounding of the rescaled entries ``L/D - S/D``, plus
+        ``lambda_i(H_a) - lambda_j(H_b)``. ``eigvalsh`` on each block of
+        :attr:`sector_stacks` (the diagonal entry for a single state) gives
+        the exact extremes. The interval is padded outward by ``SECTOR_PAD``
+        times its largest endpoint modulus, which covers ``eigvalsh``
+        roundoff and the rounding of the rescaled entries ``L/D - S/D``, plus
         ``INFLATION_FLOOR``, which keeps the half-width positive when the
         spectrum is a single point.
         """
-        h = self.hamiltonian.csr
-        order, bounds, rank = _sectors(self.components)
-        size = np.diff(bounds)
-        low = np.array(h.diagonal().real)
-        high = low.copy()
-        for c in np.unique(self.pairs):
-            if size[c] > 1:
-                # H only links states of one component: the rows of c's
-                # states hold its whole sector
-                k, col, val = _row_entries(h, order[bounds[c]:bounds[c + 1]])
-                block = np.zeros((size[c], size[c]), dtype=h.dtype)
-                block[k, rank[col]] = val
+        low = np.empty(self.components.shape[0])
+        high = np.empty_like(low)
+        for m, (labels, blocks) in self.sector_stacks.items():
+            if m == 1:
+                low[labels] = high[labels] = blocks[:, 0, 0].real
+                continue
+            for c, block in zip(labels, blocks):
                 ev = scipy.linalg.eigvalsh(block if np.any(block.imag) else block.real,
                                            check_finite=False)
                 low[c], high[c] = ev[0], ev[-1]
@@ -439,13 +565,17 @@ class TraceSystem:
 
 
 def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
-    """Build H, the initial state and the named observables, and keep their trace block."""
+    """Build H, the initial state and the named observables, and keep their trace block.
+
+    No Liouvillian is built here: :class:`TraceSystem` builds the form an
+    engine asks for on first use.
+    """
     h = build_hamiltonian(spec)
     rho0 = initial_state(spec.n)
     labels, w_rows = normalize_observables(
         {name: observable_by_name(name, spec.n) for name in names}, spec.liouville_dim)
     components, pairs = _kept_pairs(h, rho0, w_rows)
     index = _block_index(components, pairs)
-    return TraceSystem(l_op=build_liouvillian(h, (components, pairs)), rho0=rho0[index],
+    return TraceSystem(rho0=rho0[index],
                        observables={label: w[index] for label, w in zip(labels, w_rows)},
                        hamiltonian=h, components=components, pairs=pairs)

@@ -6,10 +6,23 @@ import textwrap
 import numpy as np
 import pytest
 
-from qexpect import ConfigError, dec_evaluate_grid, load_series, matvec_counter
+import qexpect.spinsys as spinsys
+from qexpect import (
+    ConfigError,
+    build_hamiltonian,
+    build_liouvillian,
+    dec_evaluate_grid,
+    initial_state,
+    load_series,
+    matvec_counter,
+    normalize_observables,
+    observable_by_name,
+    trace_block,
+)
 from qexpect.cli import (
     RunConfig,
     benchmark,
+    benchmark_spec,
     main,
     parse_config,
     read_trace_csv,
@@ -490,3 +503,48 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err
     assert _BAD_CASE_MESSAGES.get(case, "") in err
+
+
+def _refuse_block_csr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Liouvillian CSR was built")
+
+    monkeypatch.setattr(spinsys, "build_liouvillian", refuse)
+
+
+def test_dec_never_builds_a_liouvillian_csr(tmp_path, monkeypatch):
+    _refuse_block_csr(monkeypatch)
+    for names in (("ip",), ("ip", "ip:0"), ("ix",)):
+        cfg = RunConfig(system=benchmark_spec(5), engine="dec", dt=0.1, steps=100,
+                        observables=names)
+        assert run_simulation(cfg).metadata["block_dim"] > 0
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(steps="100"))
+    assert main(["dec-precompute", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "series.decs")]) == 0
+
+
+def test_benchmark_builds_no_block_csr_past_the_oracle_cap(monkeypatch):
+    # 9 spins: the `ip` block has 43758 coordinates, past the default cap of
+    # 1024, so neither the reference nor the `dec` run needs the CSR
+    _refuse_block_csr(monkeypatch)
+    rows = benchmark([9], ["dec"], steps=5, stream=io.StringIO())
+    assert [(row.engine, row.status, row.max_err) for row in rows] == [("dec", "ok", None)]
+    assert rows[0].detail.startswith("n_orders=")
+
+
+@pytest.mark.parametrize("engine", ["cheb", "krylov", "zte", "oracle"])
+def test_csr_engines_run_on_the_restricted_full_operator(monkeypatch, engine):
+    # the block CSR these engines get, built on first use, gives bitwise the
+    # trace of the full Liouvillian restricted to the trace block
+    spec, names = benchmark_spec(4), ("ip", "ix")
+    cfg = RunConfig(system=spec, engine=engine, dt=0.1, steps=40, observables=names)
+    built = run_simulation(cfg)
+    h = build_hamiltonian(spec)
+    _, w_rows = normalize_observables({name: observable_by_name(name, 4) for name in names},
+                                      spec.liouville_dim)
+    restricted = build_liouvillian(h).restrict(trace_block(h, initial_state(4), w_rows))
+    monkeypatch.setattr(spinsys.TraceSystem, "l_op", property(lambda self: restricted))
+    direct = run_simulation(cfg)
+    assert np.array_equal(built.values, direct.values)
+    assert built.metadata["matvecs"] == direct.metadata["matvecs"]

@@ -548,3 +548,47 @@ def test_doubled_and_plain_sweeps_agree_on_the_block():
     _, w_rows = normalize_observables(system.observables, system.l_op.nrows)
     bound = 1e-13 * np.linalg.norm(w_rows[0]) * np.linalg.norm(system.rho0)
     assert np.max(np.abs(doubled.tilde[0] - plain.tilde[0])) <= bound
+
+
+def _split_chain(n):
+    """``benchmark_spec(n)`` with the couplings between its two halves removed:
+    many sectors, and blocks of many shapes."""
+    spec = benchmark_spec(n)
+    j = spec.j_coupling.copy()
+    j[: n // 2, n // 2 :] = j[n // 2 :, : n // 2] = 0.0
+    return SpinSystemSpec(n=n, omega0=spec.omega0, j_coupling=j)
+
+
+@pytest.mark.parametrize(("names", "doubled"), [(("ip",), True), (("ip", "iz"), True),
+                                                (("ip", "ip:0"), False), (("ix",), False)])
+@pytest.mark.parametrize("spec", [benchmark_spec(6), _split_chain(6)], ids=["chain", "split"])
+def test_sector_sweep_matches_the_csr_sweep(spec, names, doubled):
+    # with the same interval the sector operator and the block CSR store the
+    # same orders at the same matvec count, and agree to roundoff
+    system = assemble(spec, names)
+    scaling = system.spectral_interval()
+
+    def sweep(l_op):
+        before = matvec_counter.count
+        series = dec_precompute(l_op, system.rho0, system.observables, tau=100.0,
+                                scaling=scaling)
+        return series, matvec_counter.count - before
+
+    sectors, sector_matvecs = sweep(system.sector_op)
+    csr, csr_matvecs = sweep(system.l_op)
+    assert sectors.n_orders == csr.n_orders
+    assert sector_matvecs == csr_matvecs == (csr.n_orders // 2 if doubled
+                                             else csr.n_orders - 1)
+    times = np.linspace(0.0, 100.0, 1001)
+    f, g = dec_evaluate_grid(sectors, times).values, dec_evaluate_grid(csr, times).values
+    assert np.all(np.max(np.abs(f - g), axis=1) <= 1e-13 * np.max(np.abs(g), axis=1))
+
+
+@pytest.mark.parametrize("names", [("ip",), ("ip", "ip:0")])
+def test_too_narrow_interval_raises_on_the_sector_operator(names):
+    system = assemble(benchmark_spec(5), names)
+    exact = system.spectral_interval()
+    narrow = ScalingParams.from_bounds(exact.S + 0.5 * exact.D, exact.S - 0.5 * exact.D)
+    with pytest.raises(NumericalError, match="diverged"):
+        dec_precompute(system.sector_op, system.rho0, system.observables, tau=100.0,
+                       scaling=narrow)

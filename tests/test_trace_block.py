@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qexpect import (
     NumericalError,
+    SparseMatrix,
     SpinSystemSpec,
     build_hamiltonian,
     build_liouvillian,
@@ -15,9 +16,12 @@ from qexpect import (
     normalize_observables,
     observable_by_name,
     oracle_expect,
+    rescale,
+    spmv,
 )
 from qexpect.cli import RunConfig, benchmark_spec, run_simulation
-from qexpect.spectral import INFLATION_FLOOR
+from qexpect.dec import _is_symmetric
+from qexpect.spectral import INFLATION_FLOOR, _rescale_real
 from qexpect.spinsys import SECTOR_PAD, TraceSystem, assemble, hilbert_components, trace_block
 
 from conftest import random_spin_spec, same_csr
@@ -199,3 +203,87 @@ def test_engines_that_do_not_rescale_skip_the_sector_interval(monkeypatch, engin
 
     monkeypatch.setattr(TraceSystem, "spectral_interval", refuse)
     run_simulation(RunConfig(system=benchmark_spec(3), engine=engine, dt=0.1, steps=5))
+
+
+_SECTOR_SETS = (("ip",), ("ip", "ip:0"), ("ix",), ("iz",), ("iy", "ix:1"))
+
+
+@st.composite
+def _sector_problems(draw):
+    """Systems with many small sectors: couplings that vanish, and Larmor
+    frequencies that vanish or coincide. ``variant`` perturbs one stored
+    off-diagonal entry of a kept sector: by one ulp, which breaks the
+    symmetry, or by a Hermitian pair of imaginary parts."""
+    n = draw(st.integers(1, 6))
+    shared = draw(st.floats(0.5, 2.5))
+    omega0 = draw(st.lists(st.one_of(st.just(0.0), st.just(shared), st.floats(0.5, 2.5)),
+                           min_size=n, max_size=n))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(_COUPLING)
+    names = draw(st.sampled_from([s for s in _SECTOR_SETS if n > 1 or "ix:1" not in s]))
+    variant = draw(st.sampled_from(["as built", "one ulp off", "complex"]))
+    spec = SpinSystemSpec(n=n, omega0=np.array(omega0), j_coupling=j)
+    return spec, names, variant, draw(st.integers(0, 2**32 - 1))
+
+
+def _perturbed(system, variant):
+    """``system`` with one off-diagonal entry of a kept sector of H changed."""
+    csr = system.hamiltonian.csr.copy()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    kept = np.isin(system.components[rows], system.pairs)
+    off = np.flatnonzero(kept & (csr.indices != rows))
+    if variant == "as built" or off.size == 0:
+        return system
+    k = off[0]
+    if variant == "one ulp off":
+        csr.data[k] = np.nextafter(csr.data[k].real, np.inf)
+    else:
+        twin = np.flatnonzero((rows == csr.indices[k]) & (csr.indices == rows[k]))[0]
+        csr.data[k] += 0.25j
+        csr.data[twin] -= 0.25j
+    return TraceSystem(rho0=system.rho0, observables=system.observables,
+                       hamiltonian=SparseMatrix(csr), components=system.components,
+                       pairs=system.pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sector_problems())
+def test_sector_operator_equals_the_block_csr(problem):
+    """The sector operator, plain and rescaled, equals the block CSR of
+    ``build_liouvillian``, ``rescale`` and ``_rescale_real`` on random
+    vectors, to 1e-14 of the operator's scale, and its flags are the CSR's
+    exact checks."""
+    spec, names, variant, seed = problem
+    system = _perturbed(assemble(spec, names), variant)
+    l_op = build_liouvillian(system.hamiltonian, (system.components, system.pairs))
+    op = system.sector_op
+    assert op.nrows == op.ncols == l_op.nrows == system.block_dim
+    assert op.real == (not np.any(l_op.values.imag))
+    assert op.symmetric == _is_symmetric(l_op)
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.nrows) + 1j * rng.standard_normal(op.nrows)
+    y = rng.standard_normal(op.nrows)
+    norm = abs(l_op.csr).sum(axis=1).max()  # infinity norm of L
+
+    def close(a, b, scale, v):
+        product = spmv(a, v)
+        assert product.dtype == (np.float64 if a.real and v.dtype == np.float64
+                                 else np.complex128)
+        assert np.max(np.abs(product - spmv(b, v))) <= 1e-14 * scale * np.max(np.abs(v))
+
+    close(op, l_op, norm, x)
+    close(op, l_op, norm, y if op.real else x)
+    scaling = system.spectral_interval()
+    rescaled = op.rescale(scaling)
+    assert (rescaled.real, rescaled.symmetric) == (op.real, op.symmetric)
+    scale = (norm + abs(scaling.S)) / scaling.D
+    close(rescaled, rescale(l_op, scaling), scale, x)
+    if op.real:
+        real = _rescale_real(l_op, scaling)
+        # rounding L/D can make a one-ulp asymmetry vanish from the rescaled
+        # CSR; the flag keeps H's exact answer, which only costs the plain sweep
+        assert _is_symmetric(real) or not rescaled.symmetric
+        close(rescaled, real, scale, y)
