@@ -10,11 +10,9 @@ dense eigendecomposition reference.
 __version__ = "0.1.0"
 
 from .chebyshev import (
-    ChebCoefficients,
     bessel_sequence,
     cheb_step_propagate,
-    clenshaw_apply,
-    coefficients,
+    chebyshev_series,
     error_bound,
     scalar_coefficients,
     stop_order,

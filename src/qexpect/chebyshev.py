@@ -6,25 +6,27 @@ The exponential of a Hermitian operator with spectrum in [-1, 1] obeys
 
 so applying ``exp(-i*L*t)`` reduces to Bessel coefficients plus a Chebyshev
 recurrence in the rescaled operator. This module generates the coefficients,
-picks truncation orders, evaluates the polynomial acting on a vector via the
-Clenshaw recurrence, and provides the step-wise propagation engine.
+picks truncation orders, runs the one vector recurrence
+``T_{k+1}(L_s) v = 2 L_s T_k(L_s) v - T_{k-1}(L_s) v`` of the package, sums a
+polynomial acting on a vector from it, and provides the step-wise
+propagation engine. The direct series of :mod:`qexpect.dec` sweeps the same
+recurrence.
 
 Every Bessel value comes from one kernel, a backward (Miller) recurrence
 over the orders at one time: :func:`bessel_sequence` and
 :func:`scalar_coefficients` return its column. Every truncation order
-comes from one scan over that column, shared by :func:`stop_order` and
-:func:`coefficients`; the latter takes its values from the column the scan
-read. A stored series is evaluated on a grid without Bessel values at all,
-through its Chebyshev-Gauss line list (:mod:`qexpect.dec`).
+comes from one scan over that column, :func:`stop_order`. A stored series
+is evaluated on a grid without Bessel values at all, through its
+Chebyshev-Gauss line list (:mod:`qexpect.dec`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceError
 from .sparse import SparseMatrix, spmv
 from .spectral import ScalingParams, rescale
 from .trace import (
@@ -34,16 +36,19 @@ from .trace import (
 __all__ = [
     "bessel_sequence",
     "scalar_coefficients",
-    "ChebCoefficients",
-    "coefficients",
     "stop_order",
     "error_bound",
-    "clenshaw_apply",
+    "chebyshev_series",
     "cheb_step_propagate",
 ]
 
 # Powers of (-i): coefficient k carries _PHASES[k % 4].
 _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+#: Rescaled times from this one on need a Bessel column (the orders above
+#: the time, a third more for the guess and a tenth for the buffer, 8 bytes
+#: each) larger than an array can address.
+_MAX_TIME = np.iinfo(np.intp).max // 16
 
 
 def _bessel_column(t: float, n_max: int) -> np.ndarray:
@@ -129,21 +134,34 @@ def _coefficient_factors(n: int) -> np.ndarray:
     return factors
 
 
-def _scan_one(t_scaled: float, eps: float):
-    """Stopping order at one time, with the Bessel column it was read from.
+def stop_order(t_scaled: float, eps: float) -> int:
+    """Truncation order for the coefficient series at one rescaled time.
 
-    Returns ``(n_stop, j)`` where ``j[k] = J_k(t_scaled)`` for every k up to
-    at least ``n_stop``. The stopping order is the first ``n > t`` (and
-    ``n >= 2``) with ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``, and 1 at
-    ``t = 0``. The column is sized by the a-priori order guess; without a
-    hit in it, it is run again through the same recurrence with a window
-    widened by half.
+    Returns the smallest ``n > t_scaled`` (and ``n >= 2``) with
+    ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``, and 1 at ``t_scaled = 0``, where
+    ``c_0`` alone is exact. The search starts above ``t_scaled`` because
+    below it the coefficients oscillate without decaying and any rule can
+    trigger spuriously; starting in the decay region also makes the order
+    monotone in ``t_scaled``, which the direct expectation series relies on.
+    The rule tests two coefficients because one alone can vanish at a zero
+    of its Bessel function long before the expansion converges, silently
+    truncating an O(1) tail.
+
+    The scan reads one Bessel column sized by the a-priori order guess;
+    without a hit in it, it is run again through the same recurrence with a
+    window widened by half. Raises :class:`ResourceError`, before anything
+    is allocated, when ``t_scaled`` is not finite or its column would hold
+    more orders than an array can address.
     """
     if t_scaled < 0:
         raise ValueError("t_scaled must be non-negative")
     if not EPS_MIN <= eps < 1.0:
         raise ValueError(f"eps must lie in [{EPS_MIN}, 1)")
     t = float(t_scaled)
+    if not t < _MAX_TIME:  # inf and NaN included
+        raise ResourceError(
+            f"no expansion order that an array can address reaches the rescaled time {t}"
+        )
     first = max(math.ceil(t) + 1, 2)
     cap = max(_order_guess(t, eps), first) + 8
     while True:
@@ -152,24 +170,8 @@ def _scan_one(t_scaled: float, eps: float):
         # eps is this one on J against eps/2
         hit = np.flatnonzero(np.hypot(j[first - 1 : -1], j[first:]) < 0.5 * eps)
         if hit.size:
-            # c_0 alone is exact at t = 0
-            return (first + int(hit[0]) if t > 0.0 else 1), j
+            return first + int(hit[0]) if t > 0.0 else 1
         cap = math.ceil(cap * 1.5) + 8
-
-
-def stop_order(t_scaled: float, eps: float) -> int:
-    """Truncation order for the coefficient series at one rescaled time.
-
-    Returns the smallest ``n > t_scaled`` with
-    ``sqrt(|c_{n-1}|^2 + |c_n|^2) < eps``. The search starts above
-    ``t_scaled`` because below it the coefficients oscillate without
-    decaying and any rule can trigger spuriously; starting in the decay
-    region also makes the order monotone in ``t_scaled``, which the direct
-    expectation series relies on. The rule tests two coefficients because
-    one alone can vanish at a zero of its Bessel function long before the
-    expansion converges, silently truncating an O(1) tail.
-    """
-    return _scan_one(t_scaled, eps)[0]
 
 
 def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
@@ -177,38 +179,28 @@ def scalar_coefficients(t_scaled: float, n: int) -> np.ndarray:
     return bessel_sequence(t_scaled, n) * _coefficient_factors(n)
 
 
-@dataclass(frozen=True)
-class ChebCoefficients:
-    """Expansion coefficients ``c_0 .. c_n`` for one rescaled time.
+def _chebyshev_vectors(l_s, v: np.ndarray, n_products: int):
+    """Yield ``(T_{k-1}(L_s) v, T_k(L_s) v)`` for ``k = 0 .. n_products``.
 
-    From :func:`coefficients`, ``values[k] = (2 - delta_k0) * (-i)^k *
-    J_k(t_scaled)`` with the final pair below ``eps`` in the two-coefficient
-    sense; :func:`clenshaw_apply` takes any ``values``.
+    ``T_{-1}`` is ``None``. ``T_{k+1} = 2 L_s T_k - T_{k-1}`` costs one
+    :func:`spmv` per step, and three vectors are alive at a time.
     """
-
-    values: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.values.shape[0] - 1
-
-
-def coefficients(t_scaled: float, eps: float = DEFAULT_EPS) -> ChebCoefficients:
-    """Generate coefficients through the stopping order for ``t_scaled``.
-
-    The values come from the Bessel column the stopping order was read from.
-    """
-    n, j = _scan_one(t_scaled, eps)
-    values = j[: n + 1] * _coefficient_factors(n)
-    values.flags.writeable = False
-    return ChebCoefficients(values)
+    prev, cur = None, v
+    yield prev, cur
+    for _ in range(n_products):
+        nxt = spmv(l_s, cur)
+        if prev is not None:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
+        yield prev, cur
 
 
-def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_k c_k T_k(L_s) v`` by the Clenshaw backward recurrence.
+def chebyshev_series(l_s, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``c_0 v + sum_{k>=1} c_k T_k(L_s) v``, summed as the recurrence yields ``T_k v``.
 
     Never forms the polynomials: degree n costs n matvecs, one per order
-    above zero. Closure is the first-kind one, ``c_0 v + L_s b_1 - b_2``.
+    above zero.
     """
     v = np.asarray(v, dtype=np.complex128)
     if l_s.ncols != v.shape[0]:
@@ -216,24 +208,11 @@ def clenshaw_apply(l_s: SparseMatrix, coeffs: ChebCoefficients, v: np.ndarray) -
             f"dimension mismatch: operator is {l_s.nrows}x{l_s.ncols}, "
             f"vector has length {v.shape[0]}"
         )
-    c = coeffs.values
-    n = c.shape[0] - 1
-    if n == 0:
-        return c[0] * v
-    b1 = c[n] * v  # b_{n+1} = b_{n+2} = 0
-    b2 = np.zeros_like(v)
-    # in place, b_k = 2 L_s b_{k+1} + c_k v - b_{k+2}: addition commutes, so
-    # the rounding matches the written-out sum term for term
-    for k in range(n - 1, 0, -1):
-        t = spmv(l_s, b1)
-        t *= 2.0
-        t += c[k] * v
-        t -= b2
-        b1, b2 = t, b1
-    t = spmv(l_s, b1)
-    t += c[0] * v
-    t -= b2
-    return t
+    vectors = _chebyshev_vectors(l_s, v, c.shape[0] - 1)
+    total = c[0] * next(vectors)[1]
+    for c_k, (_, t_k) in zip(c[1:], vectors):
+        total += c_k * t_k
+    return total
 
 
 def cheb_step_propagate(
@@ -247,8 +226,9 @@ def cheb_step_propagate(
 ) -> ExpectationTrace:
     """Fixed-polynomial stepping: ``rho_{n+1} = e^{-i*dt*S} P(dt*D)(L_s) rho_n``.
 
-    One coefficient set serves every step since the Hamiltonian is constant;
-    expectations are recorded at t = 0 and after each of the ``steps`` steps.
+    One coefficient set, through the stopping order for ``dt*D``, serves
+    every step since the Hamiltonian is constant; expectations are recorded
+    at t = 0 and after each of the ``steps`` steps.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -257,9 +237,10 @@ def cheb_step_propagate(
     labels, w_rows = normalize_observables(observables, l_op.nrows)
 
     run = RunRecord("cheb", eps=eps)
+    order = stop_order(dt * scaling.D, eps)
+    c = scalar_coefficients(dt * scaling.D, order)
     l_s = rescale(l_op, scaling)
-    coeffs = coefficients(dt * scaling.D, eps)
     phase = np.exp(-1j * dt * scaling.S)
-    values = record_steps(lambda rho: phase * clenshaw_apply(l_s, coeffs, rho),
+    values = record_steps(lambda rho: phase * chebyshev_series(l_s, c, rho),
                           rho0, w_rows, steps)
-    return run.close(dt * np.arange(steps + 1), labels, values, order=coeffs.n_max)
+    return run.close(dt * np.arange(steps + 1), labels, values, order=order)

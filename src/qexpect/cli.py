@@ -79,13 +79,16 @@ class RunConfig:
             raise ConfigError("[run] dt must be positive")
         if self.steps < 1:
             raise ConfigError("[run] steps must be at least 1")
+        try:
+            end = self.steps * self.dt
+        except OverflowError:  # a step count past the float range
+            end = math.inf
+        if not math.isfinite(end):
+            raise ConfigError(f"[run] the grid end steps*dt = {self.steps}*{self.dt} is not finite")
         if not EPS_MIN <= self.eps < 1.0:
             raise ConfigError(f"[run] eps must lie in [{EPS_MIN}, 1)")
-        if self.tau is not None and self.tau < self.steps * self.dt:
-            raise ConfigError(
-                f"[run] tau={self.tau} is shorter than the grid end "
-                f"steps*dt={self.steps * self.dt}"
-            )
+        if self.tau is not None and self.tau < end:
+            raise ConfigError(f"[run] tau={self.tau} is shorter than the grid end steps*dt={end}")
         if self.xi < 0:
             raise ConfigError("[zte] xi must be non-negative")
         if self.m_max < 1:

@@ -35,9 +35,9 @@ import math
 
 import numpy as np
 
-from .chebyshev import scalar_coefficients, stop_order
+from .chebyshev import _chebyshev_vectors, scalar_coefficients, stop_order
 from .errors import ConfigError, NumericalError
-from .sparse import SparseMatrix, spmv
+from .sparse import SparseMatrix
 from .spectral import ScalingParams, _rescale_real, extreme_eigs, rescale
 from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
 
@@ -116,6 +116,8 @@ def dec_precompute(
     observable per order. Orders ``0 .. n-1`` are stored where ``n`` is the
     stopping order for ``tau``; that costs ``n - 1`` matvecs (half that on
     the doubled sweep below), and only three state vectors are ever alive.
+    Both sweeps run the recurrence of :mod:`qexpect.chebyshev`, the one that
+    :func:`qexpect.chebyshev.chebyshev_series` sums for the ``cheb`` stepper.
 
     The operator: ``l_op`` is a :class:`SparseMatrix`, or the
     :class:`qexpect.spinsys.SectorOperator` of a trace block, which
@@ -227,23 +229,6 @@ def dec_precompute(
         labels=labels,
         tilde=tilde,
     )
-
-
-def _chebyshev_vectors(l_s, v: np.ndarray, n_products: int):
-    """Yield ``(T_{k-1}(L_s) v, T_k(L_s) v)`` for ``k = 0 .. n_products``.
-
-    ``T_{-1}`` is ``None``. ``T_{k+1} = 2 L_s T_k - T_{k-1}`` costs one
-    :func:`spmv` per step, and three vectors are alive at a time.
-    """
-    prev, cur = None, v
-    yield prev, cur
-    for _ in range(n_products):
-        nxt = spmv(l_s, cur)
-        if prev is not None:
-            nxt *= 2.0
-            nxt -= prev
-        prev, cur = cur, nxt
-        yield prev, cur
 
 
 def _proportionality(w_rows: np.ndarray, y: np.ndarray):

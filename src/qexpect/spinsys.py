@@ -15,7 +15,8 @@ suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -505,34 +506,25 @@ class TraceSystem:
     hamiltonian: SparseMatrix
     components: np.ndarray
     pairs: np.ndarray
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _once(self, name: str, build):
-        if name not in self._built:
-            self._built[name] = build()
-        return self._built[name]
 
     @property
     def block_dim(self) -> int:
         return self.rho0.shape[0]
 
-    @property
+    @cached_property
     def l_op(self) -> SparseMatrix:
         """The block Liouvillian as a CSR, ``build_liouvillian(h, (components, pairs))``."""
-        return self._once("l_op", lambda: build_liouvillian(self.hamiltonian,
-                                                            (self.components, self.pairs)))
+        return build_liouvillian(self.hamiltonian, (self.components, self.pairs))
 
-    @property
+    @cached_property
     def sector_stacks(self) -> dict:
         """H on every kept sector, dense, as :func:`_sector_stacks` returns it."""
-        return self._once("sector_stacks", lambda: _sector_stacks(
-            self.hamiltonian, self.components, np.unique(self.pairs)))
+        return _sector_stacks(self.hamiltonian, self.components, np.unique(self.pairs))
 
-    @property
+    @cached_property
     def sector_op(self) -> SectorOperator:
         """The block Liouvillian as a :class:`SectorOperator` on :attr:`sector_stacks`."""
-        return self._once("sector_op", lambda: SectorOperator.from_sectors(
-            self.sector_stacks, self.pairs))
+        return SectorOperator.from_sectors(self.sector_stacks, self.pairs)
 
     def spectral_interval(self) -> ScalingParams:
         """Exact spectral interval of the block Liouvillian, read off the sectors of H.

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpect import (
+    ResourceError,
     SparseMatrix,
     SpinSystemSpec,
     bessel_sequence,
     build_hamiltonian,
     build_liouvillian,
     cheb_step_propagate,
-    clenshaw_apply,
-    coefficients,
+    chebyshev_series,
     error_bound,
     extreme_eigs,
     initial_state,
@@ -170,51 +170,44 @@ def _direct_sum(a, c, v):
 
 def test_clenshaw_constant_term(rng):
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    coeffs = coefficients(0.0, 1e-7)
-    out = clenshaw_apply(SparseMatrix.identity(6), coeffs, v)
-    assert np.allclose(out, coeffs.values[0] * v)
+    c = scalar_coefficients(0.0, stop_order(0.0, 1e-7))
+    out = chebyshev_series(SparseMatrix.identity(6), c, v)
+    assert np.allclose(out, c[0] * v)
 
 
 def test_clenshaw_pure_first_order(rng):
-    from qexpect.chebyshev import ChebCoefficients
-
     a = SparseMatrix.from_dense(random_hermitian(5, rng))
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    coeffs = ChebCoefficients(np.array([0.0, 1.0 + 0j]))
-    assert np.allclose(clenshaw_apply(a, coeffs, v), a.to_dense() @ v, atol=1e-14)
+    c = np.array([0.0, 1.0 + 0j])
+    assert np.allclose(chebyshev_series(a, c, v), a.to_dense() @ v, atol=1e-14)
 
 
 def test_clenshaw_matches_direct_summation(rng):
-    from qexpect.chebyshev import ChebCoefficients
-
     a_dense = random_hermitian(16, rng)
     a_dense /= np.linalg.norm(np.linalg.eigvalsh(a_dense), np.inf)
     a = SparseMatrix.from_dense(a_dense)
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     for order in (10, 33, 64):
         c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
-        coeffs = ChebCoefficients(c)
         direct = _direct_sum(a, c, v)
-        clenshaw = clenshaw_apply(a, coeffs, v)
-        assert np.linalg.norm(clenshaw - direct) <= 1e-12 * np.linalg.norm(direct)
+        series = chebyshev_series(a, c, v)
+        assert np.linalg.norm(series - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_clenshaw_costs_one_matvec_per_order_above_zero(rng):
-    from qexpect.chebyshev import ChebCoefficients
-
     a = SparseMatrix.from_dense(random_hermitian(6, rng))
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for order in (0, 1, 2, 7):
-        coeffs = ChebCoefficients(rng.standard_normal(order + 1) + 0j)
+        c = rng.standard_normal(order + 1) + 0j
         before = matvec_counter.count
-        clenshaw_apply(a, coeffs, v)
+        chebyshev_series(a, c, v)
         assert matvec_counter.count - before == order
 
 
 def test_clenshaw_dimension_mismatch(rng):
-    coeffs = coefficients(1.0, 1e-7)
+    c = scalar_coefficients(1.0, stop_order(1.0, 1e-7))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        clenshaw_apply(SparseMatrix.identity(4), coeffs, np.ones(5))
+        chebyshev_series(SparseMatrix.identity(4), c, np.ones(5))
 
 
 def test_step_propagation_zero_operator():
@@ -247,13 +240,13 @@ def test_step_propagation_preserves_norm():
     scaling = extreme_eigs(l_op)
     eps = 1e-7
     l_s = rescale(l_op, scaling)
-    coeffs = coefficients(0.1 * scaling.D, eps)
+    c = scalar_coefficients(0.1 * scaling.D, stop_order(0.1 * scaling.D, eps))
     phase = np.exp(-1j * 0.1 * scaling.S)
     rho = initial_state(2)
     norm0 = np.linalg.norm(rho)
     steps = 200
     for _ in range(steps):
-        rho = phase * clenshaw_apply(l_s, coeffs, rho)
+        rho = phase * chebyshev_series(l_s, c, rho)
     assert abs(np.linalg.norm(rho) - norm0) <= steps * eps
 
 
@@ -276,20 +269,10 @@ def test_single_coefficient_rule_misfires_at_bessel_zero():
 def test_coefficients_terminal_pair_below_eps():
     eps = 1e-7
     for t in (0.5, 3.7, 12.0):
-        co = coefficients(t, eps)
-        c = np.abs(co.values)
+        n = stop_order(t, eps)
+        c = np.abs(scalar_coefficients(t, n))
         assert math.hypot(c[-2], c[-1]) < eps
-        assert co.n_max > t
-
-
-@pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-10])
-def test_coefficients_match_the_scalar_path(eps):
-    # the values are read from the stopping scan's own Bessel column
-    for t in np.concatenate([[0.0, 1e-9, 0.3], np.geomspace(1.0, 1480.0, 25)]):
-        values = coefficients(t, eps).values
-        ref = scalar_coefficients(t, stop_order(t, eps))
-        assert values.shape == ref.shape
-        assert np.max(np.abs(values - ref)) <= 1e-13
+        assert n > t
 
 
 def test_stop_scan_widens_a_too_small_window(monkeypatch):
@@ -300,13 +283,23 @@ def test_stop_scan_widens_a_too_small_window(monkeypatch):
     eps = 1e-7
     times = [0.0, 1e-9, 0.3, 7.7, 61.5, 140.0]
     orders = [stop_order(t, eps) for t in times]
-    expected = [coefficients(t, eps).values for t in times]
     monkeypatch.setattr(cheb, "_order_guess", lambda t, eps: 2)
     assert [stop_order(t, eps) for t in times] == orders
-    for t, ref in zip(times, expected):
-        values = coefficients(t, eps).values
-        assert values.shape == ref.shape
-        assert np.max(np.abs(values - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e20])
+def test_stop_order_past_any_array_raises_resource_error(monkeypatch, t):
+    # no expansion order reaches an infinite or NaN time, and the one for
+    # 1e20 is more than an array can index: each fails before the column is
+    # allocated
+    import qexpect.chebyshev as cheb
+
+    def no_column(t, n_max):
+        raise AssertionError("the Bessel column was allocated")
+
+    monkeypatch.setattr(cheb, "_bessel_column", no_column)
+    with pytest.raises(ResourceError):
+        stop_order(t, 1e-7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,8 +308,8 @@ def test_stop_scan_widens_a_too_small_window(monkeypatch):
 def test_stop_order_is_the_first_passing_pair(t, eps):
     # the terminal pair passes, and no earlier pair from the first order
     # above t does
-    c = np.abs(coefficients(t, eps).values)
-    n = c.shape[0] - 1
+    n = stop_order(t, eps)
+    c = np.abs(scalar_coefficients(t, n))
     if t == 0.0:
         assert n == 1
         return

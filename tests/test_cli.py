@@ -299,6 +299,15 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["dec", "cheb"])
+def test_exit_code_horizon_past_any_expansion_order(tmp_path, capsys, engine):
+    # dt * D = 4.9e22 needs more expansion orders than an array can index
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(make_config(engine=engine, dt="1e20", steps="1"))
+    assert main(["simulate", "--config", str(cfg)]) == 4
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch):
     import qexpect.cli as cli
 
@@ -417,6 +426,10 @@ _BAD_CONFIGS = {
     "no_observables": make_config(extra_run="observables ="),
     # eps/2 rounds to 0 below the smallest normal double: the stop test never passes
     "tiny_eps_config": make_config(extra_run="eps = 5e-324"),
+    # the grid end steps * dt overflows to inf
+    "huge_horizon_config": make_config(dt="1e308", steps="10"),
+    # a step count past the float range
+    "huge_steps_config": make_config(steps="1" + "0" * 400),
     # 4**32 overflows a 64-bit index
     "too_many_spins_config": make_config(
         n=32, larmor_hz=" ".join(["100"] * 32),
