@@ -269,9 +269,11 @@ def read_trace_csv(path) -> ExpectationTrace:
     if header[0] != "t" or (len(header) - 1) % 2 != 0 or data.shape[1] != len(header):
         raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
     labels = tuple(col[3:] for col in header[1::2])
-    times = data[:, 0]
     values = data[:, 1::2] + 1j * data[:, 2::2]
-    return ExpectationTrace(times=times, labels=labels, values=values.T)
+    try:
+        return ExpectationTrace(times=data[:, 0], labels=labels, values=values.T)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
@@ -282,8 +284,8 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
     ``S_k = sum_n f(t_n) exp(+2*pi*i*k*n/N)``; the positive-rotation kernel
     puts a signal at angular frequency ``+omega`` into the bin nearest
     ``omega / 2*pi``. Frequency axis is ``f_k = k / (N * dt)`` in cycles per
-    time unit (Hz for seconds). Requires a uniform grid and a finite
-    ``xi_apo``.
+    time unit (Hz for seconds). Requires a uniform grid of increasing times
+    and a finite ``xi_apo``.
     """
     if not math.isfinite(xi_apo):
         raise ConfigError(f"xi_apo must be finite, got {xi_apo}")
@@ -293,11 +295,11 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise ConfigError("spectrum requires a uniform time grid")
+    if not dt > 0:
+        raise ConfigError(f"spectrum requires increasing times, got a grid step of {dt}")
     n = trace.n_times
     apod = np.exp(-xi_apo * trace.times)
-    amps = np.empty((len(trace.labels), n))
-    for q in range(len(trace.labels)):
-        amps[q] = np.abs(np.fft.ifft(trace.values[q] * apod) * n)
+    amps = np.abs(np.fft.ifft(trace.values * apod, axis=1) * n)
     freqs = np.arange(n) / (n * dt)
     return freqs, amps
 

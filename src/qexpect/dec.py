@@ -182,7 +182,7 @@ def dec_precompute(
 
     n_orders = stop_order(tau * scaling.D, eps)
     csr = isinstance(l_op, SparseMatrix)  # else a qexpect.spinsys.SectorOperator
-    real = not np.any(l_op.values.imag) if csr else l_op.real
+    real = not np.any(l_op.csr.data.imag) if csr else l_op.real
     # real sweep: rho0 = unit * y with y real, and then every T_k(L_s) y is real
     start, unit = rho0, None
     if real:

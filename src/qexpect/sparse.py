@@ -131,18 +131,6 @@ class SparseMatrix:
         return self._m.nnz
 
     @property
-    def row_offsets(self) -> np.ndarray:
-        return self._m.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._m.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._m.data
-
-    @property
     def csr(self) -> sp.csr_matrix:
         """Underlying scipy matrix (read-only buffers)."""
         return self._m

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 from .sparse import SparseMatrix
@@ -240,9 +239,8 @@ def hilbert_components(h: SparseMatrix) -> np.ndarray:
     component. Minimum-label propagation with pointer jumping over the
     stored entries.
     """
-    counts = np.diff(h.row_offsets)
-    rows = np.repeat(np.arange(h.nrows), counts)
-    cols = h.col_indices
+    rows = np.repeat(np.arange(h.nrows), np.diff(h.csr.indptr))
+    cols = h.csr.indices
     label = np.arange(h.nrows)
     while True:
         low = label.copy()
@@ -531,9 +529,9 @@ class TraceSystem:
 
         On the block of pair (a, b), ``L`` maps ``X`` to ``H_a X - X H_b``,
         where ``H_a`` is H on component a, so its eigenvalues are
-        ``lambda_i(H_a) - lambda_j(H_b)``. ``eigvalsh`` on each block of
-        :attr:`sector_stacks` (the diagonal entry for a single state) gives
-        the exact extremes. The interval is padded outward by ``SECTOR_PAD``
+        ``lambda_i(H_a) - lambda_j(H_b)``. One batched ``eigvalsh`` per
+        stack of :attr:`sector_stacks` (one per sector size) gives the exact
+        extremes. The interval is padded outward by ``SECTOR_PAD``
         times its largest endpoint modulus, which covers ``eigvalsh``
         roundoff and the rounding of the rescaled entries ``L/D - S/D``, plus
         ``INFLATION_FLOOR``, which keeps the half-width positive when the
@@ -541,14 +539,9 @@ class TraceSystem:
         """
         low = np.empty(self.components.shape[0])
         high = np.empty_like(low)
-        for m, (labels, blocks) in self.sector_stacks.items():
-            if m == 1:
-                low[labels] = high[labels] = blocks[:, 0, 0].real
-                continue
-            for c, block in zip(labels, blocks):
-                ev = scipy.linalg.eigvalsh(block if np.any(block.imag) else block.real,
-                                           check_finite=False)
-                low[c], high[c] = ev[0], ev[-1]
+        for labels, blocks in self.sector_stacks.values():
+            ev = np.linalg.eigvalsh(blocks)
+            low[labels], high[labels] = ev[:, 0], ev[:, -1]
         a, b = self.pairs[:, 0], self.pairs[:, 1]
         beta = float(np.min(low[a] - high[b]))
         alpha = float(np.max(high[a] - low[b]))

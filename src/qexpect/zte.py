@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ResourceError
 from .krylov import DEFAULT_M_MAX, krylov_propagate, krylov_step
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
@@ -85,12 +85,20 @@ def zte_detect(
 
     Each step is one adaptive Krylov step. The per-coordinate maximum is
     taken over the sampled steps only (t = 0 included), so bursts between
-    samples can be missed; that risk is inherent to the method.
+    samples can be missed; that risk is inherent to the method. Raises
+    :class:`ResourceError`, before the first step, when ``delta_t / dt``
+    steps are more than an integer index can count; a window that is long
+    but countable still runs, one step at a time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > delta_t:
         raise ValueError(f"dt={dt} exceeds the observation window delta_t={delta_t}")
+    if not delta_t / dt < np.iinfo(np.intp).max:  # inf included
+        raise ResourceError(
+            f"the observation window delta_t={delta_t} holds more steps of dt={dt} "
+            "than an integer index can count"
+        )
     window = RunRecord("zte")
     rho = np.asarray(rho0, dtype=np.complex128)
     max_mod = np.abs(rho)

@@ -61,6 +61,6 @@ def random_spin_spec(n, rng, f_range=(10.0, 500.0), j_range=(0.0, 20.0),
 
 def same_csr(a, b):
     """Bitwise equality of two SparseMatrix objects: offsets, indices and values."""
-    return (np.array_equal(a.row_offsets, b.row_offsets)
-            and np.array_equal(a.col_indices, b.col_indices)
-            and np.array_equal(a.values, b.values))
+    return (np.array_equal(a.csr.indptr, b.csr.indptr)
+            and np.array_equal(a.csr.indices, b.csr.indices)
+            and np.array_equal(a.csr.data, b.csr.data))

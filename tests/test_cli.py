@@ -200,11 +200,13 @@ def test_spectrum_zero_signal():
 
 
 def test_spectrum_requires_uniform_grid():
-    times = np.array([0.0, 0.1, 0.3])
-    trace = ExpectationTrace(times=times, labels=("ip",),
-                             values=np.zeros((1, 3), dtype=complex))
-    with pytest.raises(ConfigError, match="uniform"):
-        spectrum(trace)
+    # a zero or negative step is uniform too, but has no frequency axis
+    for times, message in [([0.0, 0.1, 0.3], "uniform"), ([0.0, 0.0, 0.0], "increasing"),
+                           ([0.2, 0.1, 0.0], "increasing")]:
+        trace = ExpectationTrace(times=times, labels=("ip",),
+                                 values=np.zeros((1, 3), dtype=complex))
+        with pytest.raises(ConfigError, match=message):
+            spectrum(trace)
 
 
 #: Metadata keys of a ``run_simulation`` trace: the common ones, then each
@@ -304,6 +306,17 @@ def test_exit_code_horizon_past_any_expansion_order(tmp_path, capsys, engine):
     # dt * D = 4.9e22 needs more expansion orders than an array can index
     cfg = tmp_path / "far.ini"
     cfg.write_text(make_config(engine=engine, dt="1e20", steps="1"))
+    assert main(["simulate", "--config", str(cfg)]) == 4
+    assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["5e-324", "1e-300"])
+def test_exit_code_zte_window_past_any_step_count(tmp_path, capsys, dt):
+    # the 1/100 s observation window holds infinitely many steps of 5e-324
+    # and about 1e298 of 1e-300: more than an integer index can count
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(make_config(n=3, larmor_hz="100 250 400", j_hz="\n  0 5 1\n  5 0 7\n  1 7 0",
+                               engine="zte", dt=dt))
     assert main(["simulate", "--config", str(cfg)]) == 4
     assert "resource limit" in capsys.readouterr().err
 
@@ -441,6 +454,7 @@ _BAD_CONFIGS = {
 _BAD_CASE_MESSAGES = {
     "too_many_spins_config": "spin count 32 lies outside 1..31",
     "benchmark_too_many_spins": "spin count 32 lies outside 1..31",
+    "nan_time_fid": "nan.csv: times must be finite",
 }
 
 #: ``qexpect benchmark`` arguments that leave the run unusable.
@@ -464,8 +478,8 @@ _BAD_BENCHMARKS = {
 
 @pytest.mark.parametrize(
     "case",
-    ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "past_tau",
-     "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
+    ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
+     "past_tau", "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
      "nan_xi_apo", *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
@@ -487,6 +501,9 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     elif case == "malformed_fid":
         (tmp_path / "bad.csv").write_text("t,re_ip,im_ip\n0,1,oops\n")
         args = ["spectrum", "--fid", str(tmp_path / "bad.csv")]
+    elif case == "nan_time_fid":
+        (tmp_path / "nan.csv").write_text("t,re_ip,im_ip\n0,1,0\nnan,0,1\n")
+        args = ["spectrum", "--fid", str(tmp_path / "nan.csv")]
     elif case == "past_tau":
         args[6] = "101"  # one step past the stored horizon tau = 100 * dt
     elif case == "negative_steps":

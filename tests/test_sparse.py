@@ -55,7 +55,7 @@ def test_spmv_keeps_real_vectors_real_on_real_storage(rng):
     dense[rng.random((6, 6)) < 0.5] = 0.0
     complex_op = SparseMatrix.from_dense(dense)
     real_op = SparseMatrix._real(complex_op.csr.real)
-    assert real_op.values.dtype == np.float64
+    assert real_op.csr.data.dtype == np.float64
     assert (real_op.nrows, real_op.nnz) == (complex_op.nrows, complex_op.nnz)
     x = rng.standard_normal(6)
     before = matvec_counter.count
@@ -75,7 +75,7 @@ def test_triplets_sum_duplicates_and_accept_unordered():
     # (1,0) entries sum to 5; (0,1) entries cancel exactly and are pruned
     assert a.nnz == 1
     assert a.to_dense()[1, 0] == 5.0
-    assert np.all(np.diff(a.row_offsets) >= 0)
+    assert np.all(np.diff(a.csr.indptr) >= 0)
 
 
 def test_explicit_zeros_pruned():
@@ -85,13 +85,13 @@ def test_explicit_zeros_pruned():
 
 def test_column_indices_sorted_within_rows():
     a = SparseMatrix.from_triplets([0, 0, 0], [2, 0, 1], [1.0, 2.0, 3.0], shape=(1, 3))
-    assert np.array_equal(a.col_indices, [0, 1, 2])
+    assert np.array_equal(a.csr.indices, [0, 1, 2])
 
 
 def test_storage_is_immutable():
     a = SparseMatrix.identity(3)
     with pytest.raises(ValueError):
-        a.values[0] = 7.0
+        a.csr.data[0] = 7.0
 
 
 def test_trace_form_identity():
@@ -161,7 +161,7 @@ def test_spmv_equals_scipy_dot_bitwise(storage, vector, rng):
     dense[rng.random((40, 40)) < 0.7] = 0.0
     a = (SparseMatrix._real(dense) if storage is np.float64
          else SparseMatrix.from_dense(dense))
-    assert a.values.dtype == storage
+    assert a.csr.data.dtype == storage
     wide = rng.standard_normal(80)
     if vector is np.complex128:
         wide = wide + 1j * rng.standard_normal(80)

@@ -254,13 +254,15 @@ def test_sector_operator_equals_the_block_csr(problem):
     """The sector operator, plain and rescaled, equals the block CSR of
     ``build_liouvillian``, ``rescale`` and ``_rescale_real`` on random
     vectors, to 1e-14 of the operator's scale, and its flags are the CSR's
-    exact checks."""
+    exact checks. The spectral interval read off the same sectors, complex
+    and 1×1 ones included, holds the dense block spectrum as in
+    :func:`test_sector_interval_is_the_padded_block_spectrum`."""
     spec, names, variant, seed = problem
     system = _perturbed(assemble(spec, names), variant)
     l_op = build_liouvillian(system.hamiltonian, (system.components, system.pairs))
     op = system.sector_op
     assert op.nrows == op.ncols == l_op.nrows == system.block_dim
-    assert op.real == (not np.any(l_op.values.imag))
+    assert op.real == (not np.any(l_op.csr.data.imag))
     assert op.symmetric == _is_symmetric(l_op)
 
     rng = np.random.default_rng(seed)
@@ -277,6 +279,13 @@ def test_sector_operator_equals_the_block_csr(problem):
     close(op, l_op, norm, x)
     close(op, l_op, norm, y if op.real else x)
     scaling = system.spectral_interval()
+    if system.block_dim <= 512:
+        lam = np.linalg.eigvalsh(l_op.to_dense())
+        margin = SECTOR_PAD * max(abs(scaling.alpha), abs(scaling.beta)) + INFLATION_FLOOR
+        roundoff = 1e-12 * max(1.0, np.max(np.abs(lam)))
+        assert scaling.beta <= lam[0] and lam[-1] <= scaling.alpha
+        assert scaling.alpha - lam[-1] <= margin + roundoff
+        assert lam[0] - scaling.beta <= margin + roundoff
     rescaled = op.rescale(scaling)
     assert (rescaled.real, rescaled.symmetric) == (op.real, op.symmetric)
     scale = (norm + abs(scaling.S)) / scaling.D

@@ -3,6 +3,7 @@ import pytest
 
 from qexpect import (
     NumericalError,
+    ResourceError,
     SparseMatrix,
     SpinSystemSpec,
     build_hamiltonian,
@@ -10,6 +11,7 @@ from qexpect import (
     counterexample_f,
     initial_state,
     krylov_propagate,
+    matvec_counter,
     observable_ip,
     resonant_triplet,
     spmv,
@@ -63,6 +65,17 @@ def test_detect_rejects_overlong_dt():
     l_op = SparseMatrix.identity(4)
     with pytest.raises(ValueError, match="delta_t"):
         zte_detect(l_op, np.ones(4), dt=2.0, delta_t=1.0)
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-300])
+def test_detect_rejects_a_window_too_long_to_count(dt):
+    # delta_t / dt is inf at 5e-324 and about 1e300 at 1e-300: both raise
+    # before the first step instead of overflowing or stepping for ever
+    l_op = SparseMatrix.identity(4)
+    before = matvec_counter.count
+    with pytest.raises(ResourceError, match="count"):
+        zte_detect(l_op, np.ones(4), dt=dt, delta_t=1.0)
+    assert matvec_counter.count == before
 
 
 def test_detect_empty_keep_set_errors():
