@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import KrylovStepResult, krylov_propagate, krylov_step
 from .oracle import ModeDecomposition, dense_eig, mode_amplitudes, oracle_expect
 from .sparse import SparseMatrix, matvec_counter, spmv, trace_form
-from .spectral import ScalingParams, extreme_eigs, lanczos, rescale, tridiag_expv
+from .spectral import ScalingParams, extreme_eigs, lanczos, tridiag_expv
 from .spinsys import (
     SectorOperator,
     SpinOperatorSet,

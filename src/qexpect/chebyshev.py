@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import NumericalError, ResourceError
 from .sparse import SparseMatrix, spmv
-from .spectral import ScalingParams, rescale
+from .spectral import ScalingParams
 from .trace import (
     DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord, normalize_observables, record_steps,
 )
@@ -49,6 +49,10 @@ _PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 #: the time, a third more for the guess and a tenth for the buffer, 8 bytes
 #: each) larger than an array can address.
 _MAX_TIME = np.iinfo(np.intp).max // 16
+
+#: Relative slack on the Cauchy-Schwarz bound of a sweep's scalars, for
+#: roundoff in the vector recurrence.
+_BOUND_SLACK = 1e-6
 
 
 def _bessel_column(t: float, n_max: int) -> np.ndarray:
@@ -196,6 +200,28 @@ def _chebyshev_vectors(l_s, v: np.ndarray, n_products: int):
         yield prev, cur
 
 
+def _check_cauchy_schwarz(values: np.ndarray, w_rows: np.ndarray, rho0: np.ndarray, labels,
+                          scaling: ScalingParams, where: str, slack: float = _BOUND_SLACK):
+    """Raise :class:`NumericalError` at the first ``|values[q, k]|`` above
+    ``(1 + slack) * ||w_q|| * ||rho0||``; NaN counts as above.
+
+    Each value is ``w_q @ v`` for a vector ``v`` no longer than ``rho0``
+    while the interval ``scaling`` covers the spectrum of the Hermitian
+    operator, so a larger one means the Chebyshev series diverged. ``where``
+    names the index ``k`` in the message.
+    """
+    bound = (1.0 + slack) * np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
+    over = ~(np.abs(values) <= bound[:, None])
+    if over.any():
+        q, k = np.argwhere(over)[0]
+        raise NumericalError(
+            f"{labels[q]!r} diverged at {where} {k}: |value| = "
+            f"{abs(values[q, k]):.3g} exceeds (1 + {slack:.3g})*||w||*||rho0|| = "
+            f"{bound[q]:.3g}; the spectral interval [{scaling.beta:.6g}, "
+            f"{scaling.alpha:.6g}] does not cover the spectrum of the operator"
+        )
+
+
 def chebyshev_series(l_s, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``c_0 v + sum_{k>=1} c_k T_k(L_s) v``, summed as the recurrence yields ``T_k v``.
 
@@ -229,6 +255,12 @@ def cheb_step_propagate(
     One coefficient set, through the stopping order for ``dt*D``, serves
     every step since the Hamiltonian is constant; expectations are recorded
     at t = 0 and after each of the ``steps`` steps.
+
+    Propagation is unitary, so ``|f_q(t_n)| <= ||w_q|| * ||rho0||``, up to
+    a truncation drift of ``eps`` per step. A recorded value past
+    ``(1 + 1e-6 + steps * eps)`` times that bound, or NaN, means the
+    interval misses part of the spectrum and the series diverged:
+    :class:`NumericalError` is raised instead of returning the trace.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -239,8 +271,10 @@ def cheb_step_propagate(
     run = RunRecord("cheb", eps=eps)
     order = stop_order(dt * scaling.D, eps)
     c = scalar_coefficients(dt * scaling.D, order)
-    l_s = rescale(l_op, scaling)
+    l_s = l_op.rescale(scaling)
     phase = np.exp(-1j * dt * scaling.S)
     values = record_steps(lambda rho: phase * chebyshev_series(l_s, c, rho),
                           rho0, w_rows, steps)
+    _check_cauchy_schwarz(values, w_rows, rho0, labels, scaling, "step",
+                          _BOUND_SLACK + steps * eps)
     return run.close(dt * np.arange(steps + 1), labels, values, order=order)

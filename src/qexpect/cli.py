@@ -259,16 +259,23 @@ def write_trace_csv(trace: ExpectationTrace, path) -> None:
 
 
 def read_trace_csv(path) -> ExpectationTrace:
-    """Read a file written by :func:`write_trace_csv`."""
+    """Read a file written by :func:`write_trace_csv`.
+
+    The header must be ``t`` followed by at least one
+    ``re_<label>,im_<label>`` pair whose labels match, with one data column
+    per header field; anything else raises :class:`ConfigError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    if header[0] != "t" or (len(header) - 1) % 2 != 0 or data.shape[1] != len(header):
-        raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
     labels = tuple(col[3:] for col in header[1::2])
+    if (header[0] != "t" or not labels or data.shape[1] != len(header)
+            or header[1::2] != [f"re_{label}" for label in labels]
+            or header[2::2] != [f"im_{label}" for label in labels]):
+        raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
     values = data[:, 1::2] + 1j * data[:, 2::2]
     try:
         return ExpectationTrace(times=data[:, 0], labels=labels, values=values.T)

@@ -35,10 +35,9 @@ import math
 
 import numpy as np
 
-from .chebyshev import _chebyshev_vectors, scalar_coefficients, stop_order
-from .errors import ConfigError, NumericalError
-from .sparse import SparseMatrix
-from .spectral import ScalingParams, _rescale_real, extreme_eigs, rescale
+from .chebyshev import _check_cauchy_schwarz, _chebyshev_vectors, scalar_coefficients, stop_order
+from .errors import ConfigError
+from .spectral import ScalingParams, extreme_eigs
 from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = [
@@ -63,10 +62,6 @@ _LATTICE_ULPS = 4
 
 #: Times per block of a phase table on a grid that is no progression.
 _TIME_BLOCK = 256
-
-#: Relative slack on the Cauchy-Schwarz bound of the stored scalars, for
-#: roundoff in the vector recurrence.
-_BOUND_SLACK = 1e-6
 
 
 class DECSeries:
@@ -121,11 +116,13 @@ def dec_precompute(
 
     The operator: ``l_op`` is a :class:`SparseMatrix`, or the
     :class:`qexpect.spinsys.SectorOperator` of a trace block, which
-    ``run_simulation`` and ``dec-precompute`` pass. The sector operator
-    folds ``S`` and ``D`` into its small blocks and carries exact ``real``
-    and ``symmetric`` flags, so it needs no rescaled CSR and no CSR
-    comparison; with the same interval both kinds store the same orders at
-    the same matvec count, and agree to roundoff.
+    ``run_simulation`` and ``dec-precompute`` pass. The sweep asks either
+    kind the same four things: ``real``, ``rescale(scaling, real=...)``,
+    ``symmetric`` of the rescaled operator, and ``matvec``, through
+    :func:`qexpect.sparse.spmv`. The sector operator folds ``S`` and ``D``
+    into its small blocks and carries exact flags; with the same interval
+    both kinds store the same orders at the same matvec count, and agree to
+    roundoff.
 
     The interval: spin-system callers (``run_simulation``, ``dec-precompute``)
     pass the exact one from the sectors of H,
@@ -153,9 +150,8 @@ def dec_precompute(
     as ``iz``'s, is the multiple 0). Mixed sets such as ``ip`` with
     ``ip:0``, ``ix``, complex operators, mixed ``rho0`` and the full space
     do not, and sweep one order per product, as above. Both checks are
-    exact. On a CSR the symmetry check compares the CSR and CSC arrays of
-    ``L_s``, and runs only once the proportionality check has passed; a
-    sector operator reads its ``symmetric`` flag.
+    exact, and ``L_s.symmetric`` is asked only once the proportionality
+    check has passed.
 
     ``eps`` bounds the first dropped pair of expansion coefficients, not the
     trace. The trace error of :func:`dec_evaluate` and
@@ -181,24 +177,19 @@ def dec_precompute(
         scaling = extreme_eigs(l_op)
 
     n_orders = stop_order(tau * scaling.D, eps)
-    csr = isinstance(l_op, SparseMatrix)  # else a qexpect.spinsys.SectorOperator
-    real = not np.any(l_op.csr.data.imag) if csr else l_op.real
     # real sweep: rho0 = unit * y with y real, and then every T_k(L_s) y is real
     start, unit = rho0, None
-    if real:
+    if l_op.real:
         if not np.any(rho0.imag):
             start, unit = np.ascontiguousarray(rho0.real), 1
         elif not np.any(rho0.real):
             start, unit = np.ascontiguousarray(rho0.imag), 1j
-    if csr:
-        l_s = rescale(l_op, scaling) if unit is None else _rescale_real(l_op, scaling)
-    else:
-        l_s = l_op.rescale(scaling)
+    l_s = l_op.rescale(scaling, real=unit is not None)
 
     # doubled sweep: every w_q = beta_q * y and L_s = L_s^T, so each scalar is
     # beta_q times an autocorrelation moment of y
     beta = None if unit is None else _proportionality(w_rows, start)
-    if beta is not None and (_is_symmetric(l_s) if csr else l_s.symmetric):
+    if beta is not None and l_s.symmetric:
         tilde = np.outer(beta, _doubled_moments(l_s, start, n_orders))
     else:
         # one plain dot per observable per order, so a row is bitwise the same
@@ -211,16 +202,7 @@ def dec_precompute(
     if unit == 1j:
         tilde = 1j * tilde
 
-    bound = (1.0 + _BOUND_SLACK) * np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
-    over = ~(np.abs(tilde) <= bound[:, None])  # NaN counts as over
-    if over.any():
-        q, k = np.argwhere(over)[0]
-        raise NumericalError(
-            f"series for {labels[q]!r} diverged at order {k}: |tilde| = "
-            f"{abs(tilde[q, k]):.3g} exceeds ||w||*||rho0|| = {bound[q]:.3g}; the "
-            f"spectral interval [{scaling.beta:.6g}, {scaling.alpha:.6g}] does "
-            "not cover the spectrum of the operator"
-        )
+    _check_cauchy_schwarz(tilde, w_rows, rho0, labels, scaling, "order")
     return DECSeries(
         shift=scaling.S,
         half_width=scaling.D,
@@ -254,18 +236,6 @@ def _proportionality(w_rows: np.ndarray, y: np.ndarray):
             return None
     n_obs = w_rows.shape[0]
     return np.array(parts[:n_obs]) + 1j * np.array(parts[n_obs:])
-
-
-def _is_symmetric(a: SparseMatrix) -> bool:
-    """Whether ``a`` equals its transpose entry for entry.
-
-    Canonical CSR arrays equal the (sorted) CSC arrays of the same matrix
-    exactly when it is symmetric.
-    """
-    m = a.csr
-    t = m.tocsc()
-    return (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
-            and np.array_equal(m.data, t.data))
 
 
 def _doubled_moments(l_s, y: np.ndarray, n_orders: int) -> np.ndarray:

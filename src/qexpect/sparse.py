@@ -70,7 +70,12 @@ class SparseMatrix:
     column indices are sorted within each row, and stored entries equal to
     zero are removed (exact-zero pruning only; threshold pruning is a model
     reduction concern, not a storage one). The underlying arrays are marked
-    read-only, so instances are safe to share across threads.
+    read-only, so instances are safe to share across threads. Only
+    :meth:`rescale` with ``real`` set stores float64 instead.
+
+    ``real``, ``symmetric``, :meth:`rescale` and :meth:`matvec` are the
+    questions a Chebyshev sweep asks of its operator;
+    :class:`qexpect.spinsys.SectorOperator` answers the same ones.
     """
 
     __slots__ = ("_m",)
@@ -79,17 +84,6 @@ class SparseMatrix:
         self._m = _canonical_csr(matrix, np.complex128)
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def _real(cls, matrix) -> "SparseMatrix":
-        """Float64 storage, canonicalised alike, for a matrix whose entries are real.
-
-        Only the real-arithmetic sweep of ``dec_precompute`` builds one;
-        :func:`spmv` then keeps real vectors real.
-        """
-        self = cls.__new__(cls)
-        self._m = _canonical_csr(matrix, np.float64)
-        return self
 
     @classmethod
     def from_triplets(cls, rows, cols, values, shape) -> "SparseMatrix":
@@ -146,31 +140,78 @@ class SparseMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         return SparseMatrix(self._m[idx][:, idx])
 
+    # -- the operator interface of the Chebyshev sweeps -------------------
+
+    @property
+    def real(self) -> bool:
+        """Whether every stored entry is real."""
+        return not np.any(self._m.data.imag)
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the matrix equals its transpose entry for entry.
+
+        Canonical CSR arrays equal the (sorted) CSC arrays of the same matrix
+        exactly when it is symmetric.
+        """
+        m, t = self._m, self._m.tocsc()
+        return (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+                and np.array_equal(m.data, t.data))
+
+    def rescale(self, scaling, real: bool = False) -> "SparseMatrix":
+        """``(A - S*Id) / D`` for the interval ``scaling``, spectrum mapped into [-1, 1].
+
+        Stored as complex128; with ``real`` set, as float64 holding the real
+        part, entry for entry the real part of the complex result, so
+        :func:`spmv` keeps real vectors real. The caller picks: a complex
+        vector through float64 storage is slower than through complex
+        storage.
+        """
+        if scaling.D <= 0.0:
+            raise ValueError("half-width must be positive (inflation floor guarantees this)")
+        m = self._m.real if real else self._m
+        ident = sp.identity(m.shape[0], dtype=m.dtype, format="csr")
+        out = SparseMatrix.__new__(SparseMatrix)
+        out._m = _canonical_csr((1.0 / scaling.D) * m + (-scaling.S / scaling.D) * ident,
+                                np.float64 if real else np.complex128)
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` by scipy's CSR kernel; :func:`spmv` validates and counts it.
+
+        Complex128, except that a float64 vector times float64 storage stays
+        float64. Per-row accumulation runs left to right over the stored
+        (sorted) column indices and is single threaded, so results are
+        bitwise reproducible.
+
+        The product goes straight to ``csr_matvec`` of the private module
+        ``scipy.sparse._sparsetools``: the same call, on the same arrays and
+        into the same zeroed output, that ``csr.dot`` ends in, without the
+        dispatch chain in front of it, which at a few hundred rows costs
+        about as much as the kernel. The call is checked on the scipy in use
+        by ``tests/test_sparse.py``; on the declared floor, scipy 1.10, it is
+        unverified.
+        """
+        m = self._m
+        if x.dtype != m.dtype:
+            x = x.astype(np.complex128)
+        # x.dtype is now the upcast of the two; np.result_type would cost about
+        # half of what skipping csr.dot's dispatch saves
+        y = np.zeros(m.shape[0], dtype=x.dtype)
+        _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, y)
+        return y
+
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
 def spmv(a, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``y = A x``.
+    """Sparse matrix-vector product ``y = A x``, validated and counted.
 
     ``a`` is a :class:`SparseMatrix` or any square operator with ``nrows``,
     ``ncols`` and ``matvec(x)``, such as the
-    :class:`qexpect.spinsys.SectorOperator` of a trace block; the product is
-    counted either way, and the operator's ``matvec`` does the work.
-
-    For a :class:`SparseMatrix`, per-row accumulation runs left to right
-    over the stored (sorted) column indices and is single threaded, so
-    results are bitwise reproducible.
-    The product is complex128, except that a float64 vector times a matrix
-    with float64 storage (see ``SparseMatrix._real``) stays float64.
-
-    The product goes straight to scipy's CSR kernel, ``csr_matvec`` of the
-    private module ``scipy.sparse._sparsetools``: the same call, on the same
-    arrays and into the same zeroed output, that ``csr.dot`` ends in, without
-    the dispatch chain in front of it, which at a few hundred rows costs
-    about as much as the kernel. The call is checked on the scipy in use by
-    ``tests/test_sparse.py``; on the declared floor, scipy 1.10, it is
-    unverified.
+    :class:`qexpect.spinsys.SectorOperator` of a trace block; the operator's
+    ``matvec`` does the work.
     """
     x = np.asarray(x)
     if x.ndim != 1 or a.ncols != x.shape[0]:
@@ -178,16 +219,7 @@ def spmv(a, x: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {a.nrows}x{a.ncols}, vector has length {x.shape}"
         )
     matvec_counter.count += 1
-    if not isinstance(a, SparseMatrix):
-        return a.matvec(x)
-    m = a.csr
-    if x.dtype != m.dtype:
-        x = x.astype(np.complex128)
-    # x.dtype is now the upcast of the two; np.result_type would cost about
-    # half of what skipping csr.dot's dispatch saves
-    y = np.zeros(m.shape[0], dtype=x.dtype)
-    _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, y)
-    return y
+    return a.matvec(x)
 
 
 def trace_form(q: SparseMatrix) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .sparse import SparseMatrix, spmv
@@ -25,7 +24,6 @@ __all__ = [
     "ScalingParams",
     "lanczos",
     "extreme_eigs",
-    "rescale",
     "tridiag_expv",
 ]
 
@@ -172,27 +170,6 @@ def extreme_eigs(l_op: SparseMatrix) -> ScalingParams:
     half = 0.5 * (hi - lo)
     half = half * (1.0 + INFLATION) + INFLATION_FLOOR
     return ScalingParams.from_bounds(alpha=mid + half, beta=mid - half)
-
-
-def _rescaled(csr: sp.csr_matrix, scaling: ScalingParams) -> sp.csr_matrix:
-    if scaling.D <= 0.0:
-        raise ValueError("half-width must be positive (inflation floor guarantees this)")
-    ident = sp.identity(csr.shape[0], dtype=csr.dtype, format="csr")
-    return (1.0 / scaling.D) * csr + (-scaling.S / scaling.D) * ident
-
-
-def rescale(l_op: SparseMatrix, scaling: ScalingParams) -> SparseMatrix:
-    """``(L - S*Id) / D``, spectrum mapped into [-1, 1]."""
-    return SparseMatrix(_rescaled(l_op.csr, scaling))
-
-
-def _rescale_real(l_op: SparseMatrix, scaling: ScalingParams) -> SparseMatrix:
-    """:func:`rescale` of an operator whose entries are all real, in float64 storage.
-
-    Entry for entry it equals the real part of :func:`rescale`'s result. No
-    complex copy is built.
-    """
-    return SparseMatrix._real(_rescaled(l_op.csr.real, scaling))
 
 
 def _tridiag_eig(alpha: np.ndarray, beta: np.ndarray, vectors: bool):

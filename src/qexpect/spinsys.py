@@ -411,10 +411,12 @@ class SectorOperator:
     ``matmul`` pair per distinct shape. :func:`qexpect.sparse.spmv`
     dispatches to it and counts each product.
 
-    ``real`` says every entry is real. ``symmetric`` says the operator
-    equals its transpose entry for entry, which holds exactly when every
-    kept sector is real and bitwise symmetric. ``nnz`` counts the stored
-    block entries one product reads.
+    It answers the Chebyshev sweeps as a
+    :class:`qexpect.sparse.SparseMatrix` does: ``real`` says every entry
+    is real, ``symmetric`` that the operator equals its transpose entry for
+    entry, which holds exactly when every kept sector is real and bitwise
+    symmetric, and :meth:`rescale` and :meth:`matvec` take the same
+    arguments. ``nnz`` counts the stored block entries one product reads.
     """
 
     def __init__(self, groups, nrows: int, real: bool, symmetric: bool):
@@ -456,9 +458,13 @@ class SectorOperator:
                                  for blocks in stacked)
         return cls(groups, int(np.sum(p * q)), real, symmetric)
 
-    def rescale(self, scaling: ScalingParams) -> "SectorOperator":
+    def rescale(self, scaling: ScalingParams, real: bool = False) -> "SectorOperator":
         """``(L - S)/D``, with ``S`` and ``D`` folded into the blocks:
-        ``(H_a - S)/D`` on the left and ``H_b/D`` on the right."""
+        ``(H_a - S)/D`` on the left and ``H_b/D`` on the right.
+
+        The blocks keep their dtype whatever ``real`` asks for: float64
+        blocks serve float64 and complex128 vectors alike, each bitwise.
+        """
         if scaling.D <= 0.0:
             raise ValueError("half-width must be positive (inflation floor guarantees this)")
         groups = [(where, (left - scaling.S * np.eye(left.shape[1])) / scaling.D,

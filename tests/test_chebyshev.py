@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpect import (
+    NumericalError,
     ResourceError,
+    ScalingParams,
     SparseMatrix,
     SpinSystemSpec,
+    assemble,
     bessel_sequence,
     build_hamiltonian,
     build_liouvillian,
@@ -21,13 +24,13 @@ from qexpect import (
     initial_state,
     matvec_counter,
     observable_ip,
-    rescale,
     scalar_coefficients,
     spmv,
     stop_order,
 )
 
 from qexpect.chebyshev import _bessel_column
+from qexpect.cli import benchmark_spec
 
 from conftest import random_hermitian
 
@@ -239,7 +242,7 @@ def test_step_propagation_preserves_norm():
     l_op = build_liouvillian(build_hamiltonian(spec))
     scaling = extreme_eigs(l_op)
     eps = 1e-7
-    l_s = rescale(l_op, scaling)
+    l_s = l_op.rescale(scaling)
     c = scalar_coefficients(0.1 * scaling.D, stop_order(0.1 * scaling.D, eps))
     phase = np.exp(-1j * 0.1 * scaling.S)
     rho = initial_state(2)
@@ -248,6 +251,25 @@ def test_step_propagation_preserves_norm():
     for _ in range(steps):
         rho = phase * chebyshev_series(l_s, c, rho)
     assert abs(np.linalg.norm(rho) - norm0) <= steps * eps
+
+
+@pytest.mark.parametrize("cut", [0.9, 0.8, 0.7])
+def test_too_narrow_interval_raises_instead_of_diverging(cut):
+    # a half-width cut below the exact one leaves modes outside [-1, 1], which
+    # each long step's polynomial amplifies: after 50 steps of dt = 10 the
+    # largest |f| is 5e91, 2e296 and NaN times ||w||*||rho0||
+    system = assemble(benchmark_spec(4), ("ip", "ix"))
+    exact = system.spectral_interval()
+    narrow = ScalingParams.from_bounds(exact.S + cut * exact.D, exact.S - cut * exact.D)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="diverged"):
+        cheb_step_propagate(system.l_op, narrow, system.rho0, 10.0, 50, system.observables)
+    # at dt = 0.1 the same interval still yields an accurate trace
+    short = cheb_step_propagate(system.l_op, narrow, system.rho0, 0.1, 50, system.observables)
+    reference = cheb_step_propagate(system.l_op, exact, system.rho0, 0.1, 50,
+                                    system.observables)
+    assert np.max(np.abs(short.values - reference.values)) <= 1e-8 * np.max(
+        np.abs(reference.values))
 
 
 def test_single_coefficient_rule_misfires_at_bessel_zero():

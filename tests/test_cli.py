@@ -449,12 +449,23 @@ _BAD_CONFIGS = {
         j_hz="\n" + "\n".join(["  " + " ".join(["0"] * 32)] * 32)),
 }
 
+#: Trace CSVs whose header ``spectrum`` must refuse: real and imaginary
+#: columns swapped, no ``re_``/``im_`` prefixes, two different labels, and
+#: times without any observable.
+_BAD_FID_HEADERS = {
+    "swapped_fid_header": "t,im_ip,re_ip\n0,1,0\n0.1,0,1\n",
+    "unprefixed_fid_header": "t,foo,bar\n0,1,0\n0.1,0,1\n",
+    "mismatched_fid_header": "t,re_ip,im_ix\n0,1,0\n0.1,0,1\n",
+    "unlabelled_fid_header": "t\n0\n0.1\n",
+}
+
 #: The message each case must name, where "config error" alone could come
 #: from another check.
 _BAD_CASE_MESSAGES = {
     "too_many_spins_config": "spin count 32 lies outside 1..31",
     "benchmark_too_many_spins": "spin count 32 lies outside 1..31",
     "nan_time_fid": "nan.csv: times must be finite",
+    **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
 }
 
 #: ``qexpect benchmark`` arguments that leave the run unusable.
@@ -480,7 +491,7 @@ _BAD_BENCHMARKS = {
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
      "past_tau", "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
-     "nan_xi_apo", *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
+     "nan_xi_apo", *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     cfg_path = tmp_path / "run.ini"
@@ -516,6 +527,9 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     elif case == "nan_xi_apo":
         (tmp_path / "ok.csv").write_text("t,re_ip,im_ip\n0,1,0\n0.1,0,1\n")
         args = ["spectrum", "--fid", str(tmp_path / "ok.csv"), "--xi-apo", "nan"]
+    elif case in _BAD_FID_HEADERS:
+        (tmp_path / "header.csv").write_text(_BAD_FID_HEADERS[case])
+        args = ["spectrum", "--fid", str(tmp_path / "header.csv")]
     elif case in _BAD_BENCHMARKS:
         args = ["benchmark", *_BAD_BENCHMARKS[case]]
     elif case in _BAD_CONFIGS:

@@ -24,7 +24,6 @@ from qexpect import (
     observable_by_name,
     observable_ip,
     oracle_expect,
-    rescale,
     save_series,
     spmv,
     trace_form,
@@ -33,7 +32,6 @@ import qexpect.chebyshev as chebyshev_module
 import qexpect.dec as dec_module
 from qexpect.chebyshev import stop_order
 from qexpect.cli import benchmark_spec
-from qexpect.spectral import _rescale_real
 from qexpect.trace import DEFAULT_EPS
 
 from conftest import random_hermitian, random_spin_spec
@@ -344,7 +342,7 @@ def test_grid_contraction_properties(n, seed, tau, fractions, data):
 
 def _reference_sweep(l_op, rho0, w_rows, scaling, n_orders):
     """The complex recurrence: complex CSR, complex states, one dot per order."""
-    l_s = rescale(l_op, scaling)
+    l_s = l_op.rescale(scaling)
     states = [np.asarray(rho0, dtype=np.complex128)]
     while len(states) < n_orders:
         product = spmv(l_s, states[-1])
@@ -420,7 +418,7 @@ def _plain_real_reference(l_op, rho0, w_rows, scaling, n_orders):
     ``L_s`` and states, times the unit of a real or imaginary rho0."""
     rho0 = np.asarray(rho0, dtype=np.complex128)
     unit, y = (1j, rho0.imag) if np.any(rho0.imag) else (1, rho0.real)
-    l_s = _rescale_real(l_op, scaling)
+    l_s = l_op.rescale(scaling, real=True)
     states = [np.ascontiguousarray(y)]
     while len(states) < n_orders:
         product = spmv(l_s, states[-1])

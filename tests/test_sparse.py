@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from qexpect import (
+    ScalingParams,
     SparseMatrix,
+    assemble,
     matvec_counter,
     spmv,
     trace_form,
 )
+from qexpect.cli import benchmark_spec
 
 from conftest import random_hermitian
+
+#: S = 0 and D = 1: ``rescale`` returns the matrix itself, bitwise.
+_IDENTITY_SCALING = ScalingParams.from_bounds(1.0, -1.0)
 
 
 def test_spmv_identity():
@@ -50,11 +56,61 @@ def test_spmv_increments_counter():
     assert matvec_counter.count == before + 1
 
 
+def _hand_built(case):
+    """A 3x3 CSR: real symmetric, one ulp off symmetric, or Hermitian but complex."""
+    a = np.array([[1.0, 0.25, 0.0], [0.25, -2.0, 0.5], [0.0, 0.5, 0.0]], dtype=np.complex128)
+    if case == "ulp_off":
+        a[2, 1] = np.nextafter(0.5, 1.0)
+    elif case == "hermitian":
+        a[0, 1], a[1, 0] = 0.25 + 0.5j, 0.25 - 0.5j
+    return SparseMatrix.from_dense(a)
+
+
+@pytest.mark.parametrize("case, real, symmetric", [
+    ("symmetric", True, True),
+    ("ulp_off", True, False),
+    ("hermitian", False, False),
+], ids=["symmetric", "ulp_off", "hermitian"])
+def test_real_and_symmetric_flags(case, real, symmetric):
+    a = _hand_built(case)
+    assert (a.real, a.symmetric) == (real, symmetric)
+    assert (a.transpose().real, a.transpose().symmetric) == (real, symmetric)
+
+
+@pytest.mark.parametrize("case", ["symmetric", "ulp_off", "hermitian"])
+def test_real_rescale_is_the_real_part_of_the_complex_one(case, rng):
+    a = _hand_built(case)
+    scaling = ScalingParams.from_bounds(2.7, -3.1)
+    full = a.rescale(scaling)
+    real = a.rescale(scaling, real=True)
+    assert full.csr.data.dtype == np.complex128
+    assert real.csr.data.dtype == np.float64
+    assert real.real
+    expected = full.to_dense().real
+    assert real.to_dense().tobytes() == expected.tobytes()
+    # the flags of the rescaled matrix read its own entries
+    assert real.symmetric == np.array_equal(expected, expected.T)
+    with pytest.raises(ValueError, match="half-width"):
+        a.rescale(ScalingParams.from_bounds(1.0, 1.0))
+
+
+def test_spmv_counts_one_product_for_each_operator_kind(rng):
+    system = assemble(benchmark_spec(3), ("ip",))
+    x = rng.standard_normal(system.block_dim)
+    for op in (system.l_op, system.sector_op, system.l_op.rescale(
+            system.spectral_interval(), real=True)):
+        before = matvec_counter.count
+        y = spmv(op, x)
+        assert matvec_counter.count == before + 1
+        assert y.tobytes() == op.matvec(x).tobytes()
+    assert np.max(np.abs(spmv(system.sector_op, x) - spmv(system.l_op, x))) <= 1e-13
+
+
 def test_spmv_keeps_real_vectors_real_on_real_storage(rng):
     dense = rng.standard_normal((6, 6))
     dense[rng.random((6, 6)) < 0.5] = 0.0
     complex_op = SparseMatrix.from_dense(dense)
-    real_op = SparseMatrix._real(complex_op.csr.real)
+    real_op = complex_op.rescale(_IDENTITY_SCALING, real=True)
     assert real_op.csr.data.dtype == np.float64
     assert (real_op.nrows, real_op.nnz) == (complex_op.nrows, complex_op.nnz)
     x = rng.standard_normal(6)
@@ -159,8 +215,9 @@ def test_spmv_equals_scipy_dot_bitwise(storage, vector, rng):
     if storage is np.complex128:
         dense = dense + 1j * rng.standard_normal((40, 40))
     dense[rng.random((40, 40)) < 0.7] = 0.0
-    a = (SparseMatrix._real(dense) if storage is np.float64
-         else SparseMatrix.from_dense(dense))
+    a = SparseMatrix.from_dense(dense)
+    if storage is np.float64:
+        a = a.rescale(_IDENTITY_SCALING, real=True)
     assert a.csr.data.dtype == storage
     wide = rng.standard_normal(80)
     if vector is np.complex128:

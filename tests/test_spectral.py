@@ -11,7 +11,6 @@ from qexpect import (
     build_liouvillian,
     extreme_eigs,
     lanczos,
-    rescale,
     tridiag_expv,
 )
 
@@ -107,7 +106,7 @@ def test_extreme_eigs_contains_liouvillian_spectrum(rng):
 def test_rescale_maps_into_unit_interval(rng):
     l_op = random_sparse_hermitian(32, rng, density=0.3, scale=5.0)
     params = extreme_eigs(l_op)
-    l_s = rescale(l_op, params)
+    l_s = l_op.rescale(params)
     eigs = np.linalg.eigvalsh(l_s.to_dense())
     assert eigs.min() >= -1.0
     assert eigs.max() <= 1.0

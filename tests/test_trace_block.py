@@ -16,12 +16,10 @@ from qexpect import (
     normalize_observables,
     observable_by_name,
     oracle_expect,
-    rescale,
     spmv,
 )
 from qexpect.cli import RunConfig, benchmark_spec, run_simulation
-from qexpect.dec import _is_symmetric
-from qexpect.spectral import INFLATION_FLOOR, _rescale_real
+from qexpect.spectral import INFLATION_FLOOR
 from qexpect.spinsys import SECTOR_PAD, TraceSystem, assemble, hilbert_components, trace_block
 
 from conftest import random_spin_spec, same_csr
@@ -252,7 +250,7 @@ def _perturbed(system, variant):
 @given(_sector_problems())
 def test_sector_operator_equals_the_block_csr(problem):
     """The sector operator, plain and rescaled, equals the block CSR of
-    ``build_liouvillian``, ``rescale`` and ``_rescale_real`` on random
+    ``build_liouvillian`` and its ``rescale``, complex and real, on random
     vectors, to 1e-14 of the operator's scale, and its flags are the CSR's
     exact checks. The spectral interval read off the same sectors, complex
     and 1×1 ones included, holds the dense block spectrum as in
@@ -263,7 +261,7 @@ def test_sector_operator_equals_the_block_csr(problem):
     op = system.sector_op
     assert op.nrows == op.ncols == l_op.nrows == system.block_dim
     assert op.real == (not np.any(l_op.csr.data.imag))
-    assert op.symmetric == _is_symmetric(l_op)
+    assert op.symmetric == l_op.symmetric
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.nrows) + 1j * rng.standard_normal(op.nrows)
@@ -289,10 +287,10 @@ def test_sector_operator_equals_the_block_csr(problem):
     rescaled = op.rescale(scaling)
     assert (rescaled.real, rescaled.symmetric) == (op.real, op.symmetric)
     scale = (norm + abs(scaling.S)) / scaling.D
-    close(rescaled, rescale(l_op, scaling), scale, x)
+    close(rescaled, l_op.rescale(scaling), scale, x)
     if op.real:
-        real = _rescale_real(l_op, scaling)
+        real = l_op.rescale(scaling, real=True)
         # rounding L/D can make a one-ulp asymmetry vanish from the rescaled
         # CSR; the flag keeps H's exact answer, which only costs the plain sweep
-        assert _is_symmetric(real) or not rescaled.symmetric
+        assert real.symmetric or not rescaled.symmetric
         close(rescaled, real, scale, y)
