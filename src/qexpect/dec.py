@@ -431,11 +431,11 @@ def load_series(path) -> DECSeries:
     """Read a sidecar written by :func:`save_series`.
 
     Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
-    lacks a header field or holds one of the wrong type, declares a
-    ``dtype`` other than ``complex128``, declares no orders,
-    holds a different number of data bytes than its header declares, or its
-    header scalars are unusable: each must be finite, with ``tau > 0``,
-    ``half_width > 0`` and ``0 < eps < 1``.
+    lacks a header field or holds one of the wrong type (``labels`` must be
+    a list of strings), declares a ``dtype`` other than ``complex128``,
+    declares no orders, holds a different number of data bytes than its
+    header declares, or its header scalars are unusable: each must be
+    finite, with ``tau > 0``, ``half_width > 0`` and ``0 < eps < 1``.
     """
     try:
         with open(path, "rb") as fh:
@@ -451,6 +451,8 @@ def load_series(path) -> DECSeries:
     try:
         header = json.loads(header_line)
         labels = header["labels"]
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            raise TypeError(f"labels must be a list of strings, got {labels!r}")
         n_obs, n_orders = len(labels), int(header["n_orders"])
         scalars = {key: float(header[key]) for key in ("shift", "half_width", "tau", "eps")}
         dtype = header["dtype"]

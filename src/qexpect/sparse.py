@@ -140,6 +140,18 @@ class SparseMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         return SparseMatrix(self._m[idx][:, idx])
 
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries ``A[rows[k], cols[k]]``, 0 where nothing is stored.
+
+        Complex128 (float64 after :meth:`rescale` with ``real``); a stored
+        ``-0.0`` part reads as ``+0.0``, the sum ``0 + entry``. Read by
+        scipy's CSR fancy indexing, which answers an empty index with a
+        matrix, so ``rows`` and ``cols`` hold at least one coordinate. The
+        call is checked on the scipy in use by ``tests/test_sparse.py``; on
+        the declared floor, scipy 1.10, it is unverified.
+        """
+        return np.asarray(self._m[rows, cols]).ravel() + 0.0
+
     # -- the operator interface of the Chebyshev sweeps -------------------
 
     @property
@@ -226,14 +238,11 @@ def trace_form(q: SparseMatrix) -> np.ndarray:
     """Covector ``w`` with ``w @ vec(M) == trace(M @ Q)`` for every matrix M.
 
     Under column stacking this is ``vec(Q.T)``, i.e. the entries of ``Q``
-    raveled in row-major order. The product with a state uses a plain dot
+    raveled in row-major order: ``w[i + j*n] = Q[j, i]``, read by
+    :meth:`SparseMatrix.entries`. The product with a state uses a plain dot
     (no conjugation).
     """
     if q.nrows != q.ncols:
         raise ValueError(f"observable must be square, got {q.nrows}x{q.ncols}")
     n = q.nrows
-    w = np.zeros(n * n, dtype=np.complex128)
-    coo = q.csr.tocoo()
-    # w[row*n + col] = Q[row, col], which is vec(Q.T) under column stacking
-    np.add.at(w, coo.row * n + coo.col, coo.data)
-    return w
+    return q.entries(*np.divmod(np.arange(n * n), n))

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from .sparse import SparseMatrix
 from .spectral import INFLATION_FLOOR, ScalingParams
-from .trace import normalize_observables
 
 __all__ = [
     "SpinOperatorSet",
@@ -209,9 +208,10 @@ def build_liouvillian(h: SparseMatrix, blocks=None) -> SparseMatrix:
 
     ``L[(i,j), (i',j)] = H[i,i']`` and ``L[(i,j), (i,j')] = -H[j',j]``, so
     ``L vec(rho) = vec(H rho - rho H)``, i.e. ``L = Id (x) H - H.T (x) Id``
-    on coordinates ``i + j*dim``. ``blocks`` is ``(label, pairs)`` as
-    :func:`_kept_pairs` returns it: the operator is then the one on those
-    blocks, in the layout of :func:`_block_layout`, equal to
+    on coordinates ``i + j*dim``. ``blocks`` is ``(label, pairs)``, the
+    :func:`hilbert_components` labels and the pairs :func:`_kept_pairs`
+    returns: the operator is then the one on those blocks, in the layout of
+    :func:`_block_layout`, equal to
     ``build_liouvillian(h).restrict(trace_block(...))``. ``None`` means the
     full space, the case of one component and one pair.
     """
@@ -252,24 +252,20 @@ def hilbert_components(h: SparseMatrix) -> np.ndarray:
         label = low
 
 
-def _kept_pairs(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray):
-    """Component labels of ``h`` and the kept (a, b) pairs of :func:`trace_block`.
+def _kept_pairs(label: np.ndarray, source, reads) -> np.ndarray:
+    """The kept (a, b) pairs of :func:`trace_block`, from two supports.
 
-    Returns ``(label, pairs)``: the labels of :func:`hilbert_components` and
-    a ``(k, 2)`` array of component labels, ordered by ``a * dim + b``.
+    ``source`` and ``reads`` are ``(i, j)`` coordinate arrays: the entries
+    ``rho[i, j]`` that ``rho0`` sets, and those some trace form reads.
+    ``label`` holds the :func:`hilbert_components` labels. Returns a
+    ``(k, 2)`` array of component labels, ordered by ``a * dim + b``.
     """
-    dim = h.nrows
-    label = hilbert_components(h)
-
-    def blocks(support):
-        p = np.flatnonzero(support)
-        return np.unique(label[p % dim] * dim + label[p // dim])
-
-    source = blocks(rho0)
-    kept = np.intersect1d(source, blocks(np.any(w_rows != 0, axis=0)))
+    dim = label.shape[0]
+    source = np.unique(label[source[0]] * dim + label[source[1]])
+    kept = np.intersect1d(source, label[reads[0]] * dim + label[reads[1]])
     if kept.size == 0:
         kept = source
-    return label, np.column_stack([kept // dim, kept % dim])
+    return np.column_stack([kept // dim, kept % dim])
 
 
 def _sectors(label: np.ndarray):
@@ -318,33 +314,38 @@ def trace_block(h: SparseMatrix, rho0: np.ndarray, w_rows: np.ndarray) -> np.nda
     zero, and ``rho0``'s own blocks are kept so that engines still have a
     state to propagate. The coordinates come pair by pair, each block
     column-stacked (see :func:`_block_layout`): the order of the operator
-    ``assemble`` builds.
+    ``assemble`` builds. This is the full-space reference: ``assemble``
+    finds the same blocks from the supports of ``rho0`` and the
+    observables, without a vector of length ``4**n``.
     """
-    return _block_index(*_kept_pairs(h, rho0, w_rows))
-
-
-def _block_index(label: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Liouville coordinates of the blocks of ``pairs``, in :func:`_block_layout` order."""
+    dim = h.nrows
+    label = hilbert_components(h)
+    pairs = _kept_pairs(label, np.nonzero(rho0.reshape(dim, dim, order="F")),
+                        np.nonzero(np.any(w_rows != 0, axis=0).reshape(dim, dim, order="F")))
     i, j, _, _ = _block_layout(label, pairs)
-    return i + j * label.shape[0]
+    return i + j * dim
+
+
+def _initial_entries(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``rho0[i[k], j[k]]`` of :func:`initial_state`, by bit arithmetic.
+
+    ``-Iy`` on the site of bit ``f`` links state s to ``s ^ f``, so the
+    entry is nonzero only where ``i ^ j`` is a single bit: ``i/2`` where
+    that bit is clear in ``i`` (spin up) and ``-i/2`` where it is set.
+    """
+    flip = i ^ j
+    single = (flip != 0) & ((flip & (flip - 1)) == 0)
+    # complex(0, -0.5), not -0.5j, whose real part is -0.0
+    return np.where(single, np.where(i & flip, complex(0, -0.5), 0.5j), 0j)
 
 
 def initial_state(n: int) -> np.ndarray:
-    """Vectorised ``-sum_j Iy_j``, the state right after an x pulse.
-
-    Built from the bits of the basis index: ``-Iy_j`` links state s to s
-    with site j's bit flipped, with entry ``i/2`` where that bit is clear
-    (spin up) and ``-i/2`` where it is set.
-    """
+    """Vectorised ``-sum_j Iy_j``, the state right after an x pulse:
+    :func:`_initial_entries` at every coordinate ``i + j*2**n``."""
     if n < 1:
         raise ValueError("need at least one spin")
-    dim = 2**n
-    states = np.arange(dim)
-    rho = np.zeros(dim * dim, dtype=np.complex128)
-    for j in range(n):
-        flip = 1 << (n - 1 - j)
-        rho.imag[states + (states ^ flip) * dim] = np.where(states & flip, -0.5, 0.5)
-    return rho
+    j, i = np.divmod(np.arange(4**n), 2**n)
+    return _initial_entries(i, j)
 
 
 def observable_ip(n: int) -> SparseMatrix:
@@ -363,10 +364,10 @@ def observable_by_name(name: str, n: int) -> SparseMatrix:
     """
     ops = spin_half()
     table = {"ip": ops.ip, "ix": ops.ix, "iy": ops.iy, "iz": ops.iz}
-    base, _, site_txt = name.strip().lower().partition(":")
+    base, colon, site_txt = name.strip().lower().partition(":")
     if base not in table:
         raise ConfigError(f"unknown observable {name!r}; expected one of {sorted(table)}")
-    if not site_txt:
+    if not colon:
         return _site_sum(table[base], range(n), n)
     try:
         site = int(site_txt)
@@ -558,15 +559,22 @@ class TraceSystem:
 def assemble(spec: SpinSystemSpec, names) -> TraceSystem:
     """Build H, the initial state and the named observables, and keep their trace block.
 
-    No Liouvillian is built here: :class:`TraceSystem` builds the form an
-    engine asks for on first use.
+    The blocks of :func:`trace_block` come from the supports: ``rho0`` sets
+    ``rho[s, s ^ f]`` for every state s and single bit f, and the trace
+    form of Q reads ``rho[i, j]`` where ``Q[j, i]`` is stored. ``rho0`` and
+    the forms are then read at the block's coordinates only, so no vector
+    of length ``4**n`` is built. No Liouvillian is built here either:
+    :class:`TraceSystem` builds the form an engine asks for on first use.
     """
+    if not names:
+        raise ValueError("at least one observable is required")
     h = build_hamiltonian(spec)
-    rho0 = initial_state(spec.n)
-    labels, w_rows = normalize_observables(
-        {name: observable_by_name(name, spec.n) for name in names}, spec.liouville_dim)
-    components, pairs = _kept_pairs(h, rho0, w_rows)
-    index = _block_index(components, pairs)
-    return TraceSystem(rho0=rho0[index],
-                       observables={label: w[index] for label, w in zip(labels, w_rows)},
+    obs = {name: observable_by_name(name, spec.n) for name in names}
+    components = hilbert_components(h)
+    s, bit = np.divmod(np.arange(spec.n * spec.hilbert_dim), spec.n)
+    reads = np.concatenate([q.csr.nonzero() for q in obs.values()], axis=1)[::-1]  # (col, row)
+    pairs = _kept_pairs(components, (s, s ^ (1 << bit)), reads)
+    i, j, _, _ = _block_layout(components, pairs)
+    return TraceSystem(rho0=_initial_entries(i, j),
+                       observables={name: q.entries(j, i) for name, q in obs.items()},
                        hamiltonian=h, components=components, pairs=pairs)

@@ -427,6 +427,9 @@ _BAD_HEADERS = {
     "infinite_shift_header": lambda h: h.update(shift=float("inf")),
     "float64_dtype_header": lambda h: h.update(dtype="float64"),
     "header_without_dtype": lambda h: h.pop("dtype"),
+    # one label, as in the data, but not a list of strings
+    "string_labels_header": lambda h: h.update(labels="p"),
+    "non_string_labels_header": lambda h: h.update(labels=[7]),
 }
 
 #: Config files whose [run] or [zte] settings are unusable.
@@ -437,6 +440,8 @@ _BAD_CONFIGS = {
     "negative_tau": make_config(extra_run="tau = -5"),
     "zero_tau": make_config(extra_run="tau = 0"),
     "no_observables": make_config(extra_run="observables ="),
+    # a colon with no site after it is not the total
+    "empty_site_config": make_config(extra_run="observables = ip:"),
     # eps/2 rounds to 0 below the smallest normal double: the stop test never passes
     "tiny_eps_config": make_config(extra_run="eps = 5e-324"),
     # the grid end steps * dt overflows to inf
@@ -465,6 +470,9 @@ _BAD_CASE_MESSAGES = {
     "too_many_spins_config": "spin count 32 lies outside 1..31",
     "benchmark_too_many_spins": "spin count 32 lies outside 1..31",
     "nan_time_fid": "nan.csv: times must be finite",
+    "empty_site_config": "bad site index in observable 'ip:'",
+    "string_labels_header": "labels must be a list of strings",
+    "non_string_labels_header": "labels must be a list of strings",
     **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
 }
 

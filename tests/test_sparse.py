@@ -198,6 +198,32 @@ def test_trace_form_requires_square():
         trace_form(a)
 
 
+def _entries(a, rows, cols):
+    return a.entries(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+
+
+def test_entries_reads_stored_and_missing_entries():
+    a = SparseMatrix.from_triplets([0, 1, 2], [1, 1, 0], [2.0 - 1.0j, 3.0, 0.5j], shape=(3, 3))
+    got = _entries(a, [0, 1, 2, 0, 2, 1], [1, 1, 0, 0, 2, 1])
+    assert got.dtype == np.complex128
+    assert got.tobytes() == np.array([2.0 - 1.0j, 3.0, 0.5j, 0.0, 0.0, 3.0]).tobytes()
+
+
+def test_entries_reads_a_stored_negative_zero_as_positive_zero():
+    # the real parts of Iy are stored as -0.0; a trace form holds +0.0
+    a = SparseMatrix.from_dense(np.array([[0.0, -0.5j], [0.5j, 0.0]]))
+    assert np.signbit(a.csr.data.real).any()
+    got = _entries(a, [0, 1], [1, 0])
+    assert not np.signbit(got.real).any() and not np.signbit(got.imag[1])
+    assert got.tobytes() == np.array([complex(0.0, -0.5), 0.5j]).tobytes()
+
+
+def test_entries_of_a_matrix_without_stored_entries():
+    got = _entries(SparseMatrix.zeros(4), [0, 3, 2], [1, 3, 0])
+    assert got.dtype == np.complex128
+    assert got.tobytes() == np.zeros(3, dtype=np.complex128).tobytes()
+
+
 def test_spmv_is_run_to_run_deterministic(rng):
     a_dense = random_hermitian(128, rng)
     a_dense[rng.random((128, 128)) < 0.6] = 0.0

@@ -243,6 +243,8 @@ def test_observable_by_name():
         observable_by_name("sx", 2)
     with pytest.raises(ConfigError, match="site"):
         observable_by_name("iz:5", 2)
+    with pytest.raises(ConfigError, match="bad site index"):
+        observable_by_name("ip:", 2)
 
 
 def test_spec_validation():

@@ -1,5 +1,7 @@
 """The trace block: engines propagate only the Liouville coordinates the trace reads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,56 @@ def test_iz_only_run_returns_exact_zeros():
 
 _FREQ = st.one_of(st.just(0.0), st.floats(0.5, 2.5))
 _COUPLING = st.one_of(st.just(0.0), st.floats(0.02, 0.5))
+
+
+@st.composite
+def _assembly_problems(draw):
+    """Systems of up to 7 spins whose couplings and Larmor frequencies may
+    vanish (many small sectors, and the "no kept pair" fallback for ``iz``),
+    with totals and site-resolved observables."""
+    n = draw(st.integers(1, 7))
+    omega0 = np.array(draw(st.lists(_FREQ, min_size=n, max_size=n)))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(_COUPLING)
+    pool = ["ip", "ix", "iy", "iz"] + [f"{op}:{k}" for op in ("ip", "iy", "iz") for k in range(n)]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    return SpinSystemSpec(n=n, omega0=omega0, j_coupling=j), tuple(names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_assembly_problems())
+def test_assembled_block_reads_the_full_vectors_bitwise(problem):
+    """``assemble`` reads ``rho0`` and the trace forms at the block's
+    coordinates; they equal the full-space vectors restricted to
+    :func:`trace_block`'s index byte for byte, the sign of zero included."""
+    spec, names = problem
+    system = assemble(spec, names)
+    w_rows = _weights(spec, names)
+    index = trace_block(build_hamiltonian(spec), initial_state(spec.n), w_rows)
+    assert system.block_dim == index.shape[0]
+    assert system.rho0.tobytes() == initial_state(spec.n)[index].tobytes()
+    assert tuple(system.observables) == names
+    for name, w in zip(names, w_rows, strict=True):
+        assert system.observables[name].tobytes() == w[index].tobytes(), name
+
+
+def test_assemble_builds_no_liouville_length_vector():
+    # one complex vector of length 4**10 takes 16 MiB
+    assemble(benchmark_spec(3), ("ip",))  # first-call setup outside the measurement
+    tracemalloc.start()
+    try:
+        assemble(benchmark_spec(10), ("ip",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_assemble_needs_an_observable():
+    with pytest.raises(ValueError, match="at least one observable is required"):
+        assemble(benchmark_spec(2), [])
 
 
 @st.composite
