@@ -215,7 +215,7 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
                 f"[run] dt={cfg.dt} exceeds the observation window "
                 f"{delta_t:.6g} set by the slowest Larmor period"
             )
-        reduction = zte_detect(system.l_op, rho0, cfg.dt, delta_t, xi=cfg.xi,
+        reduction = zte_detect(system.l_op, rho0, cfg.dt, delta_t, observables, xi=cfg.xi,
                                eps=cfg.eps, m_max=cfg.m_max)
         trace = zte_propagate(reduction, rho0, cfg.dt, cfg.steps, observables,
                               eps=cfg.eps, m_max=cfg.m_max)
@@ -225,10 +225,11 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     total_matvecs, total_seconds = run.cost()
     trace.metadata.update(total_matvecs=total_matvecs, total_wall_time_s=total_seconds,
                           liouville_dim=cfg.system.liouville_dim, block_dim=system.block_dim)
+    if cfg.spectrum_path:  # before any file is written: a failed spectrum leaves none
+        freqs, amps = spectrum(trace, xi_apo=cfg.xi_apo)
     if cfg.fid_path:
         write_trace_csv(trace, cfg.fid_path)
     if cfg.spectrum_path:
-        freqs, amps = spectrum(trace, xi_apo=cfg.xi_apo)
         write_spectrum_csv(freqs, amps, trace.labels, cfg.spectrum_path)
     return trace
 
@@ -263,7 +264,8 @@ def read_trace_csv(path) -> ExpectationTrace:
 
     The header must be ``t`` followed by at least one
     ``re_<label>,im_<label>`` pair whose labels match, with one data column
-    per header field; anything else raises :class:`ConfigError`.
+    per header field, and every value must be finite; anything else raises
+    :class:`ConfigError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -276,6 +278,8 @@ def read_trace_csv(path) -> ExpectationTrace:
             or header[1::2] != [f"re_{label}" for label in labels]
             or header[2::2] != [f"im_{label}" for label in labels]):
         raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
+    if not np.all(np.isfinite(data[:, 1:])):
+        raise ConfigError(f"{path}: the trace holds a non-finite value")
     values = data[:, 1::2] + 1j * data[:, 2::2]
     try:
         return ExpectationTrace(times=data[:, 0], labels=labels, values=values.T)
@@ -292,7 +296,10 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
     puts a signal at angular frequency ``+omega`` into the bin nearest
     ``omega / 2*pi``. Frequency axis is ``f_k = k / (N * dt)`` in cycles per
     time unit (Hz for seconds). Requires a uniform grid of increasing times
-    and a finite ``xi_apo``.
+    and a finite ``xi_apo``. A negative ``xi_apo`` (resolution enhancement)
+    is legal, but one whose growth ``exp(-xi_apo * t)`` overflows over the
+    grid raises :class:`ConfigError`, as does a transform whose sum
+    overflows.
     """
     if not math.isfinite(xi_apo):
         raise ConfigError(f"xi_apo must be finite, got {xi_apo}")
@@ -305,8 +312,13 @@ def spectrum(trace: ExpectationTrace, xi_apo: float = 0.0):
     if not dt > 0:
         raise ConfigError(f"spectrum requires increasing times, got a grid step of {dt}")
     n = trace.n_times
-    apod = np.exp(-xi_apo * trace.times)
-    amps = np.abs(np.fft.ifft(trace.values * apod, axis=1) * n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        apod = np.exp(-xi_apo * trace.times)
+        amps = np.abs(np.fft.ifft(trace.values * apod, axis=1) * n)
+    if not np.all(np.isfinite(apod)):
+        raise ConfigError(f"xi_apo={xi_apo} gives a non-finite spectrum: exp(-xi_apo*t) overflows")
+    if not np.all(np.isfinite(amps)):
+        raise ConfigError("the spectrum's transform overflows: the trace's values are too large")
     freqs = np.arange(n) / (n * dt)
     return freqs, amps
 

@@ -75,6 +75,59 @@ def krylov_step(
     return KrylovStepResult(state=fac.basis @ (fac.norm0 * col), m_used=m_cap, converged=False)
 
 
+@dataclass
+class KrylovWalk:
+    """Consecutive Krylov steps from one state.
+
+    ``values[:, k]`` is ``W @ rho`` after ``k`` steps (t = 0 included),
+    ``m_used`` and ``converged`` hold each step's :class:`KrylovStepResult`
+    fields, and ``state`` is the state after the last step.
+    """
+
+    values: np.ndarray
+    m_used: list
+    converged: list
+    state: np.ndarray
+
+
+def krylov_walk(l_op: SparseMatrix, rho0: np.ndarray, dt: float, steps: int, w_rows: np.ndarray,
+                eps=DEFAULT_EPS, m_max=DEFAULT_M_MAX, observe=lambda rho: None) -> KrylovWalk:
+    """``steps`` sequential Krylov steps from ``rho0``, sampled by the rows of ``w_rows``.
+
+    ``observe(rho)`` sees each new state.
+    """
+    walk = KrylovWalk(None, [], [], np.asarray(rho0, dtype=np.complex128))
+
+    def step(rho):
+        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
+        walk.m_used.append(result.m_used)
+        walk.converged.append(result.converged)
+        walk.state = result.state
+        observe(walk.state)
+        return walk.state
+
+    walk.values = record_steps(step, walk.state, w_rows, steps)
+    return walk
+
+
+def krylov_close(run: RunRecord, dt: float, steps: int, labels, walk: KrylovWalk, eps: float,
+                 m_max: int) -> ExpectationTrace:
+    """Close ``run`` over the first ``steps`` steps of ``walk``.
+
+    The trace gets their grid, values and subspace sizes, and ``run`` a
+    warning if any of them hit ``m_max``.
+    """
+    m_used, unconverged = walk.m_used[:steps], walk.converged[:steps].count(False)
+    if unconverged:
+        run.warnings.append(
+            f"{unconverged} of {steps} steps hit m_max={m_max} before the "
+            f"residual test passed; accuracy may be below eps={eps}"
+        )
+    return run.close(dt * np.arange(steps + 1), labels, walk.values[:, :steps + 1],
+                     m_used_max=max(m_used, default=0),
+                     m_used_mean=float(np.mean(m_used)) if m_used else 0.0)
+
+
 def krylov_propagate(
     l_op: SparseMatrix,
     rho0: np.ndarray,
@@ -88,23 +141,6 @@ def krylov_propagate(
     if steps < 0:
         raise ValueError("steps must be non-negative")
     labels, w_rows = normalize_observables(observables, l_op.nrows)
-
     run = RunRecord("krylov", eps=eps)
-    m_used, converged = [], []
-
-    def step(rho):
-        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
-        m_used.append(result.m_used)
-        converged.append(result.converged)
-        return result.state
-
-    values = record_steps(step, rho0, w_rows, steps)
-    unconverged = converged.count(False)
-    if unconverged:
-        run.warnings.append(
-            f"{unconverged} of {steps} steps hit m_max={m_max} before the "
-            f"residual test passed; accuracy may be below eps={eps}"
-        )
-    return run.close(dt * np.arange(steps + 1), labels, values,
-                     m_used_max=max(m_used, default=0),
-                     m_used_mean=float(np.mean(m_used)) if m_used else 0.0)
+    walk = krylov_walk(l_op, rho0, dt, steps, w_rows, eps=eps, m_max=m_max)
+    return krylov_close(run, dt, steps, labels, walk, eps, m_max)

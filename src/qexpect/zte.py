@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError
-from .krylov import DEFAULT_M_MAX, krylov_propagate, krylov_step
+from .krylov import DEFAULT_M_MAX, KrylovWalk, krylov_close, krylov_propagate, krylov_walk
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
 from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
@@ -39,7 +39,11 @@ DEFAULT_XI = 1e-6
 class ZTEReduction:
     """Outcome of the observation window: kept coordinates and reduced operator.
 
-    ``window_matvecs`` and ``window_s`` are what the window cost.
+    ``window_matvecs`` and ``window_s`` are what the window cost. ``window``
+    is the window's own run: ``W @ rho`` at t = 0 and after each step, each
+    step's ``m_used`` and ``converged``, and the last state. ``window_run``
+    is what it ran with: ``(dt, eps, m_max, rho0.tobytes(), W.tobytes())``.
+    When every coordinate is kept, ``l_reduced`` is the operator itself.
     """
 
     kept: np.ndarray
@@ -50,6 +54,8 @@ class ZTEReduction:
     full_dim: int
     window_matvecs: int
     window_s: float
+    window: KrylovWalk
+    window_run: tuple
 
     @property
     def reduced_dim(self) -> int:
@@ -77,6 +83,7 @@ def zte_detect(
     rho0: np.ndarray,
     dt: float,
     delta_t: float,
+    observables,
     xi: float = DEFAULT_XI,
     eps: float = DEFAULT_EPS,
     m_max: int = DEFAULT_M_MAX,
@@ -85,7 +92,14 @@ def zte_detect(
 
     Each step is one adaptive Krylov step. The per-coordinate maximum is
     taken over the sampled steps only (t = 0 included), so bursts between
-    samples can be missed; that risk is inherent to the method. Raises
+    samples can be missed; that risk is inherent to the method.
+
+    The window is recorded as a run of its own, sampled by ``observables``
+    (a mapping as in :func:`zte_propagate`), so that
+    :func:`zte_propagate` can continue it instead of repeating it. The
+    record holds ``q * (window_steps + 1)`` complex values for ``q``
+    observables, the last state and a byte copy of ``rho0`` and the forms;
+    the window's own stepping costs far more. Raises
     :class:`ResourceError`, before the first step, when ``delta_t / dt``
     steps are more than an integer index can count; a window that is long
     but countable still runs, one step at a time.
@@ -99,29 +113,31 @@ def zte_detect(
             f"the observation window delta_t={delta_t} holds more steps of dt={dt} "
             "than an integer index can count"
         )
-    window = RunRecord("zte")
-    rho = np.asarray(rho0, dtype=np.complex128)
-    max_mod = np.abs(rho)
+    record = RunRecord("zte")
+    rho0 = np.asarray(rho0, dtype=np.complex128)
+    forms = normalize_observables(observables, l_op.nrows)[1]
+    max_mod = np.abs(rho0)
     window_steps = int(np.ceil(delta_t / dt - 1e-12))
-    for _ in range(window_steps):
-        rho = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max).state
-        np.maximum(max_mod, np.abs(rho), out=max_mod)
+    window = krylov_walk(l_op, rho0, dt, window_steps, forms, eps=eps, m_max=m_max,
+                         observe=lambda rho: np.maximum(max_mod, np.abs(rho), out=max_mod))
 
     kept = np.nonzero(max_mod >= xi)[0]
     if kept.size == 0:
         raise NumericalError(
             f"threshold xi={xi} pruned every coordinate; lower it or check rho0"
         )
-    window_matvecs, window_s = window.cost()
+    window_matvecs, window_s = record.cost()
     return ZTEReduction(
         kept=kept,
-        l_reduced=l_op.restrict(kept),
+        l_reduced=l_op if kept.size == l_op.nrows else l_op.restrict(kept),
         xi=xi,
         delta_t=delta_t,
         window_steps=window_steps,
         full_dim=l_op.nrows,
         window_matvecs=window_matvecs,
         window_s=window_s,
+        window=window,
+        window_run=(dt, eps, m_max, rho0.tobytes(), forms.tobytes()),
     )
 
 
@@ -140,6 +156,14 @@ def zte_propagate(
     set; pruned coordinates contribute exactly zero to the reported
     expectations, which is the approximation being made. The trace's
     ``matvecs`` and ``wall_time_s`` include the observation window.
+
+    When the window kept every coordinate and ran with this call's ``dt``,
+    ``eps``, ``m_max`` and bitwise the same ``rho0`` and trace forms, the
+    restart would repeat its steps exactly: the first
+    ``min(steps, window_steps)`` steps are then read from the window, and
+    the rest continue from its last state. The trace is bitwise what the
+    restart gives; only ``matvecs`` and the wall time fall. Any other call
+    restarts from ``rho0`` in the reduced space.
     """
     rho0 = np.asarray(rho0, dtype=np.complex128)
     if rho0.shape[0] != reduction.full_dim:
@@ -147,17 +171,21 @@ def zte_propagate(
             f"state has length {rho0.shape[0]}, expected {reduction.full_dim}"
         )
     labels, w_rows = normalize_observables(observables, reduction.full_dim)
-    w_red = {lbl: w_rows[i][reduction.kept] for i, lbl in enumerate(labels)}
 
-    trace = krylov_propagate(
-        reduction.l_reduced,
-        rho0[reduction.kept],
-        dt,
-        steps,
-        w_red,
-        eps=eps,
-        m_max=m_max,
-    )
+    # a negative step count restarts, and the restart rejects it; equal bytes
+    # mean equal shapes, since every state and form holds full_dim entries
+    if (steps >= 0 and reduction.reduced_dim == reduction.full_dim and reduction.window_run
+            == (dt, eps, m_max, rho0.tobytes(), w_rows.tobytes())):
+        run, head = RunRecord("krylov", eps=eps), reduction.window
+        rest = krylov_walk(reduction.l_reduced, head.state, dt,
+                           max(steps - reduction.window_steps, 0), w_rows, eps=eps, m_max=m_max)
+        walk = KrylovWalk(np.hstack([head.values, rest.values[:, 1:]]), head.m_used + rest.m_used,
+                          head.converged + rest.converged, rest.state)
+        trace = krylov_close(run, dt, steps, labels, walk, eps, m_max)
+    else:
+        w_red = {lbl: w_rows[i][reduction.kept] for i, lbl in enumerate(labels)}
+        trace = krylov_propagate(reduction.l_reduced, rho0[reduction.kept], dt, steps,
+                                 w_red, eps=eps, m_max=m_max)
     trace.metadata.update(
         engine="zte",
         matvecs=trace.metadata["matvecs"] + reduction.window_matvecs,

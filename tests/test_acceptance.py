@@ -100,7 +100,7 @@ def test_criterion_2_single_spin_analytic():
 
     traces = _engine_traces(l_op, rho0, obs, times, tau=STEPS * DT)
     traces["oracle"] = oracle_expect(dense_eig(l_op), rho0, obs, times)
-    red = zte_detect(l_op, rho0, DT, 2.0 * np.pi / omega, xi=1e-12)
+    red = zte_detect(l_op, rho0, DT, 2.0 * np.pi / omega, obs, xi=1e-12)
     traces["zte"] = zte_propagate(red, rho0, DT, STEPS, obs)
 
     errs = {k: float(np.max(np.abs(tr.values[0] - analytic))) for k, tr in traces.items()}
@@ -222,7 +222,7 @@ def test_criterion_7_pruning_counterexample():
     late = np.abs(counterexample_f(np.linspace(0.0, 1000.0, 400001)))
 
     l_op, rho0, w = resonant_triplet()
-    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, xi=1e-4)
+    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, observables={"f": w}, xi=1e-4)
     pruned_resonant = 0 not in red.kept
     reduced = zte_propagate(red, rho0, 0.5, 1000, {"f": w})
     truth = counterexample_f(reduced.times)
@@ -259,10 +259,10 @@ def test_criterion_8_exact_zero_soundness():
             dead &= probe == 0.0
             probe = spmv(l_op, probe)
 
-        red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, xi=1e-12)
+        w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, observables={"w": w}, xi=1e-12)
         pruned = np.setdiff1d(np.arange(64), red.kept)
         assert np.all(dead[pruned])
-        w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         reduced = zte_propagate(red, rho0, 0.25, 40, {"w": w})
         full = krylov_propagate(l_op, rho0, 0.25, 40, {"w": w})
         worst = max(worst, float(np.max(np.abs(reduced.values - full.values))))

@@ -191,6 +191,25 @@ def test_spectrum_width_grows_with_apodization():
     assert widths[0] < widths[1] < widths[2]
 
 
+def test_spectrum_negative_rate_sharpens_lines():
+    # resolution enhancement: a negative rate is legal while exp(-xi_apo * t) is finite
+    times = 1e-3 * np.arange(2000)
+    fid = np.exp(-1j * 2.0 * np.pi * 100.0 * times - 30.0 * times)
+    trace = ExpectationTrace(times=times, labels=("ip",), values=fid[None, :])
+    freqs, plain = spectrum(trace)
+    _, sharp = spectrum(trace, xi_apo=-20.0)
+    assert np.all(np.isfinite(sharp))
+    assert _fwhm(freqs, sharp[0]) < _fwhm(freqs, plain[0])
+
+
+def test_spectrum_rejects_an_overflowing_rate():
+    times = 1e-4 * np.arange(201)
+    trace = ExpectationTrace(times=times, labels=("ip",),
+                             values=np.ones((1, 201), dtype=complex))
+    with pytest.raises(ConfigError, match="xi_apo=-1000000.0 gives a non-finite spectrum"):
+        spectrum(trace, xi_apo=-1e6)
+
+
 def test_spectrum_zero_signal():
     times = 0.1 * np.arange(16)
     trace = ExpectationTrace(times=times, labels=("ip",),
@@ -464,6 +483,15 @@ _BAD_FID_HEADERS = {
     "unlabelled_fid_header": "t\n0\n0.1\n",
 }
 
+#: Trace CSVs with a well-formed header whose values are not finite.
+_BAD_FID_VALUES = {
+    "nan_value_fid": "t,re_ip,im_ip\n0,1,0\n0.1,nan,1\n",
+    "infinite_value_fid": "t,re_ip,im_ip\n0,1,0\n0.1,0,-inf\n",
+}
+
+#: A finite trace whose transform's sum overflows at xi_apo = 0.
+_HUGE_FID = "t,re_ip,im_ip\n0,1e308,0\n0.1,1e308,0\n"
+
 #: The message each case must name, where "config error" alone could come
 #: from another check.
 _BAD_CASE_MESSAGES = {
@@ -474,6 +502,11 @@ _BAD_CASE_MESSAGES = {
     "string_labels_header": "labels must be a list of strings",
     "non_string_labels_header": "labels must be a list of strings",
     **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
+    **{case: "values.csv: the trace holds a non-finite value" for case in _BAD_FID_VALUES},
+    # exp(-xi_apo * t) overflows on the 100-step grid of dt = 1e-4
+    "overflowing_xi_apo": "xi_apo=-1000000.0 gives a non-finite spectrum",
+    "overflowing_xi_apo_config": "xi_apo=-1000000.0 gives a non-finite spectrum",
+    "overflowing_transform": "the spectrum's transform overflows",
 }
 
 #: ``qexpect benchmark`` arguments that leave the run unusable.
@@ -499,7 +532,9 @@ _BAD_BENCHMARKS = {
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
      "past_tau", "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
-     "nan_xi_apo", *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
+     "nan_xi_apo", "overflowing_xi_apo", "overflowing_xi_apo_config", "overflowing_transform",
+     *_BAD_FID_VALUES,
+     *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     cfg_path = tmp_path / "run.ini"
@@ -535,6 +570,23 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     elif case == "nan_xi_apo":
         (tmp_path / "ok.csv").write_text("t,re_ip,im_ip\n0,1,0\n0.1,0,1\n")
         args = ["spectrum", "--fid", str(tmp_path / "ok.csv"), "--xi-apo", "nan"]
+    elif case == "overflowing_xi_apo":
+        assert main(args) == 0
+        args = ["spectrum", "--fid", str(tmp_path / "fid.csv"), "--xi-apo=-1e6",
+                "--out", str(tmp_path / "spectrum.csv")]
+    elif case == "overflowing_xi_apo_config":
+        cfg_path.write_text(make_config(steps="100", extra_run="xi_apo = -1e6")
+                            + f"\n[output]\nfid = {tmp_path / 'simulated_fid.csv'}\n"
+                            + f"spectrum = {tmp_path / 'spectrum.csv'}\n")
+        args = ["simulate", "--config", str(cfg_path)]
+    elif case == "overflowing_transform":
+        (tmp_path / "huge.csv").write_text(_HUGE_FID)
+        args = ["spectrum", "--fid", str(tmp_path / "huge.csv"),
+                "--out", str(tmp_path / "spectrum.csv")]
+    elif case in _BAD_FID_VALUES:
+        (tmp_path / "values.csv").write_text(_BAD_FID_VALUES[case])
+        args = ["spectrum", "--fid", str(tmp_path / "values.csv"),
+                "--out", str(tmp_path / "spectrum.csv")]
     elif case in _BAD_FID_HEADERS:
         (tmp_path / "header.csv").write_text(_BAD_FID_HEADERS[case])
         args = ["spectrum", "--fid", str(tmp_path / "header.csv")]
@@ -555,6 +607,9 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err
     assert _BAD_CASE_MESSAGES.get(case, "") in err
+    # a refused run writes no output
+    assert not (tmp_path / "spectrum.csv").exists()
+    assert not (tmp_path / "simulated_fid.csv").exists()
 
 
 def _refuse_block_csr(monkeypatch):

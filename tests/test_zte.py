@@ -6,6 +6,7 @@ from qexpect import (
     ResourceError,
     SparseMatrix,
     SpinSystemSpec,
+    assemble,
     build_hamiltonian,
     build_liouvillian,
     counterexample_f,
@@ -19,6 +20,9 @@ from qexpect import (
     zte_propagate,
     zte_window,
 )
+from qexpect.cli import benchmark_spec
+from qexpect.krylov import DEFAULT_M_MAX
+from qexpect.trace import DEFAULT_EPS
 
 
 def _spec(omega, j=None):
@@ -49,7 +53,7 @@ def test_window_undefined_for_all_zero():
 def test_detect_on_diagonal_operator():
     l_op = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
     rho0 = np.array([1.0, 0.0, 0.5, 0.0], dtype=complex)
-    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, xi=1e-6)
+    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, observables={"w": np.ones(4)}, xi=1e-6)
     assert np.array_equal(red.kept, [0, 2])
     assert np.allclose(red.l_reduced.to_dense(), np.diag([1.0, 3.0]))
 
@@ -57,14 +61,15 @@ def test_detect_on_diagonal_operator():
 def test_detect_zero_threshold_keeps_everything():
     spec = _spec([1.0])
     l_op = build_liouvillian(build_hamiltonian(spec))
-    red = zte_detect(l_op, initial_state(1), dt=0.5, delta_t=2.0 * np.pi, xi=0.0)
+    red = zte_detect(l_op, initial_state(1), dt=0.5, delta_t=2.0 * np.pi,
+                     observables={"ip": observable_ip(1)}, xi=0.0)
     assert red.reduced_dim == 4
 
 
 def test_detect_rejects_overlong_dt():
     l_op = SparseMatrix.identity(4)
     with pytest.raises(ValueError, match="delta_t"):
-        zte_detect(l_op, np.ones(4), dt=2.0, delta_t=1.0)
+        zte_detect(l_op, np.ones(4), dt=2.0, delta_t=1.0, observables={"w": np.ones(4)})
 
 
 @pytest.mark.parametrize("dt", [5e-324, 1e-300])
@@ -74,7 +79,7 @@ def test_detect_rejects_a_window_too_long_to_count(dt):
     l_op = SparseMatrix.identity(4)
     before = matvec_counter.count
     with pytest.raises(ResourceError, match="count"):
-        zte_detect(l_op, np.ones(4), dt=dt, delta_t=1.0)
+        zte_detect(l_op, np.ones(4), dt=dt, delta_t=1.0, observables={"w": np.ones(4)})
     assert matvec_counter.count == before
 
 
@@ -82,7 +87,8 @@ def test_detect_empty_keep_set_errors():
     spec = _spec([1.0])
     l_op = build_liouvillian(build_hamiltonian(spec))
     with pytest.raises(NumericalError, match="pruned every"):
-        zte_detect(l_op, initial_state(1), dt=0.5, delta_t=6.0, xi=1e3)
+        zte_detect(l_op, initial_state(1), dt=0.5, delta_t=6.0,
+                   observables={"ip": observable_ip(1)}, xi=1e3)
 
 
 def test_full_keep_matches_full_engine():
@@ -90,11 +96,11 @@ def test_full_keep_matches_full_engine():
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
     obs = {"ip": observable_ip(2)}
-    red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0 * np.pi, xi=0.0)
+    red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0 * np.pi, observables=obs, xi=0.0)
     assert red.reduced_dim == 16
     reduced = zte_propagate(red, rho0, 0.2, 100, obs)
     full = krylov_propagate(l_op, rho0, 0.2, 100, obs)
-    assert np.max(np.abs(reduced.values - full.values)) <= 1e-13
+    assert reduced.values.tobytes() == full.values.tobytes()
 
 
 def test_weakly_coupled_reduction_and_accuracy():
@@ -106,7 +112,7 @@ def test_weakly_coupled_reduction_and_accuracy():
     rho0 = initial_state(3)
     obs = {"ip": observable_ip(3)}
     delta_t = zte_window(spec)
-    red = zte_detect(l_op, rho0, dt=0.1, delta_t=delta_t, xi=1e-6)
+    red = zte_detect(l_op, rho0, dt=0.1, delta_t=delta_t, observables=obs, xi=1e-6)
     assert red.reduced_dim < 64
     steps = int(np.ceil(10.0 * delta_t / 0.1))
     reduced = zte_propagate(red, rho0, 0.1, steps, obs)
@@ -132,10 +138,10 @@ def test_exact_zero_pruning_is_lossless_diagonal(rng):
         probe = spmv(l_op, probe)
     assert not np.any(dead[support])
 
-    red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, xi=1e-12)
+    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, observables={"w": w}, xi=1e-12)
     assert np.all(dead[np.setdiff1d(np.arange(dim), red.kept)])
 
-    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     reduced = zte_propagate(red, rho0, 0.25, 40, {"w": w})
     full = krylov_propagate(l_op, rho0, 0.25, 40, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
@@ -153,9 +159,9 @@ def test_exact_zero_pruning_is_lossless_block_diagonal(rng):
     rho0 = np.zeros(64, dtype=complex)
     rho0[:24] = rng.standard_normal(24) + 1j * rng.standard_normal(24)
 
-    red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0, xi=1e-12)
-    assert np.all(red.kept < 24)
     w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0, observables={"w": w}, xi=1e-12)
+    assert np.all(red.kept < 24)
     reduced = zte_propagate(red, rho0, 0.2, 30, {"w": w})
     full = krylov_propagate(l_op, rho0, 0.2, 30, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
@@ -187,7 +193,7 @@ def test_resonant_triplet_realises_counterexample():
 def test_pruning_failure_mode_reproduced():
     l_op, rho0, w = resonant_triplet()
     # window = one period of the slow isolated 1 Hz line
-    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, xi=1e-4)
+    red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, observables={"f": w}, xi=1e-4)
     assert 0 not in red.kept  # the resonant coordinate was pruned
     assert red.reduced_dim == 2
 
@@ -198,3 +204,69 @@ def test_pruning_failure_mode_reproduced():
     truth = counterexample_f(times)
     err = np.abs(reduced.values[0] - truth)
     assert err.max() > 0.5  # long-time failure, exactly as predicted
+
+
+@pytest.fixture(scope="module")
+def spin5_window():
+    """The ``ip`` trace block of ``benchmark_spec(5)`` and a window that keeps all of it."""
+    spec = benchmark_spec(5)
+    system = assemble(spec, ("ip",))
+    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables)
+    assert red.reduced_dim == red.full_dim
+    return system, red
+
+
+_COST_FREE_KEYS = ("m_used_max", "m_used_mean", "eps")
+
+
+@pytest.mark.parametrize("offset", [-37, -1, 0, 1, 45])
+def test_kept_window_is_the_start_of_the_run(spin5_window, offset):
+    system, red = spin5_window
+    steps = red.window_steps + offset
+    zte = zte_propagate(red, system.rho0, 0.1, steps, system.observables)
+    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables)
+    assert zte.values.tobytes() == krylov.values.tobytes()
+    assert zte.times.tobytes() == krylov.times.tobytes()
+    for key in _COST_FREE_KEYS:
+        assert zte.metadata[key] == krylov.metadata[key]
+    # the window is paid for once, and the trace still counts it
+    expected = krylov.metadata["matvecs"] if offset >= 0 else red.window_matvecs
+    assert zte.metadata["matvecs"] == expected
+
+
+def test_reused_window_cannot_alter_its_record(spin5_window):
+    system, red = spin5_window
+    first = zte_propagate(red, system.rho0, 0.1, 20, system.observables)
+    first.values[:] = 0.0
+    again = zte_propagate(red, system.rho0, 0.1, 20, system.observables)
+    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, 20, system.observables)
+    assert again.values.tobytes() == krylov.values.tobytes()
+
+
+@pytest.mark.parametrize("change", ["dt", "rho0", "form", "eps", "m_max"])
+def test_other_runs_restart_from_rho0(spin5_window, change):
+    system, red = spin5_window
+    (label, form), = system.observables.items()
+    run = dict(rho0=system.rho0, dt=0.1, steps=60, observables=system.observables,
+               eps=DEFAULT_EPS, m_max=DEFAULT_M_MAX)
+    run.update({"dt": dict(dt=0.2), "rho0": dict(rho0=2.0 * system.rho0),
+                "form": dict(observables={label: 1j * form}), "eps": dict(eps=1e-9),
+                "m_max": dict(m_max=6)}[change])
+    zte = zte_propagate(red, **run)
+    krylov = krylov_propagate(system.l_op, **run)
+    assert zte.values.tobytes() == krylov.values.tobytes()
+    assert zte.metadata["matvecs"] == krylov.metadata["matvecs"] + red.window_matvecs
+
+
+@pytest.mark.parametrize("steps", [10, 200])
+def test_unconverged_window_steps_warn_as_krylov_does(steps):
+    spec = benchmark_spec(5)
+    system = assemble(spec, ("ip",))
+    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables,
+                     m_max=3)
+    zte = zte_propagate(red, system.rho0, 0.1, steps, system.observables, m_max=3)
+    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables,
+                              m_max=3)
+    assert krylov.metadata["warnings"][0].startswith(f"{steps} of {steps} steps hit m_max=3")
+    assert zte.metadata["warnings"][:-1] == krylov.metadata["warnings"]
+    assert zte.values.tobytes() == krylov.values.tobytes()
