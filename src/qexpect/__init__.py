@@ -3,8 +3,9 @@
 Builds spin-system Liouvillians in sparse form and computes observable
 traces over time with interchangeable engines: direct scalar-series
 evaluation (precompute once, evaluate anywhere), Chebyshev step
-propagation, adaptive Krylov stepping, zero-track model reduction, and a
-dense eigendecomposition reference.
+propagation, adaptive Krylov stepping, zero-track model reduction, and an
+exact reference that diagonalises the Hamiltonian sector by sector (with a
+dense eigendecomposition reference for any other Hermitian operator).
 """
 
 __version__ = "0.1.0"

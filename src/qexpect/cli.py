@@ -12,7 +12,7 @@ Config files are sectioned key-value text (INI). Frequencies are given in
 Hz and converted to angular frequencies on ingestion; times are in seconds.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 resource limit (the dense cap, or out of memory) or timeout.
+4 resource limit (the oracle's sector cap, or out of memory) or timeout.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import scipy
 
 from . import __version__
 from .chebyshev import cheb_step_propagate
-from .dec import dec_evaluate_grid, dec_precompute, load_series, save_series
+from .dec import _phase_sum, dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import DEFAULT_M_MAX, krylov_propagate
-from .oracle import dense_eig, oracle_expect
 from .spinsys import SpinSystemSpec, assemble, observable_by_name
 from .trace import DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord
 from .zte import DEFAULT_XI, zte_detect, zte_propagate, zte_window
@@ -182,11 +181,12 @@ def parse_config(text: str) -> RunConfig:
 def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     """Dispatch to the selected engine and return the sampled expectations.
 
-    Every engine, the oracle's dense cap included, runs on the trace block
-    of :func:`qexpect.spinsys.assemble`. ``dec`` and ``cheb`` rescale by the
-    block's exact spectral interval, read off H's sectors
-    (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`). ``dec`` sweeps
-    the block's sector operator; the other engines get its CSR.
+    Every engine runs on the trace block of :func:`qexpect.spinsys.assemble`.
+    ``dec`` and ``cheb`` rescale by the block's exact spectral interval, read
+    off H's sectors (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`).
+    ``oracle`` sums the block's exact line list, read off the same sectors
+    (:meth:`qexpect.spinsys.TraceSystem.line_list`), and ``dec`` sweeps the
+    block's sector operator; the other engines get its CSR.
     """
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
@@ -194,7 +194,8 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     times = cfg.dt * np.arange(cfg.steps + 1)
 
     if cfg.engine == "oracle":
-        trace = oracle_expect(dense_eig(system.l_op), rho0, observables, times)
+        trace = RunRecord("oracle", eps=0.0).close(times, tuple(observables),
+                                                   _phase_sum(*system.line_list(), times))
     elif cfg.engine == "dec":
         series_run = RunRecord("dec")
         series = dec_precompute(system.sector_op, rho0, observables, tau=cfg.horizon,
@@ -375,6 +376,10 @@ def _bench_child(conn, cfg: RunConfig):
 
 
 def _run_benchmark_job(cfg: RunConfig, timeout):
+    """``run_simulation(cfg)`` in a forked child: its payload, or None on a timeout.
+
+    A child that ends without sending one reports an error with its exit code.
+    """
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_bench_child, args=(child, cfg))
@@ -382,7 +387,12 @@ def _run_benchmark_job(cfg: RunConfig, timeout):
     child.close()
     payload = None
     if parent.poll(timeout):
-        payload = parent.recv()
+        try:
+            payload = parent.recv()
+        except EOFError:  # the child closed the pipe by ending
+            proc.join()
+            payload = ("error", f"the run ended with exit code {proc.exitcode} and no result",
+                       None, None)
     proc.join(timeout=0.5)
     if proc.is_alive():
         proc.terminate()
@@ -400,27 +410,27 @@ def benchmark(
     xi: float = RunConfig.xi,
     tau: float | None = RunConfig.tau,
     timeout: float = 300.0,
-    oracle_cap: int = 1024,
     seed: int = 0,
     stream=None,
 ):
     """Cost comparison across engines and sizes.
 
-    For each (size, engine) pair: wall time, matvec count, max error against
-    the dense reference where the dimension permits, and the reduced
-    dimension for the pruning engine. The run settings default to
+    For each (size, engine) pair: wall time, matvec count, max error of the
+    first observable against the reference, and the reduced dimension for
+    the pruning engine. The reference of each size is an ``oracle`` run
+    with the same settings, run like every engine; when it fails or times
+    out, no row of that size gets a ``max_err``. An ``oracle`` row is that
+    run, so its own ``max_err`` is 0. The run settings default to
     :class:`RunConfig`'s and are validated by it before any run starts, as
-    are ``timeout`` (positive and finite), ``oracle_cap`` and ``seed``
-    (non-negative) and the spin counts (1 to 31, through every system's
-    :class:`SpinSystemSpec`), so unusable settings raise
-    :class:`ConfigError`. Runs happen in a child process so a stuck
-    engine is recorded as timed out rather than hanging the table. Timings
-    are single threaded; numerical columns are deterministic.
+    are ``timeout`` (positive and finite), ``seed`` (non-negative) and the
+    spin counts (1 to 31, through every system's :class:`SpinSystemSpec`),
+    so unusable settings raise :class:`ConfigError`. Runs happen in a child
+    process under ``timeout``, so a stuck engine is recorded as timed out
+    and a child that dies as failed, rather than hanging or crashing the
+    table. Timings are single threaded; numerical columns are deterministic.
     """
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ConfigError(f"benchmark timeout must be positive and finite, got {timeout}")
-    if oracle_cap < 0:
-        raise ConfigError(f"benchmark oracle_cap must be non-negative, got {oracle_cap}")
     if seed < 0:
         raise ConfigError(f"benchmark seed must be non-negative, got {seed}")
     if any(n_spins < 1 for n_spins in spin_counts):
@@ -430,17 +440,12 @@ def benchmark(
     # every system first, so that an unusable spin count fails before any run
     for spec in [benchmark_spec(n_spins, seed=seed) for n_spins in spin_counts]:
         configs = [RunConfig(system=spec, engine=engine, dt=dt, steps=steps, eps=eps,
-                             xi=xi, tau=tau) for engine in engines]
+                             xi=xi, tau=tau) for engine in ("oracle", *engines)]
         n_spins, dim = spec.n, spec.liouville_dim
-        reference = None
-        system = assemble(spec, ("ip",))
-        if system.block_dim <= oracle_cap:
-            reference = oracle_expect(dense_eig(system.l_op, max_dim=oracle_cap),
-                                      system.rho0, system.observables,
-                                      dt * np.arange(steps + 1))
-        for cfg in configs:
+        reference = _run_benchmark_job(configs[0], timeout)
+        for cfg in configs[1:]:
             row = BenchmarkRow(n_spins=n_spins, dim=dim, engine=cfg.engine, steps=steps)
-            payload = _run_benchmark_job(cfg, timeout)
+            payload = reference if cfg.engine == "oracle" else _run_benchmark_job(cfg, timeout)
             if payload is None:
                 row.status = "timeout"
             elif payload[0] == "error":
@@ -459,10 +464,8 @@ def benchmark(
                 if "window_steps" in meta:
                     bits.append(f"window_steps={meta['window_steps']}")
                 row.detail = " ".join(bits)
-                if reference is not None:
-                    row.max_err = float(
-                        np.max(np.abs(values[0] - reference.values[0]))
-                    )
+                if reference is not None and reference[0] == "ok":
+                    row.max_err = float(np.max(np.abs(values[0] - reference[2][0])))
             rows.append(row)
     _print_benchmark(rows, dt, steps, eps, stream)
     return rows
@@ -547,8 +550,7 @@ def _cmd_benchmark(args) -> int:
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r} in --engines")
     rows = benchmark(spins, engines, dt=args.dt, steps=args.steps, eps=args.eps,
-                     xi=args.xi, timeout=args.timeout, oracle_cap=args.oracle_cap,
-                     seed=args.seed)
+                     xi=args.xi, timeout=args.timeout, seed=args.seed)
     if args.out:
         write_benchmark_csv(rows, args.out)
         print(f"benchmark csv written to {args.out}")
@@ -613,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--eps", type=float, default=RunConfig.eps)
     bench.add_argument("--xi", type=float, default=RunConfig.xi)
     bench.add_argument("--timeout", type=float, default=300.0)
-    bench.add_argument("--oracle-cap", type=int, default=1024)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", help="also write machine-readable csv here")
     bench.set_defaults(func=_cmd_benchmark)

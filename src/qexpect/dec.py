@@ -63,6 +63,10 @@ _LATTICE_ULPS = 4
 #: Times per block of a phase table on a grid that is no progression.
 _TIME_BLOCK = 256
 
+#: Lines per block of a longer line list: a block's phase tables stay in
+#: cache, where one table over every line of a large list would not.
+_LINE_BLOCK = 8192
+
 
 class DECSeries:
     """Precomputed scalar trace series for a set of observables.
@@ -351,19 +355,24 @@ def _powers(base: np.ndarray, n: int) -> np.ndarray:
 def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``amp @ exp(-1j * outer(omega, times))``, the evaluator of every line list.
 
-    Both stored series (see :func:`_line_list`) and the exact modes of
-    :func:`qexpect.oracle.oracle_expect` go through it. ``times`` may come
-    in any order, with repeats and negative values: the sum is taken on the
-    sorted distinct times and scattered back, so each value depends only on
-    its time and the set of times.
+    Stored series (see :func:`_line_list`), the exact modes of
+    :func:`qexpect.oracle.oracle_expect` and the sector line list of
+    :meth:`qexpect.spinsys.TraceSystem.line_list` all go through it.
+    ``times`` may come in any order, with repeats and negative values: the
+    sum is taken on the sorted distinct times and scattered back, so each
+    value depends only on its time and the set of times.
 
     When the distinct times form an arithmetic progression
     ``t_j = t_0 + j h``, ``j = b B + r`` with ``B = ceil(sqrt(M))`` splits
     each phase into a coarse factor ``exp(-i omega (t_0 + b B h))`` and a
     fine one ``exp(-i omega r h)``, both filled by repeated multiplication;
     one matrix product then serves every row of ``amp``. Other grids take
-    the phase table directly, a block of times at a time.
+    the phase table directly, a block of times at a time. A list of more
+    than ``_LINE_BLOCK`` lines is summed ``_LINE_BLOCK`` lines at a time.
     """
+    if omega.shape[0] > _LINE_BLOCK:
+        return sum(_phase_sum(omega[lo : lo + _LINE_BLOCK], amp[:, lo : lo + _LINE_BLOCK], times)
+                   for lo in range(0, omega.shape[0], _LINE_BLOCK))
     times, where = np.unique(times, return_inverse=True)
     m = times.shape[0]
     step = _progression_step(times)

@@ -1,11 +1,15 @@
-"""Dense ground-truth engine: full eigendecomposition and exact evolution.
+"""Dense ground truth for any Hermitian operator: full eigendecomposition and exact evolution.
 
 Every coordinate of the evolving state is a superposition of oscillators at
 the eigenfrequencies, so expectations at arbitrary times reduce to phase
 sums over modal amplitudes: a line list, summed by the same evaluator as
 the stored series of :mod:`qexpect.dec`. Exact to roundoff, but dense:
 dimension is capped, and beyond the cap callers are pointed at the sparse
-engines.
+engines. This is the generic-operator reference of the tests and the
+benchmark. The ``oracle`` engine of spin systems never densifies a
+Liouvillian: it diagonalises H sector by sector
+(:meth:`qexpect.spinsys.TraceSystem.line_list`), under the same cap
+``DEFAULT_MAX_DIM``, there counted in states of the largest kept sector.
 """
 
 from __future__ import annotations
@@ -41,7 +45,11 @@ class ModeDecomposition:
 
 
 def dense_eig(l_op: SparseMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ModeDecomposition:
-    """Full Hermitian eigendecomposition of the densified operator."""
+    """Full Hermitian eigendecomposition of the densified operator.
+
+    ``eigh`` reads one triangle only, so an operator that is not Hermitian,
+    to ``1e-12`` of its largest entry, raises ``ValueError`` instead.
+    """
     if l_op.nrows != l_op.ncols:
         raise ValueError("operator must be square")
     if l_op.nrows > max_dim:
@@ -49,6 +57,9 @@ def dense_eig(l_op: SparseMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ModeDecompo
             f"dimension {l_op.nrows} exceeds the dense cap {max_dim}; "
             "use a sparse engine (dec/cheb/krylov) instead"
         )
+    gap = np.abs((l_op.csr - l_op.csr.conj().T).data)
+    if np.max(gap, initial=0.0) > 1e-12 * np.max(np.abs(l_op.csr.data), initial=0.0):
+        raise ValueError("operator is not Hermitian; the dense oracle solves Hermitian ones only")
     lam, x = np.linalg.eigh(l_op.to_dense())
     return ModeDecomposition(lam=lam, X=x)
 

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from . import oracle
+from .errors import ConfigError, ResourceError
 from .sparse import SparseMatrix
 from .spectral import INFLATION_FLOOR, ScalingParams
 
@@ -503,7 +504,8 @@ class TraceSystem:
     ``sector_stacks``. ``dec`` sweeps ``sector_op`` and the other engines
     take ``l_op``; either way they return the same expectations as on the
     full space. :meth:`spectral_interval` reads the exact spectrum off the
-    same sector blocks.
+    same sector blocks, and :meth:`line_list` the exact line list that the
+    ``oracle`` engine sums.
     """
 
     rho0: np.ndarray
@@ -554,6 +556,42 @@ class TraceSystem:
         alpha = float(np.max(high[a] - low[b]))
         pad = SECTOR_PAD * max(abs(alpha), abs(beta)) + INFLATION_FLOOR
         return ScalingParams.from_bounds(alpha=alpha + pad, beta=beta - pad)
+
+    def line_list(self):
+        """The block's exact line list ``(omega, amp)``, one row of ``amp`` per observable:
+        ``f_q(t) = sum_l amp[q, l] exp(-i omega_l t)``.
+
+        One ``eigh`` per stack of :attr:`sector_stacks` gives
+        ``H_a = U_a diag(lambda) U_a^dagger`` for every kept sector. The block
+        of pair (a, b) maps ``X`` to ``H_a X - X H_b``, so it contributes the
+        lines ``omega = lambda_k - mu_l`` with amplitudes
+        ``(U_a^T G conj(U_b)) * (U_a^dagger R U_b)``, where ``R`` and ``G`` are
+        ``rho0`` and a trace form on the pair, unstacked to ``|a| x |b|``.
+        Lines come pair by pair, each pair's ``|a| x |b|`` grid row-major.
+        No Liouvillian is built. Raises :class:`ResourceError` before any
+        eigensolve when a kept sector holds more than
+        ``oracle.DEFAULT_MAX_DIM`` states.
+        """
+        largest = int(np.bincount(self.components)[np.unique(self.pairs)].max())
+        if largest > oracle.DEFAULT_MAX_DIM:
+            raise ResourceError(f"a kept sector of H holds {largest} states, past the cap "
+                                f"{oracle.DEFAULT_MAX_DIM}; use a sparse engine (dec/cheb/krylov) "
+                                "instead")
+        eig = {}
+        for labels, blocks in self.sector_stacks.values():
+            eig.update(zip(labels.tolist(), zip(*np.linalg.eigh(blocks))))
+        forms = np.array(list(self.observables.values()))
+        omega, amp, start = [], [], 0
+        for a, b in self.pairs.tolist():
+            (lam_a, u_a), (lam_b, u_b) = eig[a], eig[b]
+            p, q = lam_a.shape[0], lam_b.shape[0]
+            # read row-major, the column-stacked block X_ab is its transpose
+            r = self.rho0[start : start + p * q].reshape(q, p).T
+            g = forms[:, start : start + p * q].reshape(-1, q, p).transpose(0, 2, 1)
+            omega.append((lam_a[:, None] - lam_b).ravel())
+            amp.append(((u_a.T @ g @ u_b.conj()) * (u_a.conj().T @ r @ u_b)).reshape(len(g), -1))
+            start += p * q
+        return np.concatenate(omega), np.concatenate(amp, axis=1)
 
 
 def assemble(spec: SpinSystemSpec, names) -> TraceSystem:

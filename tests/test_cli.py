@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import textwrap
 
@@ -305,9 +306,16 @@ def test_exit_code_tridiagonal_solver_failure(tmp_path, capsys, failing_stev):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_exit_code_resource_limit(tmp_path, capsys):
-    # a coupled 8-spin chain: the block the trace reads has dimension 11440,
-    # past the dense cap of 4096
+def test_exit_code_resource_limit(tmp_path, capsys, monkeypatch):
+    # a coupled 8-spin chain: the largest sector the `ip` block keeps holds
+    # C(8, 4) = 70 states, past a cap of 64; the run stops before any eigensolve
+    import qexpect.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DIM", 64)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     chain = "\n" + "\n".join(
         "  " + " ".join("1" if abs(a - b) == 1 else "0" for b in range(8)) for a in range(8)
     )
@@ -317,7 +325,18 @@ def test_exit_code_resource_limit(tmp_path, capsys):
         "[run]\nengine = oracle\nsteps = 2\ndt = 0.1\n"
     )
     assert main(["simulate", "--config", str(cfg)]) == 4
-    assert "resource limit" in capsys.readouterr().err
+    assert "resource limit: a kept sector of H holds 70 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_oracle_runs_past_the_dense_liouville_cap(n):
+    # blocks of 11440 and 43758 coordinates: the sector line list needs
+    # sectors of at most 70 and 126 states, and sums more than one block of lines
+    runs = {engine: run_simulation(RunConfig(system=benchmark_spec(n), engine=engine))
+            for engine in ("oracle", "dec")}
+    exact = runs["oracle"].values
+    assert runs["oracle"].metadata["block_dim"] > 4096
+    assert np.max(np.abs(runs["dec"].values - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("engine", ["dec", "cheb"])
@@ -399,8 +418,8 @@ def test_spectrum_cli_flow(tmp_path):
 
 def test_benchmark_is_deterministic_and_reports_costs(tmp_path):
     out = io.StringIO()
-    kwargs = dict(spin_counts=[2], engines=["dec", "krylov", "zte"], dt=0.1,
-                  steps=40, timeout=120.0, oracle_cap=256, stream=out)
+    kwargs = dict(spin_counts=[2], engines=["dec", "krylov", "zte", "oracle"], dt=0.1,
+                  steps=40, timeout=120.0, stream=out)
     rows1 = benchmark(**kwargs)
     rows2 = benchmark(**kwargs)
     by_engine = {r.engine: r for r in rows1}
@@ -410,6 +429,9 @@ def test_benchmark_is_deterministic_and_reports_costs(tmp_path):
     dec_row = by_engine["dec"]
     assert dec_row.detail.startswith("n_orders=")
     assert dec_row.matvecs == int(dec_row.detail.split("=")[1]) // 2
+    # every row is measured against the `oracle` run, which is the oracle row
+    assert by_engine["oracle"].max_err == 0.0
+    assert all(r.max_err <= 1e-6 for r in rows1)
     # pruning engine reports its reduced size
     assert by_engine["zte"].reduced_dim is not None
     assert by_engine["zte"].reduced_dim < 256
@@ -519,8 +541,6 @@ _BAD_BENCHMARKS = {
                                    "--timeout", "-1"],
     "benchmark_infinite_timeout": ["--spins", "2", "--engines", "dec", "--steps", "5",
                                    "--timeout", "inf"],
-    "benchmark_negative_oracle_cap": ["--spins", "2", "--engines", "dec", "--steps", "5",
-                                      "--oracle-cap", "-1"],
     "benchmark_negative_spins": ["--spins", "-1", "--engines", "dec", "--steps", "5"],
     "benchmark_negative_seed": ["--spins", "2", "--engines", "dec", "--steps", "5",
                                 "--seed", "-5000"],
@@ -620,9 +640,10 @@ def _refuse_block_csr(monkeypatch):
 
 
 def test_dec_never_builds_a_liouvillian_csr(tmp_path, monkeypatch):
+    # nor does `oracle`, which reads the sectors of H
     _refuse_block_csr(monkeypatch)
-    for names in (("ip",), ("ip", "ip:0"), ("ix",)):
-        cfg = RunConfig(system=benchmark_spec(5), engine="dec", dt=0.1, steps=100,
+    for names, engine in itertools.product((("ip",), ("ip", "ip:0"), ("ix",)), ("dec", "oracle")):
+        cfg = RunConfig(system=benchmark_spec(5), engine=engine, dt=0.1, steps=100,
                         observables=names)
         assert run_simulation(cfg).metadata["block_dim"] > 0
     cfg_path = tmp_path / "run.ini"
@@ -632,15 +653,43 @@ def test_dec_never_builds_a_liouvillian_csr(tmp_path, monkeypatch):
 
 
 def test_benchmark_builds_no_block_csr_past_the_oracle_cap(monkeypatch):
-    # 9 spins: the `ip` block has 43758 coordinates, past the default cap of
-    # 1024, so neither the reference nor the `dec` run needs the CSR
+    # 9 spins: the `ip` block has 43758 coordinates, past the dense cap of
+    # 4096 on the Liouville block; the `oracle` reference reads the sectors of
+    # H, so neither it nor the `dec` run needs the CSR, and `dec` gets a max_err
     _refuse_block_csr(monkeypatch)
     rows = benchmark([9], ["dec"], steps=5, stream=io.StringIO())
-    assert [(row.engine, row.status, row.max_err) for row in rows] == [("dec", "ok", None)]
+    assert [(row.engine, row.status) for row in rows] == [("dec", "ok")]
     assert rows[0].detail.startswith("n_orders=")
+    assert 0.0 < rows[0].max_err <= 1e-6
 
 
-@pytest.mark.parametrize("engine", ["cheb", "krylov", "zte", "oracle"])
+def test_benchmark_records_a_child_that_dies_as_failed(monkeypatch):
+    import os
+
+    import qexpect.cli as cli
+
+    def dies_on(engine):
+        def run(cfg):
+            if cfg.engine == engine:
+                os._exit(9)
+            return real(cfg)
+        return run
+
+    real = cli.run_simulation
+    monkeypatch.setattr(cli, "run_simulation", dies_on("krylov"))
+    rows = benchmark([3], ["dec", "krylov"], steps=10, stream=io.StringIO())
+    assert [(row.engine, row.status) for row in rows] == [("dec", "ok"), ("krylov", "failed")]
+    assert rows[0].max_err is not None
+    assert "exit code 9" in rows[1].detail
+    # a dead reference leaves every row of its size without a max_err
+    monkeypatch.setattr(cli, "run_simulation", dies_on("oracle"))
+    rows = benchmark([3], ["dec", "oracle"], steps=10, stream=io.StringIO())
+    assert [(row.engine, row.status, row.max_err) for row in rows] == [
+        ("dec", "ok", None), ("oracle", "failed", None)]
+    assert "exit code 9" in rows[1].detail
+
+
+@pytest.mark.parametrize("engine", ["cheb", "krylov", "zte"])
 def test_csr_engines_run_on_the_restricted_full_operator(monkeypatch, engine):
     # the block CSR these engines get, built on first use, gives bitwise the
     # trace of the full Liouvillian restricted to the trace block

@@ -255,6 +255,17 @@ def test_progression_grids_take_the_factored_phase_table(rng):
     assert np.max(np.abs(factored - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def test_a_long_line_list_is_summed_block_by_block(rng):
+    # two and a half blocks of lines, on a progression and on scattered times
+    n_lines = 2 * dec_module._LINE_BLOCK + dec_module._LINE_BLOCK // 2
+    omega = rng.uniform(-3.0, 3.0, n_lines)
+    amp = rng.standard_normal((2, n_lines)) + 1j * rng.standard_normal((2, n_lines))
+    for times in (0.1 * np.arange(101), rng.uniform(-5.0, 20.0, 40)):
+        direct = amp @ np.exp(-1j * np.outer(omega, times))
+        summed = dec_module._phase_sum(omega, amp, times)
+        assert np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_grid_evaluation_is_order_independent(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
@@ -311,6 +322,29 @@ def test_trace_error_within_eps_times_norms(n, form, seed, eps, tau):
     _, w_rows = normalize_observables(obs, l_op.nrows)
     bound = eps * np.linalg.norm(w_rows, axis=1) * np.linalg.norm(rho0)
     assert np.all(np.max(np.abs(trace.values - ref.values), axis=1) <= bound)
+
+
+@pytest.mark.parametrize("names", [("ip",), ("ip", "ip:0")])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_moments_are_those_of_the_exact_line_list(n, names):
+    # the stored scalars are the Chebyshev moments of the exact lines,
+    # mu_qk = sum_l amp_ql T_k((omega_l - S) / D), on the doubled sweep (`ip`)
+    # and the plain one (`ip ip:0`)
+    for seed in range(3):
+        system = assemble(benchmark_spec(n, seed), names)
+        series = dec_precompute(system.sector_op, system.rho0, system.observables, tau=100.0,
+                                scaling=system.spectral_interval())
+        omega, amp = system.line_list()
+        x = (omega - series.shift) / series.half_width
+        mu = np.empty_like(series.tilde)
+        prev, cur = np.ones_like(x), x
+        for k in range(series.n_orders):
+            mu[:, k] = amp @ prev
+            prev, cur = cur, 2.0 * x * cur - prev
+        _, w_rows = normalize_observables(system.observables, system.block_dim)
+        norms = np.linalg.norm(w_rows, axis=1) * np.linalg.norm(system.rho0)
+        gap = np.max(np.abs(series.tilde - mu), axis=1)
+        assert np.all(gap <= 1e-12 * norms), (seed, gap / norms)
 
 
 @settings(max_examples=30, deadline=None)

@@ -108,3 +108,16 @@ def test_phase_sum_on_any_grid_matches_the_direct_sum(rng):
         values = oracle_expect(dec, rho0, obs, times).values
         direct = amp @ np.exp(-1j * np.outer(dec.lam, times))
         assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_non_hermitian_operator_is_refused():
+    # eigh reads one triangle only: on this operator it would return f(1) = 0
+    # for rho0 = (0, 1) and a form that reads coordinate 0, where
+    # expm(-1j * A) gives -0.956 - 0.068i
+    a = np.array([[1.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dense_eig(SparseMatrix.from_dense(a))
+    # a roundoff-level asymmetry is still solved
+    a[1, 0] = 1.0 + 1e-15
+    assert np.allclose(dense_eig(SparseMatrix.from_dense(a)).lam, [1.5 - 0.5 * 5**0.5,
+                                                                   1.5 + 0.5 * 5**0.5])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qexpect import (
@@ -21,6 +21,7 @@ from qexpect import (
     spmv,
 )
 from qexpect.cli import RunConfig, benchmark_spec, run_simulation
+from qexpect.dec import _phase_sum
 from qexpect.spectral import INFLATION_FLOOR
 from qexpect.spinsys import SECTOR_PAD, TraceSystem, assemble, hilbert_components, trace_block
 
@@ -346,3 +347,33 @@ def test_sector_operator_equals_the_block_csr(problem):
         # CSR; the flag keeps H's exact answer, which only costs the plain sweep
         assert real.symmetric or not rescaled.symmetric
         close(rescaled, real, scale, y)
+
+
+@st.composite
+def _line_list_problems(draw):
+    """A :func:`_sector_problems` system, perturbed or not, or a
+    ``benchmark_spec`` chain with ``ip``, whose block is small enough for the
+    dense Liouville solve."""
+    if draw(st.booleans()):
+        spec, names, variant, _ = draw(_sector_problems())
+        system = _perturbed(assemble(spec, names), variant)
+    else:
+        system = assemble(benchmark_spec(draw(st.integers(1, 6)), draw(st.integers(0, 2))),
+                          ("ip",))
+    assume(system.block_dim <= 1000)
+    return system
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_list_problems())
+def test_sector_line_list_equals_the_dense_liouville_oracle(system):
+    """The exact line list read off the sectors of H sums to the dense
+    oracle's trace on the same block, to 1e-12 of the largest |f_q| above a
+    floor of 1e-13 * ||w_q|| * ||rho0||."""
+    times = 0.1 * np.arange(301)
+    exact = _phase_sum(*system.line_list(), times)
+    dense = oracle_expect(dense_eig(system.l_op), system.rho0, system.observables, times).values
+    _, w_rows = normalize_observables(system.observables, system.block_dim)
+    norms = np.linalg.norm(w_rows, axis=1) * np.linalg.norm(system.rho0)
+    tol = 1e-12 * np.max(np.abs(dense), axis=1) + 1e-13 * norms
+    assert np.all(np.max(np.abs(exact - dense), axis=1) <= tol)
