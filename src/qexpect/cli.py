@@ -11,8 +11,9 @@ Verbs:
 Config files are sectioned key-value text (INI). Frequencies are given in
 Hz and converted to angular frequencies on ingestion; times are in seconds.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 resource limit (the oracle's sector cap, or out of memory) or timeout.
+Exit codes: 0 success, 2 configuration error (an output file that cannot
+be written included), 3 numerical failure, 4 resource limit (the oracle's
+sector cap, or out of memory) or timeout.
 """
 
 from __future__ import annotations
@@ -186,7 +187,10 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     off H's sectors (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`).
     ``oracle`` sums the block's exact line list, read off the same sectors
     (:meth:`qexpect.spinsys.TraceSystem.line_list`), and ``dec`` sweeps the
-    block's sector operator; the other engines get its CSR.
+    block's sector operator; the other engines get its CSR. ``zte``
+    observes over one period of the slowest Larmor frequency
+    (:func:`qexpect.zte.zte_window`), and :func:`qexpect.zte.zte_detect`
+    refuses a ``dt`` longer than that window with :class:`ConfigError`.
     """
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
@@ -210,16 +214,9 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
         trace = krylov_propagate(system.l_op, rho0, cfg.dt, cfg.steps, observables,
                                  eps=cfg.eps, m_max=cfg.m_max)
     elif cfg.engine == "zte":
-        delta_t = zte_window(cfg.system)
-        if cfg.dt > delta_t:
-            raise ConfigError(
-                f"[run] dt={cfg.dt} exceeds the observation window "
-                f"{delta_t:.6g} set by the slowest Larmor period"
-            )
-        reduction = zte_detect(system.l_op, rho0, cfg.dt, delta_t, observables, xi=cfg.xi,
-                               eps=cfg.eps, m_max=cfg.m_max)
-        trace = zte_propagate(reduction, rho0, cfg.dt, cfg.steps, observables,
-                              eps=cfg.eps, m_max=cfg.m_max)
+        reduction = zte_detect(system.l_op, rho0, cfg.dt, zte_window(cfg.system), observables,
+                               xi=cfg.xi, eps=cfg.eps, m_max=cfg.m_max)
+        trace = zte_propagate(reduction, cfg.dt, cfg.steps)
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ConfigError(f"unknown engine {cfg.engine!r}")
 
@@ -641,6 +638,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # readers raise ConfigError: this is an output left unwritten
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -442,9 +442,10 @@ def load_series(path) -> DECSeries:
     Raises :class:`ConfigError` if the file cannot be read, is not a sidecar,
     lacks a header field or holds one of the wrong type (``labels`` must be
     a list of strings), declares a ``dtype`` other than ``complex128``,
-    declares no orders, holds a different number of data bytes than its
-    header declares, or its header scalars are unusable: each must be
-    finite, with ``tau > 0``, ``half_width > 0`` and ``0 < eps < 1``.
+    declares no labels or no orders, holds a different number of data
+    bytes than its header declares or a moment that is not finite, or its
+    header scalars are unusable: each must be finite, with ``tau > 0``,
+    ``half_width > 0`` and ``0 < eps < 1``.
     """
     try:
         with open(path, "rb") as fh:
@@ -469,8 +470,8 @@ def load_series(path) -> DECSeries:
         raise ConfigError(f"{path}: unreadable sidecar header ({exc})") from exc
     if dtype != "complex128":
         raise ConfigError(f"{path}: header declares dtype {dtype!r}, only complex128 is read")
-    if n_orders < 1:
-        raise ConfigError(f"{path}: header declares {n_orders} orders, at least 1 is needed")
+    if min(n_obs, n_orders) < 1:
+        raise ConfigError(f"{path}: {n_obs} labels and {n_orders} orders hold no series")
     if not (np.isfinite(list(scalars.values())).all() and scalars["tau"] > 0
             and scalars["half_width"] > 0 and 0 < scalars["eps"] < 1):
         raise ConfigError(
@@ -483,4 +484,6 @@ def load_series(path) -> DECSeries:
             "complex128 values; the sidecar is truncated or corrupt"
         )
     tilde = np.frombuffer(raw, dtype=np.complex128).reshape((n_obs, n_orders))
+    if not np.isfinite(tilde).all():
+        raise ConfigError(f"{path}: the sidecar holds a non-finite moment")
     return DECSeries(labels=labels, tilde=tilde, **scalars)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResourceError
-from .krylov import DEFAULT_M_MAX, KrylovWalk, krylov_close, krylov_propagate, krylov_walk
+from .errors import ConfigError, NumericalError, ResourceError
+from .krylov import DEFAULT_M_MAX, KrylovWalk, krylov_close, krylov_walk
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
 from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
@@ -41,9 +41,12 @@ class ZTEReduction:
 
     ``window_matvecs`` and ``window_s`` are what the window cost. ``window``
     is the window's own run: ``W @ rho`` at t = 0 and after each step, each
-    step's ``m_used`` and ``converged``, and the last state. ``window_run``
-    is what it ran with: ``(dt, eps, m_max, rho0.tobytes(), W.tobytes())``.
-    When every coordinate is kept, ``l_reduced`` is the operator itself.
+    step's ``m_used`` and ``converged``, and the last state. The reduction
+    also holds what that run was: its ``dt``, ``eps`` and ``m_max``, its own
+    copy of ``rho0``, and the observables as ``labels`` and trace-form rows
+    ``w_rows``; :func:`zte_propagate` propagates that state and reads those
+    forms. When every coordinate is kept, ``l_reduced`` is the operator
+    itself.
     """
 
     kept: np.ndarray
@@ -55,7 +58,12 @@ class ZTEReduction:
     window_matvecs: int
     window_s: float
     window: KrylovWalk
-    window_run: tuple
+    dt: float
+    eps: float
+    m_max: int
+    rho0: np.ndarray
+    labels: tuple
+    w_rows: np.ndarray
 
     @property
     def reduced_dim(self) -> int:
@@ -95,27 +103,29 @@ def zte_detect(
     samples can be missed; that risk is inherent to the method.
 
     The window is recorded as a run of its own, sampled by ``observables``
-    (a mapping as in :func:`zte_propagate`), so that
-    :func:`zte_propagate` can continue it instead of repeating it. The
-    record holds ``q * (window_steps + 1)`` complex values for ``q``
-    observables, the last state and a byte copy of ``rho0`` and the forms;
-    the window's own stepping costs far more. Raises
-    :class:`ResourceError`, before the first step, when ``delta_t / dt``
-    steps are more than an integer index can count; a window that is long
-    but countable still runs, one step at a time.
+    (a mapping ``label -> SparseMatrix | 1-D trace form``), and the
+    reduction keeps a copy of ``rho0``, the forms and the run settings, so
+    that :func:`zte_propagate` can continue the window instead of repeating
+    it. The record holds ``q * (window_steps + 1)`` complex values for ``q``
+    observables, the last state, ``rho0`` and the forms; the window's own
+    stepping costs far more. Raises :class:`ConfigError` when ``dt`` is
+    longer than the window ``delta_t``, and :class:`ResourceError`, before
+    the first step, when ``delta_t / dt`` steps are more than an integer
+    index can count; a window that is long but countable still runs, one
+    step at a time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > delta_t:
-        raise ValueError(f"dt={dt} exceeds the observation window delta_t={delta_t}")
+        raise ConfigError(f"dt={dt} exceeds the observation window delta_t={delta_t:.6g}")
     if not delta_t / dt < np.iinfo(np.intp).max:  # inf included
         raise ResourceError(
             f"the observation window delta_t={delta_t} holds more steps of dt={dt} "
             "than an integer index can count"
         )
     record = RunRecord("zte")
-    rho0 = np.asarray(rho0, dtype=np.complex128)
-    forms = normalize_observables(observables, l_op.nrows)[1]
+    rho0 = np.array(rho0, dtype=np.complex128)  # a copy: the reduction owns it
+    labels, forms = normalize_observables(observables, l_op.nrows)
     max_mod = np.abs(rho0)
     window_steps = int(np.ceil(delta_t / dt - 1e-12))
     window = krylov_walk(l_op, rho0, dt, window_steps, forms, eps=eps, m_max=m_max,
@@ -137,70 +147,57 @@ def zte_detect(
         window_matvecs=window_matvecs,
         window_s=window_s,
         window=window,
-        window_run=(dt, eps, m_max, rho0.tobytes(), forms.tobytes()),
+        dt=dt,
+        eps=eps,
+        m_max=m_max,
+        rho0=rho0,
+        labels=labels,
+        w_rows=forms,
     )
 
 
-def zte_propagate(
-    reduction: ZTEReduction,
-    rho0: np.ndarray,
-    dt: float,
-    steps: int,
-    observables,
-    eps: float = DEFAULT_EPS,
-    m_max: int = DEFAULT_M_MAX,
-) -> ExpectationTrace:
-    """Krylov propagation restricted to the kept coordinates.
+def zte_propagate(reduction: ZTEReduction, dt: float, steps: int) -> ExpectationTrace:
+    """Krylov propagation of the window's state, restricted to the kept coordinates.
 
-    The initial state and every trace form are restricted to the kept index
-    set; pruned coordinates contribute exactly zero to the reported
+    The state and trace forms are those the window ran with, and so are
+    ``eps`` and ``m_max``; only the step ``dt`` may differ from the
+    window's. The state and every trace form are restricted to the kept
+    index set; pruned coordinates contribute exactly zero to the reported
     expectations, which is the approximation being made. The trace's
     ``matvecs`` and ``wall_time_s`` include the observation window.
 
-    When the window kept every coordinate and ran with this call's ``dt``,
-    ``eps``, ``m_max`` and bitwise the same ``rho0`` and trace forms, the
+    When the window kept every coordinate and ran with this ``dt``, the
     restart would repeat its steps exactly: the first
     ``min(steps, window_steps)`` steps are then read from the window, and
     the rest continue from its last state. The trace is bitwise what the
     restart gives; only ``matvecs`` and the wall time fall. Any other call
     restarts from ``rho0`` in the reduced space.
     """
-    rho0 = np.asarray(rho0, dtype=np.complex128)
-    if rho0.shape[0] != reduction.full_dim:
-        raise ValueError(
-            f"state has length {rho0.shape[0]}, expected {reduction.full_dim}"
-        )
-    labels, w_rows = normalize_observables(observables, reduction.full_dim)
-
-    # a negative step count restarts, and the restart rejects it; equal bytes
-    # mean equal shapes, since every state and form holds full_dim entries
-    if (steps >= 0 and reduction.reduced_dim == reduction.full_dim and reduction.window_run
-            == (dt, eps, m_max, rho0.tobytes(), w_rows.tobytes())):
-        run, head = RunRecord("krylov", eps=eps), reduction.window
-        rest = krylov_walk(reduction.l_reduced, head.state, dt,
-                           max(steps - reduction.window_steps, 0), w_rows, eps=eps, m_max=m_max)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    red, run = reduction, RunRecord("zte", eps=reduction.eps)
+    if red.reduced_dim == red.full_dim and dt == red.dt:
+        head = red.window
+        rest = krylov_walk(red.l_reduced, head.state, dt, max(steps - red.window_steps, 0),
+                           red.w_rows, eps=red.eps, m_max=red.m_max)
         walk = KrylovWalk(np.hstack([head.values, rest.values[:, 1:]]), head.m_used + rest.m_used,
                           head.converged + rest.converged, rest.state)
-        trace = krylov_close(run, dt, steps, labels, walk, eps, m_max)
     else:
-        w_red = {lbl: w_rows[i][reduction.kept] for i, lbl in enumerate(labels)}
-        trace = krylov_propagate(reduction.l_reduced, rho0[reduction.kept], dt, steps,
-                                 w_red, eps=eps, m_max=m_max)
+        walk = krylov_walk(red.l_reduced, red.rho0[red.kept], dt, steps,
+                           red.w_rows.take(red.kept, axis=1), eps=red.eps, m_max=red.m_max)
+    trace = krylov_close(run, dt, steps, red.labels, walk, red.eps, red.m_max)
     trace.metadata.update(
-        engine="zte",
-        matvecs=trace.metadata["matvecs"] + reduction.window_matvecs,
-        wall_time_s=trace.metadata["wall_time_s"] + reduction.window_s,
-        xi=reduction.xi,
-        delta_t=reduction.delta_t,
-        window_steps=reduction.window_steps,
-        full_dim=reduction.full_dim,
-        reduced_dim=reduction.reduced_dim,
+        matvecs=trace.metadata["matvecs"] + red.window_matvecs,
+        wall_time_s=trace.metadata["wall_time_s"] + red.window_s,
+        xi=red.xi,
+        delta_t=red.delta_t,
+        window_steps=red.window_steps,
+        full_dim=red.full_dim,
+        reduced_dim=red.reduced_dim,
     )
     trace.metadata["warnings"].append(
-        "zero-track elimination has no error guarantee; "
-        f"pruned {reduction.full_dim - reduction.reduced_dim} of "
-        f"{reduction.full_dim} coordinates at xi={reduction.xi}"
-    )
+        "zero-track elimination has no error guarantee; pruned "
+        f"{red.full_dim - red.reduced_dim} of {red.full_dim} coordinates at xi={red.xi}")
     return trace
 
 

@@ -489,6 +489,8 @@ _BAD_CONFIGS = {
     "huge_horizon_config": make_config(dt="1e308", steps="10"),
     # a step count past the float range
     "huge_steps_config": make_config(steps="1" + "0" * 400),
+    # dt = 1 s is longer than zte's observation window of 1/100 s
+    "zte_dt_past_window": make_config(engine="zte", dt="1"),
     # 4**32 overflows a 64-bit index
     "too_many_spins_config": make_config(
         n=32, larmor_hz=" ".join(["100"] * 32),
@@ -523,6 +525,9 @@ _BAD_CASE_MESSAGES = {
     "empty_site_config": "bad site index in observable 'ip:'",
     "string_labels_header": "labels must be a list of strings",
     "non_string_labels_header": "labels must be a list of strings",
+    "no_labels": "series.decs: 0 labels and",
+    "nan_moment": "series.decs: the sidecar holds a non-finite moment",
+    "zte_dt_past_window": "exceeds the observation window",
     **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
     **{case: "values.csv: the trace holds a non-finite value" for case in _BAD_FID_VALUES},
     # exp(-xi_apo * t) overflows on the 100-step grid of dt = 1e-4
@@ -551,7 +556,8 @@ _BAD_BENCHMARKS = {
 @pytest.mark.parametrize(
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
-     "past_tau", "negative_steps", "zero_orders", "nan_eval_dt", "nan_tau_flag", "infinite_tau_flag",
+     "past_tau", "negative_steps", "zero_orders", "no_labels", "nan_moment", "nan_eval_dt",
+     "nan_tau_flag", "infinite_tau_flag",
      "nan_xi_apo", "overflowing_xi_apo", "overflowing_xi_apo_config", "overflowing_transform",
      *_BAD_FID_VALUES,
      *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
@@ -620,6 +626,10 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
         header = json.loads(header)
         if case == "zero_orders":
             header["n_orders"], raw = 0, b""
+        elif case == "no_labels":
+            header["labels"], raw = [], b""
+        elif case == "nan_moment":
+            raw = np.complex128(complex(np.nan, 0.0)).tobytes() + raw[16:]
         else:
             _BAD_HEADERS[case](header)
         sidecar.write_bytes(b"\n".join([magic, json.dumps(header).encode(), raw]))
@@ -630,6 +640,32 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     # a refused run writes no output
     assert not (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "simulated_fid.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "dec-precompute", "dec-precompute onto a directory",
+                                     "dec-eval", "spectrum", "benchmark"])
+def test_unwritable_output_exits_with_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(steps="20"))
+    sidecar, fid = tmp_path / "series.decs", tmp_path / "fid.csv"
+    assert main(["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar)]) == 0
+    assert main(["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20",
+                 "--out", str(fid)]) == 0
+    out = str(tmp_path / "missing_dir" / "out")
+    args = {
+        "simulate": ["simulate", "--config", str(cfg_path)],
+        "dec-precompute": ["dec-precompute", "--config", str(cfg_path)],
+        "dec-precompute onto a directory": ["dec-precompute", "--config", str(cfg_path)],
+        "dec-eval": ["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20"],
+        "spectrum": ["spectrum", "--fid", str(fid)],
+        "benchmark": ["benchmark", "--spins", "2", "--engines", "dec", "--steps", "5"],
+    }[command]
+    if command.endswith("directory"):
+        out = str(tmp_path)
+    capsys.readouterr()
+    assert main([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and out in err
 
 
 def _refuse_block_csr(monkeypatch):

@@ -21,8 +21,6 @@ from qexpect import (
     zte_window,
 )
 from qexpect.cli import benchmark_spec
-from qexpect.krylov import DEFAULT_M_MAX
-from qexpect.trace import DEFAULT_EPS
 
 
 def _spec(omega, j=None):
@@ -98,7 +96,7 @@ def test_full_keep_matches_full_engine():
     obs = {"ip": observable_ip(2)}
     red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0 * np.pi, observables=obs, xi=0.0)
     assert red.reduced_dim == 16
-    reduced = zte_propagate(red, rho0, 0.2, 100, obs)
+    reduced = zte_propagate(red, 0.2, 100)
     full = krylov_propagate(l_op, rho0, 0.2, 100, obs)
     assert reduced.values.tobytes() == full.values.tobytes()
 
@@ -115,7 +113,7 @@ def test_weakly_coupled_reduction_and_accuracy():
     red = zte_detect(l_op, rho0, dt=0.1, delta_t=delta_t, observables=obs, xi=1e-6)
     assert red.reduced_dim < 64
     steps = int(np.ceil(10.0 * delta_t / 0.1))
-    reduced = zte_propagate(red, rho0, 0.1, steps, obs)
+    reduced = zte_propagate(red, 0.1, steps)
     full = krylov_propagate(l_op, rho0, 0.1, steps, obs)
     assert np.max(np.abs(reduced.values[0] - full.values[0])) <= 1e-3
     assert reduced.metadata["reduced_dim"] == red.reduced_dim
@@ -142,7 +140,7 @@ def test_exact_zero_pruning_is_lossless_diagonal(rng):
     red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, observables={"w": w}, xi=1e-12)
     assert np.all(dead[np.setdiff1d(np.arange(dim), red.kept)])
 
-    reduced = zte_propagate(red, rho0, 0.25, 40, {"w": w})
+    reduced = zte_propagate(red, 0.25, 40)
     full = krylov_propagate(l_op, rho0, 0.25, 40, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
 
@@ -162,7 +160,7 @@ def test_exact_zero_pruning_is_lossless_block_diagonal(rng):
     w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0, observables={"w": w}, xi=1e-12)
     assert np.all(red.kept < 24)
-    reduced = zte_propagate(red, rho0, 0.2, 30, {"w": w})
+    reduced = zte_propagate(red, 0.2, 30)
     full = krylov_propagate(l_op, rho0, 0.2, 30, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
 
@@ -199,7 +197,7 @@ def test_pruning_failure_mode_reproduced():
 
     dt = 0.5
     steps = 1000  # reach t = 500 where the beat peaks
-    reduced = zte_propagate(red, rho0, dt, steps, {"f": w})
+    reduced = zte_propagate(red, dt, steps)
     times = reduced.times
     truth = counterexample_f(times)
     err = np.abs(reduced.values[0] - truth)
@@ -223,7 +221,7 @@ _COST_FREE_KEYS = ("m_used_max", "m_used_mean", "eps")
 def test_kept_window_is_the_start_of_the_run(spin5_window, offset):
     system, red = spin5_window
     steps = red.window_steps + offset
-    zte = zte_propagate(red, system.rho0, 0.1, steps, system.observables)
+    zte = zte_propagate(red, 0.1, steps)
     krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables)
     assert zte.values.tobytes() == krylov.values.tobytes()
     assert zte.times.tobytes() == krylov.times.tobytes()
@@ -236,26 +234,40 @@ def test_kept_window_is_the_start_of_the_run(spin5_window, offset):
 
 def test_reused_window_cannot_alter_its_record(spin5_window):
     system, red = spin5_window
-    first = zte_propagate(red, system.rho0, 0.1, 20, system.observables)
+    first = zte_propagate(red, 0.1, 20)
     first.values[:] = 0.0
-    again = zte_propagate(red, system.rho0, 0.1, 20, system.observables)
+    again = zte_propagate(red, 0.1, 20)
     krylov = krylov_propagate(system.l_op, system.rho0, 0.1, 20, system.observables)
     assert again.values.tobytes() == krylov.values.tobytes()
 
 
-@pytest.mark.parametrize("change", ["dt", "rho0", "form", "eps", "m_max"])
+@pytest.mark.parametrize("change", ["dt", "xi"])
 def test_other_runs_restart_from_rho0(spin5_window, change):
+    # a dt other than the window's, or a pruned coordinate, restarts from
+    # rho0 in the reduced space: the trace is krylov's on the kept block
     system, red = spin5_window
+    dt = 0.2 if change == "dt" else 0.1
+    if change == "xi":
+        red = zte_detect(system.l_op, system.rho0, 0.1, red.delta_t, system.observables, xi=1e-2)
+        assert 0 < red.reduced_dim < red.full_dim
     (label, form), = system.observables.items()
-    run = dict(rho0=system.rho0, dt=0.1, steps=60, observables=system.observables,
-               eps=DEFAULT_EPS, m_max=DEFAULT_M_MAX)
-    run.update({"dt": dict(dt=0.2), "rho0": dict(rho0=2.0 * system.rho0),
-                "form": dict(observables={label: 1j * form}), "eps": dict(eps=1e-9),
-                "m_max": dict(m_max=6)}[change])
-    zte = zte_propagate(red, **run)
-    krylov = krylov_propagate(system.l_op, **run)
+    zte = zte_propagate(red, dt, 60)
+    krylov = krylov_propagate(red.l_reduced, system.rho0[red.kept], dt, 60,
+                              {label: form[red.kept]})
     assert zte.values.tobytes() == krylov.values.tobytes()
     assert zte.metadata["matvecs"] == krylov.metadata["matvecs"] + red.window_matvecs
+
+
+def test_reduction_owns_its_initial_state_and_forms(spin5_window):
+    system, red = spin5_window
+    (label, form), = system.observables.items()
+    rho0, caller_form = system.rho0.copy(), form.copy()
+    owned = zte_detect(system.l_op, rho0, 0.1, red.delta_t, {label: caller_form})
+    rho0[:], caller_form[:] = 1.0, 0.0  # the caller reuses its arrays
+    for dt in (0.1, 0.2):  # the continued window, then a restart from rho0
+        zte = zte_propagate(owned, dt, 30)
+        krylov = krylov_propagate(system.l_op, system.rho0, dt, 30, system.observables)
+        assert zte.values.tobytes() == krylov.values.tobytes()
 
 
 @pytest.mark.parametrize("steps", [10, 200])
@@ -264,7 +276,7 @@ def test_unconverged_window_steps_warn_as_krylov_does(steps):
     system = assemble(spec, ("ip",))
     red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables,
                      m_max=3)
-    zte = zte_propagate(red, system.rho0, 0.1, steps, system.observables, m_max=3)
+    zte = zte_propagate(red, 0.1, steps)
     krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables,
                               m_max=3)
     assert krylov.metadata["warnings"][0].startswith(f"{steps} of {steps} steps hit m_max=3")
