@@ -26,17 +26,13 @@ from .sparse import SparseMatrix, matvec_counter, spmv, trace_form
 from .spectral import ScalingParams, extreme_eigs, lanczos, tridiag_expv
 from .spinsys import (
     SectorOperator,
-    SpinOperatorSet,
     SpinSystemSpec,
     TraceSystem,
     assemble,
     build_hamiltonian,
     build_liouvillian,
-    embed,
     initial_state,
     observable_by_name,
-    observable_ip,
-    spin_half,
     trace_block,
 )
 from .trace import ExpectationTrace, normalize_observables

@@ -12,8 +12,9 @@ Config files are sectioned key-value text (INI). Frequencies are given in
 Hz and converted to angular frequencies on ingestion; times are in seconds.
 
 Exit codes: 0 success, 2 configuration error (an output file that cannot
-be written included), 3 numerical failure, 4 resource limit (the oracle's
-sector cap, or out of memory) or timeout.
+be written included: a missing directory, or a path that is a directory,
+is refused before any work), 3 numerical failure, 4 resource limit (the
+oracle's sector cap, or out of memory) or timeout.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import configparser
 import math
 import multiprocessing
+import os
 import platform
 import sys
 from dataclasses import dataclass, replace
@@ -191,7 +193,9 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     observes over one period of the slowest Larmor frequency
     (:func:`qexpect.zte.zte_window`), and :func:`qexpect.zte.zte_detect`
     refuses a ``dt`` longer than that window with :class:`ConfigError`.
+    The output paths are checked (:func:`_check_outputs`) before any work.
     """
+    _check_outputs(cfg.fid_path, cfg.spectrum_path)
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
     rho0, observables = system.rho0, system.observables
@@ -233,6 +237,18 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
 
 
 # -- trace / spectrum files ---------------------------------------------
+
+
+def _check_outputs(*paths) -> None:
+    """Raise :class:`ConfigError` for an output path that is a directory or
+    whose directory does not exist, so a run cannot end on a file it cannot
+    write. ``None`` is no output. Other write failures still raise
+    ``OSError`` when the file is opened."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write output {path!r}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write output {path!r}: its directory does not exist")
 
 
 def _write_csv(path, header, columns) -> None:
@@ -546,6 +562,7 @@ def _cmd_benchmark(args) -> int:
     for engine in engines:
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r} in --engines")
+    _check_outputs(args.out)
     rows = benchmark(spins, engines, dt=args.dt, steps=args.steps, eps=args.eps,
                      xi=args.xi, timeout=args.timeout, seed=args.seed)
     if args.out:
@@ -556,6 +573,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_dec_precompute(args) -> int:
     cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
+    _check_outputs(args.out)
     system = assemble(cfg.system, cfg.observables)
     series = dec_precompute(system.sector_op, system.rho0, system.observables,
                             tau=cfg.horizon, eps=cfg.eps, scaling=system.spectral_interval())

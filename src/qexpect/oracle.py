@@ -6,10 +6,12 @@ sums over modal amplitudes: a line list, summed by the same evaluator as
 the stored series of :mod:`qexpect.dec`. Exact to roundoff, but dense:
 dimension is capped, and beyond the cap callers are pointed at the sparse
 engines. This is the generic-operator reference of the tests and the
-benchmark. The ``oracle`` engine of spin systems never densifies a
-Liouvillian: it diagonalises H sector by sector
-(:meth:`qexpect.spinsys.TraceSystem.line_list`), under the same cap
-``DEFAULT_MAX_DIM``, there counted in states of the largest kept sector.
+benchmark, capped at ``DEFAULT_MAX_DIM`` Liouville coordinates. The
+``oracle`` engine of spin systems never densifies a Liouvillian: it
+diagonalises H sector by sector
+(:meth:`qexpect.spinsys.TraceSystem.line_list`), under its own cap
+:data:`qexpect.spinsys.SECTOR_CAP`, counted in states of the largest kept
+sector.
 """
 
 from __future__ import annotations

@@ -20,16 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import oracle
 from .errors import ConfigError, ResourceError
 from .sparse import SparseMatrix
 from .spectral import INFLATION_FLOOR, ScalingParams
 
 __all__ = [
-    "SpinOperatorSet",
     "SpinSystemSpec",
-    "spin_half",
-    "embed",
     "build_hamiltonian",
     "build_liouvillian",
     "hilbert_components",
@@ -38,7 +34,6 @@ __all__ = [
     "TraceSystem",
     "assemble",
     "initial_state",
-    "observable_ip",
     "observable_by_name",
 ]
 
@@ -50,26 +45,18 @@ SECTOR_PAD = 1e-12
 MAX_SPINS = 31
 
 
-@dataclass(frozen=True)
-class SpinOperatorSet:
-    """The three Cartesian spin-1/2 operators as dense 2x2 arrays."""
+#: States of the largest kept sector of H that :meth:`TraceSystem.line_list`
+#: diagonalises before it refuses with :class:`ResourceError`.
+SECTOR_CAP = 4096
 
-    ix: np.ndarray
-    iy: np.ndarray
-    iz: np.ndarray
-
-    @property
-    def ip(self) -> np.ndarray:
-        """Shift-up operator ``Ix + i*Iy``."""
-        return self.ix + 1j * self.iy
-
-
-def spin_half() -> SpinOperatorSet:
-    return SpinOperatorSet(
-        ix=np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128),
-        iy=np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128),
-        iz=np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128),
-    )
+#: The single-spin operators the observables are built from, dense 2x2:
+#: ``ip = ix + i*iy`` is the shift-up operator.
+_SPIN_HALF = {
+    "ip": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128),
+    "ix": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128),
+    "iy": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128),
+    "iz": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128),
+}
 
 
 @dataclass(frozen=True)
@@ -124,13 +111,6 @@ class SpinSystemSpec:
         return 4**self.n
 
 
-def embed(op: np.ndarray, site: int, n: int) -> SparseMatrix:
-    """Single-site operator extended with identities: ``Id (x) op (x) Id``."""
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} spins")
-    return _site_sum(op, (site,), n)
-
-
 def _site_sum(op: np.ndarray, sites, n: int) -> SparseMatrix:
     """``sum_j Id (x) op (x) Id`` over the given sites, from one set of triplets.
 
@@ -150,8 +130,6 @@ def _site_sum(op: np.ndarray, sites, n: int) -> SparseMatrix:
                     rows.append(on)
                     cols.append(on ^ ((a ^ b) << shift))
                     vals.append(np.full(on.shape[0], op[a, b], dtype=np.complex128))
-    if not rows:
-        return SparseMatrix.zeros(2**n)
     return SparseMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
                                       np.concatenate(vals), (2**n, 2**n))
 
@@ -349,34 +327,27 @@ def initial_state(n: int) -> np.ndarray:
     return _initial_entries(i, j)
 
 
-def observable_ip(n: int) -> SparseMatrix:
-    """Total shift-up operator ``sum_j (Ix_j + i*Iy_j)``; its trace against
-    the evolving state is the detected free-induction signal."""
+def observable_by_name(name: str, n: int) -> SparseMatrix:
+    """The observable a config names, on n spins.
+
+    Totals: ``ip``, ``ix``, ``iy``, ``iz``; the total shift-up operator
+    ``ip = sum_j (Ix_j + i*Iy_j)`` gives the detected free-induction signal.
+    Site-resolved variants use a colon suffix, e.g. ``ip:0`` or ``iz:3``.
+    """
     if n < 1:
         raise ValueError("need at least one spin")
-    return _site_sum(spin_half().ip, range(n), n)
-
-
-def observable_by_name(name: str, n: int) -> SparseMatrix:
-    """Resolve observables named in configs.
-
-    Totals: ``ip``, ``ix``, ``iy``, ``iz``. Site-resolved variants use a
-    colon suffix, e.g. ``ip:0`` or ``iz:3``.
-    """
-    ops = spin_half()
-    table = {"ip": ops.ip, "ix": ops.ix, "iy": ops.iy, "iz": ops.iz}
     base, colon, site_txt = name.strip().lower().partition(":")
-    if base not in table:
-        raise ConfigError(f"unknown observable {name!r}; expected one of {sorted(table)}")
+    if base not in _SPIN_HALF:
+        raise ConfigError(f"unknown observable {name!r}; expected one of {sorted(_SPIN_HALF)}")
     if not colon:
-        return _site_sum(table[base], range(n), n)
+        return _site_sum(_SPIN_HALF[base], range(n), n)
     try:
         site = int(site_txt)
     except ValueError as exc:
         raise ConfigError(f"bad site index in observable {name!r}") from exc
     if not 0 <= site < n:
         raise ConfigError(f"observable {name!r}: site must be in [0, {n})")
-    return embed(table[base], site, n)
+    return _site_sum(_SPIN_HALF[base], (site,), n)
 
 
 def _sector_stacks(h: SparseMatrix, components: np.ndarray, kept: np.ndarray) -> dict:
@@ -570,12 +541,12 @@ class TraceSystem:
         Lines come pair by pair, each pair's ``|a| x |b|`` grid row-major.
         No Liouvillian is built. Raises :class:`ResourceError` before any
         eigensolve when a kept sector holds more than
-        ``oracle.DEFAULT_MAX_DIM`` states.
+        ``SECTOR_CAP`` states.
         """
         largest = int(np.bincount(self.components)[np.unique(self.pairs)].max())
-        if largest > oracle.DEFAULT_MAX_DIM:
+        if largest > SECTOR_CAP:
             raise ResourceError(f"a kept sector of H holds {largest} states, past the cap "
-                                f"{oracle.DEFAULT_MAX_DIM}; use a sparse engine (dec/cheb/krylov) "
+                                f"{SECTOR_CAP}; use a sparse engine (dec/cheb/krylov) "
                                 "instead")
         eig = {}
         for labels, blocks in self.sector_stacks.values():

@@ -36,7 +36,7 @@ from qexpect import (
     initial_state,
     krylov_propagate,
     matvec_counter,
-    observable_ip,
+    observable_by_name,
     oracle_expect,
     resonant_triplet,
     scalar_coefficients,
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_agreement():
         spec = random_spin_spec(n, rng)  # 10-500 Hz Larmor, 0-20 Hz J
         l_op = build_liouvillian(build_hamiltonian(spec))
         rho0 = initial_state(n)
-        obs = {"ip": observable_ip(n)}
+        obs = {"ip": observable_by_name("ip", n)}
         reference = oracle_expect(dense_eig(l_op), rho0, obs, times)
         for name, trace in _engine_traces(l_op, rho0, obs, times, tau=STEPS * DT).items():
             err = float(np.max(np.abs(trace.values[0] - reference.values[0])))
@@ -94,7 +94,7 @@ def test_criterion_2_single_spin_analytic():
     spec = SpinSystemSpec(n=1, omega0=[omega], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(1)
-    obs = {"ip": observable_ip(1)}
+    obs = {"ip": observable_by_name("ip", 1)}
     times = DT * np.arange(STEPS + 1)  # t in [0, 100]
     analytic = -0.5j * np.exp(-1j * omega * times)
 
@@ -186,7 +186,7 @@ def test_criterion_5_series_reduction_fidelity():
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3)}
+    obs = {"ip": observable_by_name("ip", 3)}
     long = dec_precompute(l_op, rho0, obs, tau=100.0, eps=EPS)
     short = dec_precompute(l_op, rho0, obs, tau=10.0, eps=EPS)
     prefix_err = max(
@@ -209,7 +209,7 @@ def test_criterion_6_krylov_economy():
         spec = benchmark_spec(n)
         l_op = build_liouvillian(build_hamiltonian(spec))
         trace = krylov_propagate(l_op, initial_state(n), DT, STEPS,
-                                 {"ip": observable_ip(n)}, eps=EPS)
+                                 {"ip": observable_by_name("ip", n)}, eps=EPS)
         m = trace.metadata["m_used_max"]
         worst = max(worst, m)
         details.append(f"n={n}: m_max_used={m}")
@@ -276,7 +276,7 @@ def test_criterion_9_scaling_and_cost_ordering():
     spec = benchmark_spec(5)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(5)
-    obs = {"ip": observable_ip(5)}
+    obs = {"ip": observable_by_name("ip", 5)}
     tau = STEPS * DT
     counts = {}
     for steps in (500, 1000):
@@ -326,7 +326,7 @@ def test_criterion_10_large_system_cross_check():
     l_op = build_liouvillian(build_hamiltonian(spec))
     assert l_op.nrows == 16384
     rho0 = initial_state(7)
-    obs = {"ip": observable_ip(7)}
+    obs = {"ip": observable_by_name("ip", 7)}
     steps = 200
     times = DT * np.arange(steps + 1)
     series = dec_precompute(l_op, rho0, obs, tau=steps * DT, eps=EPS)

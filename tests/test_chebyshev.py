@@ -23,7 +23,7 @@ from qexpect import (
     extreme_eigs,
     initial_state,
     matvec_counter,
-    observable_ip,
+    observable_by_name,
     scalar_coefficients,
     spmv,
     stop_order,
@@ -229,7 +229,7 @@ def test_step_propagation_single_spin_analytic():
     scaling = extreme_eigs(l_op)
     eps = 1e-7
     trace = cheb_step_propagate(
-        l_op, scaling, initial_state(1), 0.1, 1000, {"ip": observable_ip(1)}, eps=eps
+        l_op, scaling, initial_state(1), 0.1, 1000, {"ip": observable_by_name("ip", 1)}, eps=eps
     )
     analytic = -0.5j * np.exp(-1j * omega * trace.times)
     assert np.max(np.abs(trace.values[0] - analytic)) <= 10 * eps

@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import qexpect.cli as cli
 import qexpect.spinsys as spinsys
 from qexpect import (
     ConfigError,
@@ -265,8 +266,6 @@ def test_metadata_matvec_honesty(engine):
 def test_dec_wall_time_spans_the_precompute(monkeypatch):
     import time
 
-    import qexpect.cli as cli
-
     precompute = cli.dec_precompute
 
     def slow_precompute(*args, **kwargs):
@@ -309,12 +308,10 @@ def test_exit_code_tridiagonal_solver_failure(tmp_path, capsys, failing_stev):
 def test_exit_code_resource_limit(tmp_path, capsys, monkeypatch):
     # a coupled 8-spin chain: the largest sector the `ip` block keeps holds
     # C(8, 4) = 70 states, past a cap of 64; the run stops before any eigensolve
-    import qexpect.oracle as oracle
-
     def refuse(*args, **kwargs):
         raise AssertionError("an eigensolve ran")
 
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_DIM", 64)
+    monkeypatch.setattr(spinsys, "SECTOR_CAP", 64)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     chain = "\n" + "\n".join(
         "  " + " ".join("1" if abs(a - b) == 1 else "0" for b in range(8)) for a in range(8)
@@ -360,8 +357,6 @@ def test_exit_code_zte_window_past_any_step_count(tmp_path, capsys, dt):
 
 
 def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch):
-    import qexpect.cli as cli
-
     def exhausted(cfg):
         raise MemoryError("Unable to allocate 16.0 TiB")
 
@@ -642,9 +637,10 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     assert not (tmp_path / "simulated_fid.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "dec-precompute", "dec-precompute onto a directory",
-                                     "dec-eval", "spectrum", "benchmark"])
-def test_unwritable_output_exits_with_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["simulate", "simulate [output] spectrum", "dec-precompute",
+                                     "dec-precompute onto a directory", "dec-eval", "spectrum",
+                                     "benchmark"])
+def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch, command):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(make_config(steps="20"))
     sidecar, fid = tmp_path / "series.decs", tmp_path / "fid.csv"
@@ -652,8 +648,11 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, command):
     assert main(["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20",
                  "--out", str(fid)]) == 0
     out = str(tmp_path / "missing_dir" / "out")
+    spectrum_cfg = tmp_path / "spectrum.ini"
+    spectrum_cfg.write_text(make_config(steps="20") + f"\n[output]\nspectrum = {out}\n")
     args = {
         "simulate": ["simulate", "--config", str(cfg_path)],
+        "simulate [output] spectrum": ["simulate", "--config", str(spectrum_cfg)],
         "dec-precompute": ["dec-precompute", "--config", str(cfg_path)],
         "dec-precompute onto a directory": ["dec-precompute", "--config", str(cfg_path)],
         "dec-eval": ["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20"],
@@ -662,8 +661,17 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, command):
     }[command]
     if command.endswith("directory"):
         out = str(tmp_path)
+    if "[output]" not in command:
+        args += ["--out", out]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    # simulate, dec-precompute and benchmark check their outputs before any work
+    monkeypatch.setattr(cli, "assemble", refuse)
+    monkeypatch.setattr(cli, "benchmark", refuse)
     capsys.readouterr()
-    assert main([*args, "--out", out]) == 2
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output") and out in err
 
@@ -701,8 +709,6 @@ def test_benchmark_builds_no_block_csr_past_the_oracle_cap(monkeypatch):
 
 def test_benchmark_records_a_child_that_dies_as_failed(monkeypatch):
     import os
-
-    import qexpect.cli as cli
 
     def dies_on(engine):
         def run(cfg):

@@ -22,7 +22,6 @@ from qexpect import (
     matvec_counter,
     normalize_observables,
     observable_by_name,
-    observable_ip,
     oracle_expect,
     save_series,
     spmv,
@@ -55,7 +54,7 @@ def test_single_spin_analytic_reconstruction():
     l_op = build_liouvillian(build_hamiltonian(spec))
     eps = 1e-7
     tau = 100.0
-    series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)},
+    series = dec_precompute(l_op, initial_state(1), {"ip": observable_by_name("ip", 1)},
                             tau=tau, eps=eps)
     times = np.linspace(0.0, tau, 501)
     trace = dec_evaluate_grid(series, times)
@@ -67,7 +66,7 @@ def test_evaluate_at_zero_is_exact_trace():
     spec = SpinSystemSpec(n=2, omega0=[1.0, 2.0], j_coupling=np.zeros((2, 2)))
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
-    q = observable_ip(2)
+    q = observable_by_name("ip", 2)
     series = dec_precompute(l_op, rho0, {"ip": q}, tau=5.0)
     assert dec_evaluate(series, 0.0)[0] == pytest.approx(trace_form(q) @ rho0, abs=1e-13)
 
@@ -76,7 +75,7 @@ def test_single_spin_half_period():
     omega = 1.0
     spec = SpinSystemSpec(n=1, omega0=[omega], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)}, tau=4.0)
+    series = dec_precompute(l_op, initial_state(1), {"ip": observable_by_name("ip", 1)}, tau=4.0)
     val = dec_evaluate(series, np.pi / omega)[0]
     assert val == pytest.approx(0.5j, abs=1e-7)
 
@@ -85,7 +84,7 @@ def test_multi_observable_matches_single_runs(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
-    obs_p, obs_z = observable_ip(2), observable_by_name("iz", 2)
+    obs_p, obs_z = observable_by_name("ip", 2), observable_by_name("iz", 2)
     both = dec_precompute(l_op, rho0, {"ip": obs_p, "iz": obs_z}, tau=10.0)
     only_p = dec_precompute(l_op, rho0, {"ip": obs_p}, tau=10.0)
     only_z = dec_precompute(l_op, rho0, {"iz": obs_z}, tau=10.0)
@@ -97,7 +96,7 @@ def test_matches_oracle_on_random_system(rng):
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3)}
+    obs = {"ip": observable_by_name("ip", 3)}
     eps = 1e-7
     tau = 50.0
     series = dec_precompute(l_op, rho0, obs, tau=tau, eps=eps)
@@ -115,7 +114,7 @@ def test_precompute_matvec_count(rng):
 
     scaling = extreme_eigs(l_op)
     matvec_counter.reset()
-    series = dec_precompute(l_op, initial_state(2), {"ip": observable_ip(2)},
+    series = dec_precompute(l_op, initial_state(2), {"ip": observable_by_name("ip", 2)},
                             tau=20.0, scaling=scaling)
     assert matvec_counter.count == series.n_orders - 1
 
@@ -123,7 +122,7 @@ def test_precompute_matvec_count(rng):
 def test_grid_evaluation_needs_no_matvecs(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(2), {"ip": observable_ip(2)}, tau=100.0)
+    series = dec_precompute(l_op, initial_state(2), {"ip": observable_by_name("ip", 2)}, tau=100.0)
     matvec_counter.reset()
     trace = dec_evaluate_grid(series, 0.1 * np.arange(1000))
     assert matvec_counter.count == 0
@@ -134,7 +133,7 @@ def test_prefix_equals_shorter_horizon(rng):
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3)}
+    obs = {"ip": observable_by_name("ip", 3)}
     eps = 1e-7
     long = dec_precompute(l_op, rho0, obs, tau=100.0, eps=eps)
     short = dec_precompute(l_op, rho0, obs, tau=10.0, eps=eps)
@@ -155,7 +154,7 @@ def test_hermitian_observable_real_series(rng):
 def test_time_beyond_horizon_rejected_and_clamped():
     spec = SpinSystemSpec(n=1, omega0=[1.0], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)}, tau=10.0)
+    series = dec_precompute(l_op, initial_state(1), {"ip": observable_by_name("ip", 1)}, tau=10.0)
     for t in (10.5, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="horizon"):
             dec_evaluate(series, t)
@@ -167,7 +166,7 @@ def test_time_beyond_horizon_rejected_and_clamped():
 def test_grid_error_names_offending_index():
     spec = SpinSystemSpec(n=1, omega0=[1.0], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(1), {"ip": observable_ip(1)}, tau=1.0)
+    series = dec_precompute(l_op, initial_state(1), {"ip": observable_by_name("ip", 1)}, tau=1.0)
     for times, match in [([0.0, 0.5, 1.5], "grid point 2"),
                          ([0.0, float("nan"), 0.5], r"grid point 1 \(t=nan\)"),
                          ([0.0, 0.5, float("inf")], r"grid point 2 \(t=inf\)"),
@@ -187,7 +186,7 @@ def test_sidecar_roundtrip(tmp_path, rng):
     l_op = build_liouvillian(build_hamiltonian(spec))
     series = dec_precompute(
         l_op, initial_state(2),
-        {"ip": observable_ip(2), "iz": observable_by_name("iz", 2)}, tau=25.0,
+        {"ip": observable_by_name("ip", 2), "iz": observable_by_name("iz", 2)}, tau=25.0,
     )
     path = tmp_path / "series.decs"
     save_series(series, path)
@@ -216,7 +215,7 @@ def test_grid_path_matches_pointwise_evaluation(rng):
     # 5-spin series of about 1800 orders with six observables
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
-    small = dec_precompute(l_op, initial_state(3), {"ip": observable_ip(3)}, tau=60.0)
+    small = dec_precompute(l_op, initial_state(3), {"ip": observable_by_name("ip", 3)}, tau=60.0)
     system = assemble(benchmark_spec(5), ("ip",) + tuple(f"ip:{k}" for k in range(5)))
     large = dec_precompute(system.l_op, system.rho0, system.observables, tau=200.0,
                            scaling=system.spectral_interval())
@@ -269,7 +268,7 @@ def test_a_long_line_list_is_summed_block_by_block(rng):
 def test_grid_evaluation_is_order_independent(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
-    series = dec_precompute(l_op, initial_state(2), {"ip": observable_ip(2)}, tau=20.0)
+    series = dec_precompute(l_op, initial_state(2), {"ip": observable_by_name("ip", 2)}, tau=20.0)
     times = np.linspace(0.0, 20.0, 33)
     forward = dec_evaluate_grid(series, times)
     backward = dec_evaluate_grid(series, times[::-1])
@@ -289,7 +288,7 @@ def test_too_narrow_interval_raises_instead_of_diverging():
     est = extreme_eigs(l_op)
     narrow = ScalingParams.from_bounds(est.S + 0.5 * est.D, est.S - 0.5 * est.D)
     with pytest.raises(NumericalError, match="diverged"):
-        dec_precompute(l_op, initial_state(5), {"ip": observable_ip(5)}, tau=100.0,
+        dec_precompute(l_op, initial_state(5), {"ip": observable_by_name("ip", 5)}, tau=100.0,
                        scaling=narrow)
 
 
@@ -310,7 +309,7 @@ def test_trace_error_within_eps_times_norms(n, form, seed, eps, tau):
     if form == "full":
         l_op = build_liouvillian(build_hamiltonian(spec))
         swept, scaling, rho0 = l_op, None, initial_state(n)
-        obs = {"ip": observable_ip(n), "iz": observable_by_name("iz", n)}
+        obs = {"ip": observable_by_name("ip", n), "iz": observable_by_name("iz", n)}
     else:
         system = assemble(spec, tuple(form.split()))
         l_op, swept, scaling = system.l_op, system.sector_op, system.spectral_interval()
@@ -416,7 +415,7 @@ def test_real_sweep_matches_the_complex_recurrence(monkeypatch, n, start):
     rho0 = initial_state(n)
     if start == "real":
         rho0 = rho0.imag.astype(np.complex128)
-    obs = {"ip": observable_ip(n), "iz": observable_by_name("iz", n)}
+    obs = {"ip": observable_by_name("ip", n), "iz": observable_by_name("iz", n)}
     _assert_real_sweep_matches_reference(monkeypatch, l_op, rho0, obs, 60.0,
                                          extreme_eigs(l_op))
 
@@ -480,7 +479,7 @@ def _nonsymmetric_block():
 
 def _criterion_5_full_space():
     l_op = build_liouvillian(build_hamiltonian(random_spin_spec(3, np.random.default_rng(5))))
-    return l_op, initial_state(3), {"ip": observable_ip(3)}, extreme_eigs(l_op)
+    return l_op, initial_state(3), {"ip": observable_by_name("ip", 3)}, extreme_eigs(l_op)
 
 
 def _ip_with_ip0():

@@ -13,7 +13,7 @@ from qexpect import (
     krylov_propagate,
     krylov_step,
     lanczos,
-    observable_ip,
+    observable_by_name,
     spmv,
     tridiag_expv,
 )
@@ -91,7 +91,7 @@ def test_step_error_sound_against_dense(dim, rng):
 def test_propagate_zero_steps():
     spec = SpinSystemSpec(n=1, omega0=[1.0], j_coupling=np.zeros((1, 1)))
     l_op = build_liouvillian(build_hamiltonian(spec))
-    trace = krylov_propagate(l_op, initial_state(1), 0.1, 0, {"ip": observable_ip(1)})
+    trace = krylov_propagate(l_op, initial_state(1), 0.1, 0, {"ip": observable_by_name("ip", 1)})
     assert trace.n_times == 1
     assert trace.values[0, 0] == pytest.approx(-0.5j)
 
@@ -103,7 +103,7 @@ def test_propagate_single_spin_analytic():
     eps = 1e-7
     steps = 1000
     trace = krylov_propagate(l_op, initial_state(1), 0.1, steps,
-                             {"ip": observable_ip(1)}, eps=eps)
+                             {"ip": observable_by_name("ip", 1)}, eps=eps)
     analytic = -0.5j * np.exp(-1j * omega * trace.times)
     assert np.max(np.abs(trace.values[0] - analytic)) <= steps * eps
 
@@ -112,7 +112,7 @@ def test_propagate_agrees_with_direct_series(rng):
     spec = random_spin_spec(3, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3)}
+    obs = {"ip": observable_by_name("ip", 3)}
     eps = 1e-7
     dt, steps = 0.1, 300
     krylov = krylov_propagate(l_op, rho0, dt, steps, obs, eps=eps)

@@ -11,7 +11,6 @@ from qexpect import (
     initial_state,
     mode_amplitudes,
     observable_by_name,
-    observable_ip,
     oracle_expect,
     trace_form,
 )
@@ -44,7 +43,7 @@ def test_expectation_at_zero_is_trace(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
-    q = observable_ip(2)
+    q = observable_by_name("ip", 2)
     trace = oracle_expect(dense_eig(l_op), rho0, {"ip": q}, np.array([0.0]))
     assert trace.values[0, 0] == pytest.approx(trace_form(q) @ rho0, abs=1e-12)
 
@@ -55,7 +54,7 @@ def test_single_spin_analytic_exact():
     l_op = build_liouvillian(build_hamiltonian(spec))
     times = np.linspace(0.0, 20.0, 101)
     trace = oracle_expect(dense_eig(l_op), initial_state(1),
-                          {"ip": observable_ip(1)}, times)
+                          {"ip": observable_by_name("ip", 1)}, times)
     analytic = -0.5j * np.exp(-1j * w * times)
     assert np.max(np.abs(trace.values[0] - analytic)) <= 1e-13
 
@@ -99,7 +98,7 @@ def test_phase_sum_on_any_grid_matches_the_direct_sum(rng):
     spec = random_spin_spec(3, rng)
     dec = dense_eig(build_liouvillian(build_hamiltonian(spec)))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3), "iz": observable_by_name("iz", 3)}
+    obs = {"ip": observable_by_name("ip", 3), "iz": observable_by_name("iz", 3)}
     w_rows = np.vstack([trace_form(q) for q in obs.values()])
     amp = (w_rows @ dec.X) * mode_amplitudes(dec, rho0)
     base = rng.uniform(0.0, 30.0, 40)

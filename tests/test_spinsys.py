@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexpect import (
     ConfigError,
@@ -8,17 +10,21 @@ from qexpect import (
     SpinSystemSpec,
     build_hamiltonian,
     build_liouvillian,
-    embed,
     initial_state,
     observable_by_name,
-    observable_ip,
-    spin_half,
     trace_form,
 )
 
 from qexpect.cli import benchmark_spec
 
 from conftest import random_spin_spec, same_csr
+
+#: The single-spin operators, written out: Iz = diag(1/2, -1/2), spin up
+#: first, and the shift-up operator Ip = Ix + i*Iy.
+IX = np.array([[0.0, 0.5], [0.5, 0.0]])
+IY = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+IZ = np.array([[0.5, 0.0], [0.0, -0.5]])
+SPIN_HALF = {"ip": np.array([[0.0, 1.0], [0.0, 0.0]]), "ix": IX, "iy": IY, "iz": IZ}
 
 
 def _kron_site(op, site, n):
@@ -29,15 +35,15 @@ def _kron_site(op, site, n):
 
 def _kron_hamiltonian(spec):
     """Reference Hamiltonian: the sum of embedded terms, Zeeman first, pairs in order."""
-    ops, n = spin_half(), spec.n
+    n = spec.n
     h = SparseMatrix.zeros(2**n).csr
     for j in range(n):
         if spec.omega0[j] != 0.0:
-            h = h + (-spec.omega0[j]) * _kron_site(ops.iz, j, n)
+            h = h + (-spec.omega0[j]) * _kron_site(IZ, j, n)
     for j in range(n):
         for l in range(j + 1, n):
             if spec.j_coupling[j, l] != 0.0:
-                for axis in (ops.ix, ops.iy, ops.iz):
+                for axis in (IX, IY, IZ):
                     h = h + spec.j_coupling[j, l] * (_kron_site(axis, j, n) @ _kron_site(axis, l, n))
     return SparseMatrix(h)
 
@@ -53,43 +59,44 @@ def test_hamiltonian_equals_kronecker_sum_bitwise(n, rng):
         assert same_csr(build_hamiltonian(spec), _kron_hamiltonian(spec))
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_embed_equals_kronecker_product(n):
-    ops = spin_half()
-    for op in (ops.ix, ops.iy, ops.iz, ops.ip):
-        for site in range(n):
-            assert same_csr(embed(op, site, n), SparseMatrix(_kron_site(op, site, n)))
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), base=st.sampled_from(sorted(SPIN_HALF)), data=st.data())
+def test_observable_equals_kronecker_sum(n, base, data):
+    site = data.draw(st.none() | st.integers(0, n - 1), label="site")
+    sites = range(n) if site is None else [site]
+    expected = sum(np.kron(np.kron(np.eye(2**j), SPIN_HALF[base]), np.eye(2 ** (n - 1 - j)))
+                   for j in sites)
+    name = base if site is None else f"{base}:{site}"
+    assert same_csr(observable_by_name(name, n), SparseMatrix.from_dense(expected))
 
 
 def test_operator_set_basics():
-    ops = spin_half()
-    assert np.array_equal(ops.iz, np.diag([0.5, -0.5]))
-    comm = ops.ix @ ops.iy - ops.iy @ ops.ix
-    assert np.allclose(comm, 1j * ops.iz, atol=1e-15)
-    for op in (ops.ix, ops.iy, ops.iz):
+    ix, iy, iz = (observable_by_name(name, 1).to_dense() for name in ("ix", "iy", "iz"))
+    assert np.array_equal(iz, np.diag([0.5, -0.5]))
+    comm = ix @ iy - iy @ ix
+    assert np.allclose(comm, 1j * iz, atol=1e-15)
+    for op in (ix, iy, iz):
         assert np.allclose(op, op.conj().T)
         assert np.allclose(np.sort(np.linalg.eigvalsh(op)), [-0.5, 0.5])
 
 
 def test_shift_up_matrix():
-    assert np.array_equal(spin_half().ip, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    ip = observable_by_name("ip", 1).to_dense()
+    assert np.array_equal(ip, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_embed_single_site():
-    ops = spin_half()
-    assert np.array_equal(embed(ops.iz, 0, 1).to_dense(), np.diag([0.5, -0.5]))
+    assert np.array_equal(observable_by_name("iz:0", 1).to_dense(), np.diag([0.5, -0.5]))
 
 
 def test_embed_identity_padding():
-    ops = spin_half()
     assert np.array_equal(
-        np.diag(embed(ops.iz, 0, 2).to_dense()).real, [0.5, 0.5, -0.5, -0.5]
+        np.diag(observable_by_name("iz:0", 2).to_dense()).real, [0.5, 0.5, -0.5, -0.5]
     )
 
 
 def test_embed_second_site():
-    ops = spin_half()
-    m = embed(ops.ix, 1, 2).to_dense()
+    m = observable_by_name("ix:1", 2).to_dense()
     expected = np.zeros((4, 4))
     for r, c in [(0, 1), (1, 0), (2, 3), (3, 2)]:
         expected[r, c] = 0.5
@@ -97,8 +104,14 @@ def test_embed_second_site():
 
 
 def test_embed_site_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        embed(spin_half().iz, 2, 2)
+    with pytest.raises(ConfigError, match=r"site must be in \[0, 2\)"):
+        observable_by_name("iz:2", 2)
+
+
+def test_observable_needs_a_spin():
+    for name in ("ip", "iz:0"):
+        with pytest.raises(ValueError, match="need at least one spin"):
+            observable_by_name(name, 0)
 
 
 def test_hamiltonian_single_spin():
@@ -191,7 +204,7 @@ def _dense_initial_state(n):
     """Reference ``-sum_j Iy_j``: one densified embedded operator subtracted per site."""
     rho = np.zeros((2**n, 2**n), dtype=np.complex128)
     for j in range(n):
-        rho -= _kron_site(spin_half().iy, j, n).toarray()
+        rho -= _kron_site(IY, j, n).toarray()
     return rho.ravel(order="F")
 
 
@@ -208,25 +221,25 @@ def test_initial_state_two_spins_pattern():
 
 
 def test_observable_ip_single_spin():
-    q = observable_ip(1)
+    q = observable_by_name("ip", 1)
     assert q.nnz == 1
     assert q.to_dense()[0, 1] == 1.0
 
 
 def test_fid_at_time_zero_single_spin():
-    f0 = trace_form(observable_ip(1)) @ initial_state(1)
+    f0 = trace_form(observable_by_name("ip", 1)) @ initial_state(1)
     assert f0 == pytest.approx(-0.5j)
 
 
 def test_fid_at_time_zero_additive():
     # each spin contributes -i/2 times the trace of the identity padding
     for n in (2, 3):
-        f0 = trace_form(observable_ip(n)) @ initial_state(n)
+        f0 = trace_form(observable_by_name("ip", n)) @ initial_state(n)
         expected = -0.5j * n * 2 ** (n - 1)
         assert f0 == pytest.approx(expected)
         # cross-checked against the dense trace
         rho = initial_state(n).reshape((2**n, 2**n), order="F")
-        dense = np.trace(rho @ observable_ip(n).to_dense())
+        dense = np.trace(rho @ observable_by_name("ip", n).to_dense())
         assert f0 == pytest.approx(dense)
 
 
@@ -236,7 +249,9 @@ def test_observable_iz_total():
 
 
 def test_observable_by_name():
-    assert np.array_equal(observable_by_name("ip", 2).to_dense(), observable_ip(2).to_dense())
+    ip = observable_by_name("ip", 2).to_dense()
+    assert np.array_equal(ip, observable_by_name("ix", 2).to_dense()
+                          + 1j * observable_by_name("iy", 2).to_dense())
     site = observable_by_name("iz:1", 2).to_dense()
     assert np.allclose(site, np.diag([0.5, -0.5, 0.5, -0.5]))
     with pytest.raises(ConfigError, match="unknown observable"):

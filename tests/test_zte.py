@@ -13,7 +13,7 @@ from qexpect import (
     initial_state,
     krylov_propagate,
     matvec_counter,
-    observable_ip,
+    observable_by_name,
     resonant_triplet,
     spmv,
     zte_detect,
@@ -60,7 +60,7 @@ def test_detect_zero_threshold_keeps_everything():
     spec = _spec([1.0])
     l_op = build_liouvillian(build_hamiltonian(spec))
     red = zte_detect(l_op, initial_state(1), dt=0.5, delta_t=2.0 * np.pi,
-                     observables={"ip": observable_ip(1)}, xi=0.0)
+                     observables={"ip": observable_by_name("ip", 1)}, xi=0.0)
     assert red.reduced_dim == 4
 
 
@@ -86,14 +86,14 @@ def test_detect_empty_keep_set_errors():
     l_op = build_liouvillian(build_hamiltonian(spec))
     with pytest.raises(NumericalError, match="pruned every"):
         zte_detect(l_op, initial_state(1), dt=0.5, delta_t=6.0,
-                   observables={"ip": observable_ip(1)}, xi=1e3)
+                   observables={"ip": observable_by_name("ip", 1)}, xi=1e3)
 
 
 def test_full_keep_matches_full_engine():
     spec = _spec([1.0, 1.7], j=np.array([[0.0, 0.2], [0.2, 0.0]]))
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
-    obs = {"ip": observable_ip(2)}
+    obs = {"ip": observable_by_name("ip", 2)}
     red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0 * np.pi, observables=obs, xi=0.0)
     assert red.reduced_dim == 16
     reduced = zte_propagate(red, 0.2, 100)
@@ -108,7 +108,7 @@ def test_weakly_coupled_reduction_and_accuracy():
     spec = _spec([1.0, 1.4, 2.1], j=j)
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(3)
-    obs = {"ip": observable_ip(3)}
+    obs = {"ip": observable_by_name("ip", 3)}
     delta_t = zte_window(spec)
     red = zte_detect(l_op, rho0, dt=0.1, delta_t=delta_t, observables=obs, xi=1e-6)
     assert red.reduced_dim < 64
