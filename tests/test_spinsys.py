@@ -59,6 +59,14 @@ def test_hamiltonian_equals_kronecker_sum_bitwise(n, rng):
         assert same_csr(build_hamiltonian(spec), _kron_hamiltonian(spec))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_embed_equals_kronecker_product(n):
+    for base in ("ix", "iy", "iz", "ip"):
+        for site in range(n):
+            assert same_csr(observable_by_name(f"{base}:{site}", n),
+                            SparseMatrix(_kron_site(SPIN_HALF[base], site, n)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), base=st.sampled_from(sorted(SPIN_HALF)), data=st.data())
 def test_observable_equals_kronecker_sum(n, base, data):
