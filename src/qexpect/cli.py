@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import math
 import multiprocessing
 import os
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -35,7 +36,7 @@ from . import __version__
 from .chebyshev import cheb_step_propagate
 from .dec import _phase_sum, dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
-from .krylov import DEFAULT_M_MAX, krylov_propagate
+from .krylov import krylov_propagate
 from .spinsys import SpinSystemSpec, assemble, observable_by_name
 from .trace import DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord
 from .zte import DEFAULT_XI, zte_detect, zte_propagate, zte_window
@@ -52,7 +53,9 @@ class RunConfig:
     Its field defaults are the defaults of every run: of a config file that
     leaves a key out, of the CLI flags and of :func:`benchmark`. ``tau`` is
     the series horizon: ``None`` means ``steps * dt``, and a value set must
-    reach at least that far. ``observables`` must name at least one.
+    reach at least that far. ``observables`` must name at least one. The
+    Krylov subspace cap is no field: every run reads the constant
+    :data:`qexpect.krylov.M_MAX`.
     """
 
     system: SpinSystemSpec
@@ -63,7 +66,6 @@ class RunConfig:
     tau: float | None = None
     xi: float = DEFAULT_XI
     xi_apo: float = 0.0
-    m_max: int = DEFAULT_M_MAX
     observables: tuple[str, ...] = ("ip",)
     fid_path: str | None = None
     spectrum_path: str | None = None
@@ -93,8 +95,6 @@ class RunConfig:
             raise ConfigError(f"[run] tau={self.tau} is shorter than the grid end steps*dt={end}")
         if self.xi < 0:
             raise ConfigError("[zte] xi must be non-negative")
-        if self.m_max < 1:
-            raise ConfigError("[run] m_max must be positive")
         if not self.observables:
             raise ConfigError("[run] observables must name at least one observable")
 
@@ -126,7 +126,6 @@ _RUN_KEYS = {
     ("run", "eps"): ("eps", float),
     ("run", "tau"): ("tau", float),
     ("run", "xi_apo"): ("xi_apo", float),
-    ("run", "m_max"): ("m_max", int),
     ("run", "observables"): ("observables", lambda raw: tuple(raw.replace(",", " ").split())),
     ("zte", "xi"): ("xi", float),
     ("output", "fid"): ("fid_path", lambda raw: raw or None),
@@ -135,12 +134,28 @@ _RUN_KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the sectioned key-value config format into a RunConfig."""
+    """Parse the sectioned key-value config format into a RunConfig.
+
+    Only the ``[system]`` keys and those of :data:`_RUN_KEYS` are read; any
+    other section (an empty one included), any other key and any
+    ``[DEFAULT]`` key raise :class:`ConfigError`, naming the first one, so a
+    misspelt setting cannot fall back to its default unseen. Keys are
+    case-insensitive, section names are not.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    known = {("system", "n"), ("system", "larmor_hz"), ("system", "j_hz"), *_RUN_KEYS}
+    for key in parser.defaults():  # it would reach every section
+        raise ConfigError(f"unknown config key [{parser.default_section}] {key}")
+    for section in parser.sections():
+        if section not in {known_section for known_section, _ in known}:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"unknown config key [{section}] {key}")
     if not parser.has_section("system"):
         raise ConfigError("missing required section [system]")
 
@@ -216,10 +231,10 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
                                     cfg.steps, observables, eps=cfg.eps)
     elif cfg.engine == "krylov":
         trace = krylov_propagate(system.l_op, rho0, cfg.dt, cfg.steps, observables,
-                                 eps=cfg.eps, m_max=cfg.m_max)
+                                 eps=cfg.eps)
     elif cfg.engine == "zte":
         reduction = zte_detect(system.l_op, rho0, cfg.dt, zte_window(cfg.system), observables,
-                               xi=cfg.xi, eps=cfg.eps, m_max=cfg.m_max)
+                               xi=cfg.xi, eps=cfg.eps)
         trace = zte_propagate(reduction, cfg.dt, cfg.steps)
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ConfigError(f"unknown engine {cfg.engine!r}")
@@ -421,10 +436,8 @@ def benchmark(
     steps: int = RunConfig.steps,
     eps: float = RunConfig.eps,
     xi: float = RunConfig.xi,
-    tau: float | None = RunConfig.tau,
     timeout: float = 300.0,
     seed: int = 0,
-    stream=None,
 ):
     """Cost comparison across engines and sizes.
 
@@ -434,13 +447,15 @@ def benchmark(
     with the same settings, run like every engine; when it fails or times
     out, no row of that size gets a ``max_err``. An ``oracle`` row is that
     run, so its own ``max_err`` is 0. The run settings default to
-    :class:`RunConfig`'s and are validated by it before any run starts, as
+    :class:`RunConfig`'s, the series horizon is ``steps * dt``, and the
+    settings are validated by :class:`RunConfig` before any run starts, as
     are ``timeout`` (positive and finite), ``seed`` (non-negative) and the
     spin counts (1 to 31, through every system's :class:`SpinSystemSpec`),
     so unusable settings raise :class:`ConfigError`. Runs happen in a child
     process under ``timeout``, so a stuck engine is recorded as timed out
     and a child that dies as failed, rather than hanging or crashing the
     table. Timings are single threaded; numerical columns are deterministic.
+    The table is printed to standard output.
     """
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ConfigError(f"benchmark timeout must be positive and finite, got {timeout}")
@@ -448,12 +463,11 @@ def benchmark(
         raise ConfigError(f"benchmark seed must be non-negative, got {seed}")
     if any(n_spins < 1 for n_spins in spin_counts):
         raise ConfigError(f"benchmark spin counts must be at least 1, got {list(spin_counts)}")
-    stream = stream or sys.stdout
     rows = []
     # every system first, so that an unusable spin count fails before any run
     for spec in [benchmark_spec(n_spins, seed=seed) for n_spins in spin_counts]:
-        configs = [RunConfig(system=spec, engine=engine, dt=dt, steps=steps, eps=eps,
-                             xi=xi, tau=tau) for engine in ("oracle", *engines)]
+        configs = [RunConfig(system=spec, engine=engine, dt=dt, steps=steps, eps=eps, xi=xi)
+                   for engine in ("oracle", *engines)]
         n_spins, dim = spec.n, spec.liouville_dim
         reference = _run_benchmark_job(configs[0], timeout)
         for cfg in configs[1:]:
@@ -480,37 +494,39 @@ def benchmark(
                 if reference is not None and reference[0] == "ok":
                     row.max_err = float(np.max(np.abs(values[0] - reference[2][0])))
             rows.append(row)
-    _print_benchmark(rows, dt, steps, eps, stream)
+    _print_benchmark(rows, dt, steps, eps)
     return rows
 
 
-def _print_benchmark(rows, dt, steps, eps, stream) -> None:
-    print(f"# qexpect {__version__} benchmark", file=stream)
+def _print_benchmark(rows, dt, steps, eps) -> None:
+    print(f"# qexpect {__version__} benchmark")
     print(f"# python {platform.python_version()} numpy {np.__version__} "
-          f"scipy {scipy.__version__} on {platform.platform()}", file=stream)
+          f"scipy {scipy.__version__} on {platform.platform()}")
     print(f"# dt={dt} steps={steps} eps={eps}; times are wall-clock seconds "
-          "on this machine and are not comparable across environments",
-          file=stream)
-    head = f"{'spins':>5} {'dim':>7} {'engine':>7} {'status':>8} " \
-           f"{'wall_s':>10} {'matvecs':>9} {'max_err':>10} {'reduced':>8}  detail"
-    print(head, file=stream)
+          "on this machine and are not comparable across environments")
+    print(f"{'spins':>5} {'dim':>7} {'engine':>7} {'status':>8} "
+          f"{'wall_s':>10} {'matvecs':>9} {'max_err':>10} {'reduced':>8}  detail")
     for r in rows:
         err = f"{r.max_err:.2e}" if r.max_err is not None else "-"
         red = str(r.reduced_dim) if r.reduced_dim is not None else "-"
         wall = f"{r.wall_s:.3f}" if np.isfinite(r.wall_s) else "-"
         print(f"{r.n_spins:>5} {r.dim:>7} {r.engine:>7} {r.status:>8} "
-              f"{wall:>10} {r.matvecs:>9} {err:>10} {red:>8}  {r.detail}",
-              file=stream)
+              f"{wall:>10} {r.matvecs:>9} {err:>10} {red:>8}  {r.detail}")
 
 
 def write_benchmark_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n_spins,dim,engine,steps,status,wall_s,matvecs,max_err,reduced_dim,detail\n")
-        for r in rows:
-            err = "" if r.max_err is None else _FMT.format(r.max_err)
-            red = "" if r.reduced_dim is None else str(r.reduced_dim)
-            fh.write(f"{r.n_spins},{r.dim},{r.engine},{r.steps},{r.status},"
-                     f"{_FMT.format(r.wall_s)},{r.matvecs},{err},{red},{r.detail}\n")
+    """Write one row per :class:`BenchmarkRow`, its fields in order under a
+    header of their names.
+
+    Floats are written at 17 significant digits and ``None`` as an empty
+    field; a field holding a comma or a quote, such as an error ``detail``,
+    is quoted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([field.name for field in fields(BenchmarkRow)])
+        out.writerows([_FMT.format(v) if isinstance(v, float) else v for v in astuple(r)]
+                      for r in rows)
 
 
 # -- argument parsing ------------------------------------------------------

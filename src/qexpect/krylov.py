@@ -21,7 +21,9 @@ from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observabl
 
 __all__ = ["KrylovStepResult", "krylov_step", "krylov_propagate"]
 
-DEFAULT_M_MAX = 128
+#: Cap on the Krylov subspace of one step. The residual test picks the size;
+#: the cap only ends a step that would not converge. Read at call time.
+M_MAX = 128
 
 # Testing the stopping rule costs a small eigensolve; beyond this subspace
 # size it is only re-run every _TEST_STRIDE growths to amortise the cost.
@@ -41,13 +43,13 @@ def krylov_step(
     rho: np.ndarray,
     dt: float,
     eps: float = DEFAULT_EPS,
-    m_max: int = DEFAULT_M_MAX,
 ) -> KrylovStepResult:
     """One adaptive subspace application of ``exp(-i*L*dt)``.
 
     Returns ``||rho|| * V_m exp(-i*T_m*dt) e_1`` once the residual test
     passes, at breakdown (invariant subspace found, the result is then
-    exact), or at ``m_max`` with ``converged=False``.
+    exact), or at the cap :data:`M_MAX` (or the dimension, if smaller) with
+    ``converged=False``.
 
     The subspace is grown once more past the first size passing the test (a
     safety vector). The residual estimate tracks the local error only to
@@ -58,7 +60,7 @@ def krylov_step(
     rho = np.asarray(rho, dtype=np.complex128)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    m_cap = min(m_max, rho.shape[0])
+    m_cap = min(M_MAX, rho.shape[0])
     passed = False
     for fac in _lanczos_steps(l_op, rho, m_cap):
         m = fac.m
@@ -91,7 +93,7 @@ class KrylovWalk:
 
 
 def krylov_walk(l_op: SparseMatrix, rho0: np.ndarray, dt: float, steps: int, w_rows: np.ndarray,
-                eps=DEFAULT_EPS, m_max=DEFAULT_M_MAX, observe=lambda rho: None) -> KrylovWalk:
+                eps=DEFAULT_EPS, observe=lambda rho: None) -> KrylovWalk:
     """``steps`` sequential Krylov steps from ``rho0``, sampled by the rows of ``w_rows``.
 
     ``observe(rho)`` sees each new state.
@@ -99,7 +101,7 @@ def krylov_walk(l_op: SparseMatrix, rho0: np.ndarray, dt: float, steps: int, w_r
     walk = KrylovWalk(None, [], [], np.asarray(rho0, dtype=np.complex128))
 
     def step(rho):
-        result = krylov_step(l_op, rho, dt, eps=eps, m_max=m_max)
+        result = krylov_step(l_op, rho, dt, eps=eps)
         walk.m_used.append(result.m_used)
         walk.converged.append(result.converged)
         walk.state = result.state
@@ -110,17 +112,17 @@ def krylov_walk(l_op: SparseMatrix, rho0: np.ndarray, dt: float, steps: int, w_r
     return walk
 
 
-def krylov_close(run: RunRecord, dt: float, steps: int, labels, walk: KrylovWalk, eps: float,
-                 m_max: int) -> ExpectationTrace:
+def krylov_close(run: RunRecord, dt: float, steps: int, labels, walk: KrylovWalk,
+                 eps: float) -> ExpectationTrace:
     """Close ``run`` over the first ``steps`` steps of ``walk``.
 
     The trace gets their grid, values and subspace sizes, and ``run`` a
-    warning if any of them hit ``m_max``.
+    warning if any of them hit the cap :data:`M_MAX`.
     """
     m_used, unconverged = walk.m_used[:steps], walk.converged[:steps].count(False)
     if unconverged:
         run.warnings.append(
-            f"{unconverged} of {steps} steps hit m_max={m_max} before the "
+            f"{unconverged} of {steps} steps hit m_max={M_MAX} before the "
             f"residual test passed; accuracy may be below eps={eps}"
         )
     return run.close(dt * np.arange(steps + 1), labels, walk.values[:, :steps + 1],
@@ -135,12 +137,11 @@ def krylov_propagate(
     steps: int,
     observables,
     eps: float = DEFAULT_EPS,
-    m_max: int = DEFAULT_M_MAX,
 ) -> ExpectationTrace:
     """N sequential Krylov steps, recording expectations at every grid point."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     labels, w_rows = normalize_observables(observables, l_op.nrows)
     run = RunRecord("krylov", eps=eps)
-    walk = krylov_walk(l_op, rho0, dt, steps, w_rows, eps=eps, m_max=m_max)
-    return krylov_close(run, dt, steps, labels, walk, eps, m_max)
+    walk = krylov_walk(l_op, rho0, dt, steps, w_rows, eps=eps)
+    return krylov_close(run, dt, steps, labels, walk, eps)

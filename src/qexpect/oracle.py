@@ -6,7 +6,7 @@ sums over modal amplitudes: a line list, summed by the same evaluator as
 the stored series of :mod:`qexpect.dec`. Exact to roundoff, but dense:
 dimension is capped, and beyond the cap callers are pointed at the sparse
 engines. This is the generic-operator reference of the tests and the
-benchmark, capped at ``DEFAULT_MAX_DIM`` Liouville coordinates. The
+benchmark, capped at :data:`MAX_DIM` Liouville coordinates. The
 ``oracle`` engine of spin systems never densifies a Liouvillian: it
 diagonalises H sector by sector
 (:meth:`qexpect.spinsys.TraceSystem.line_list`), under its own cap
@@ -27,7 +27,8 @@ from .trace import ExpectationTrace, RunRecord, normalize_observables
 
 __all__ = ["ModeDecomposition", "dense_eig", "mode_amplitudes", "oracle_expect"]
 
-DEFAULT_MAX_DIM = 4096
+#: The largest operator dimension :func:`dense_eig` densifies.
+MAX_DIM = 4096
 
 
 @dataclass
@@ -46,17 +47,19 @@ class ModeDecomposition:
         return self.lam.shape[0]
 
 
-def dense_eig(l_op: SparseMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ModeDecomposition:
+def dense_eig(l_op: SparseMatrix) -> ModeDecomposition:
     """Full Hermitian eigendecomposition of the densified operator.
 
-    ``eigh`` reads one triangle only, so an operator that is not Hermitian,
-    to ``1e-12`` of its largest entry, raises ``ValueError`` instead.
+    An operator larger than :data:`MAX_DIM` raises :class:`ResourceError`,
+    which points at the sparse engines. ``eigh`` reads one triangle only, so
+    an operator that is not Hermitian, to ``1e-12`` of its largest entry,
+    raises ``ValueError`` instead.
     """
     if l_op.nrows != l_op.ncols:
         raise ValueError("operator must be square")
-    if l_op.nrows > max_dim:
+    if l_op.nrows > MAX_DIM:
         raise ResourceError(
-            f"dimension {l_op.nrows} exceeds the dense cap {max_dim}; "
+            f"dimension {l_op.nrows} exceeds the dense cap {MAX_DIM}; "
             "use a sparse engine (dec/cheb/krylov) instead"
         )
     gap = np.abs((l_op.csr - l_op.csr.conj().T).data)

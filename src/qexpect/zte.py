@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceError
-from .krylov import DEFAULT_M_MAX, KrylovWalk, krylov_close, krylov_walk
+from .krylov import KrylovWalk, krylov_close, krylov_walk
 from .sparse import SparseMatrix
 from .spinsys import SpinSystemSpec
 from .trace import DEFAULT_EPS, ExpectationTrace, RunRecord, normalize_observables
@@ -42,8 +42,8 @@ class ZTEReduction:
     ``window_matvecs`` and ``window_s`` are what the window cost. ``window``
     is the window's own run: ``W @ rho`` at t = 0 and after each step, each
     step's ``m_used`` and ``converged``, and the last state. The reduction
-    also holds what that run was: its ``dt``, ``eps`` and ``m_max``, its own
-    copy of ``rho0``, and the observables as ``labels`` and trace-form rows
+    also holds what that run was: its ``dt`` and ``eps``, its own copy of
+    ``rho0``, and the observables as ``labels`` and trace-form rows
     ``w_rows``; :func:`zte_propagate` propagates that state and reads those
     forms. When every coordinate is kept, ``l_reduced`` is the operator
     itself.
@@ -60,7 +60,6 @@ class ZTEReduction:
     window: KrylovWalk
     dt: float
     eps: float
-    m_max: int
     rho0: np.ndarray
     labels: tuple
     w_rows: np.ndarray
@@ -94,13 +93,13 @@ def zte_detect(
     observables,
     xi: float = DEFAULT_XI,
     eps: float = DEFAULT_EPS,
-    m_max: int = DEFAULT_M_MAX,
 ) -> ZTEReduction:
     """Propagate through the window and keep coordinates that ever reach xi.
 
-    Each step is one adaptive Krylov step. The per-coordinate maximum is
-    taken over the sampled steps only (t = 0 included), so bursts between
-    samples can be missed; that risk is inherent to the method.
+    Each step is one adaptive Krylov step, under the cap
+    :data:`qexpect.krylov.M_MAX`. The per-coordinate maximum is taken over
+    the sampled steps only (t = 0 included), so bursts between samples can
+    be missed; that risk is inherent to the method.
 
     The window is recorded as a run of its own, sampled by ``observables``
     (a mapping ``label -> SparseMatrix | 1-D trace form``), and the
@@ -128,7 +127,7 @@ def zte_detect(
     labels, forms = normalize_observables(observables, l_op.nrows)
     max_mod = np.abs(rho0)
     window_steps = int(np.ceil(delta_t / dt - 1e-12))
-    window = krylov_walk(l_op, rho0, dt, window_steps, forms, eps=eps, m_max=m_max,
+    window = krylov_walk(l_op, rho0, dt, window_steps, forms, eps=eps,
                          observe=lambda rho: np.maximum(max_mod, np.abs(rho), out=max_mod))
 
     kept = np.nonzero(max_mod >= xi)[0]
@@ -149,7 +148,6 @@ def zte_detect(
         window=window,
         dt=dt,
         eps=eps,
-        m_max=m_max,
         rho0=rho0,
         labels=labels,
         w_rows=forms,
@@ -159,12 +157,13 @@ def zte_detect(
 def zte_propagate(reduction: ZTEReduction, dt: float, steps: int) -> ExpectationTrace:
     """Krylov propagation of the window's state, restricted to the kept coordinates.
 
-    The state and trace forms are those the window ran with, and so are
-    ``eps`` and ``m_max``; only the step ``dt`` may differ from the
-    window's. The state and every trace form are restricted to the kept
-    index set; pruned coordinates contribute exactly zero to the reported
-    expectations, which is the approximation being made. The trace's
-    ``matvecs`` and ``wall_time_s`` include the observation window.
+    The state and trace forms are those the window ran with, and so is
+    ``eps``; only the step ``dt`` may differ from the window's. Every step,
+    as in the window, is capped at :data:`qexpect.krylov.M_MAX`. The state
+    and every trace form are restricted to the kept index set; pruned
+    coordinates contribute exactly zero to the reported expectations, which
+    is the approximation being made. The trace's ``matvecs`` and
+    ``wall_time_s`` include the observation window.
 
     When the window kept every coordinate and ran with this ``dt``, the
     restart would repeat its steps exactly: the first
@@ -179,13 +178,13 @@ def zte_propagate(reduction: ZTEReduction, dt: float, steps: int) -> Expectation
     if red.reduced_dim == red.full_dim and dt == red.dt:
         head = red.window
         rest = krylov_walk(red.l_reduced, head.state, dt, max(steps - red.window_steps, 0),
-                           red.w_rows, eps=red.eps, m_max=red.m_max)
+                           red.w_rows, eps=red.eps)
         walk = KrylovWalk(np.hstack([head.values, rest.values[:, 1:]]), head.m_used + rest.m_used,
                           head.converged + rest.converged, rest.state)
     else:
         walk = krylov_walk(red.l_reduced, red.rho0[red.kept], dt, steps,
-                           red.w_rows.take(red.kept, axis=1), eps=red.eps, m_max=red.m_max)
-    trace = krylov_close(run, dt, steps, red.labels, walk, red.eps, red.m_max)
+                           red.w_rows.take(red.kept, axis=1), eps=red.eps)
+    trace = krylov_close(run, dt, steps, red.labels, walk, red.eps)
     trace.metadata.update(
         matvecs=trace.metadata["matvecs"] + red.window_matvecs,
         wall_time_s=trace.metadata["wall_time_s"] + red.window_s,

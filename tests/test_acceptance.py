@@ -301,7 +301,7 @@ def test_criterion_9_scaling_and_cost_ordering():
     cheapest_everywhere = False
     for _attempt in range(2):  # one retry absorbs a scheduling hiccup
         rows = benchmark([5, 6, 7], ["dec", "cheb", "krylov"], dt=DT,
-                         steps=STEPS, eps=EPS, tau=tau, timeout=400.0)
+                         steps=STEPS, eps=EPS, timeout=400.0)
         ok_status = all(r.status == "ok" for r in rows)
         by_size = {}
         for r in rows:

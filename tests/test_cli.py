@@ -1,8 +1,10 @@
+import csv
 import dataclasses
-import io
 import itertools
 import json
+import os
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import qexpect.cli as cli
 import qexpect.spinsys as spinsys
 from qexpect import (
     ConfigError,
+    ResourceError,
     build_hamiltonian,
     build_liouvillian,
     dec_evaluate_grid,
@@ -374,6 +377,11 @@ def test_simulate_writes_fid(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     trace = read_trace_csv(out)
     assert trace.n_times == 21
+    # a run's warnings go to stderr
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--engine", "zte"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "warning: zero-track elimination has no error guarantee")
 
 
 def test_dec_sidecar_cli_flow(tmp_path):
@@ -400,21 +408,22 @@ def test_dec_sidecar_cli_flow(tmp_path):
 
 def test_spectrum_cli_flow(tmp_path):
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(make_config(engine="oracle", dt="0.001",
-                                    larmor_hz="100 250", steps="1000"))
     fid = tmp_path / "fid.csv"
     spec_out = tmp_path / "spec.csv"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(fid)]) == 0
-    assert main(["spectrum", "--fid", str(fid), "--out", str(spec_out)]) == 0
-    header, first = spec_out.read_text().splitlines()[:2]
-    assert header == "freq_hz,amplitude"
-    assert len(first.split(",")) == 2
+    # one amplitude column, named after its label once there are two
+    for observables, columns in [("ip", "amplitude"), ("ip ix", "amplitude_ip,amplitude_ix")]:
+        cfg_path.write_text(make_config(engine="oracle", dt="0.001", larmor_hz="100 250",
+                                        steps="1000", extra_run=f"observables = {observables}"))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(fid)]) == 0
+        assert main(["spectrum", "--fid", str(fid), "--out", str(spec_out)]) == 0
+        header, first = spec_out.read_text().splitlines()[:2]
+        assert header == f"freq_hz,{columns}"
+        assert len(first.split(",")) == 1 + len(columns.split(","))
 
 
-def test_benchmark_is_deterministic_and_reports_costs(tmp_path):
-    out = io.StringIO()
+def test_benchmark_is_deterministic_and_reports_costs(tmp_path, capsys):
     kwargs = dict(spin_counts=[2], engines=["dec", "krylov", "zte", "oracle"], dt=0.1,
-                  steps=40, timeout=120.0, stream=out)
+                  steps=40, timeout=120.0)
     rows1 = benchmark(**kwargs)
     rows2 = benchmark(**kwargs)
     by_engine = {r.engine: r for r in rows1}
@@ -433,7 +442,7 @@ def test_benchmark_is_deterministic_and_reports_costs(tmp_path):
     # numerical columns reproduce run to run (timings exempt)
     for r1, r2 in zip(rows1, rows2):
         assert (r1.engine, r1.matvecs, r1.max_err) == (r2.engine, r2.matvecs, r2.max_err)
-    table = out.getvalue()
+    table = capsys.readouterr().out
     assert "engine" in table and "matvecs" in table
 
 
@@ -490,6 +499,20 @@ _BAD_CONFIGS = {
     "too_many_spins_config": make_config(
         n=32, larmor_hz=" ".join(["100"] * 32),
         j_hz="\n" + "\n".join(["  " + " ".join(["0"] * 32)] * 32)),
+    "negative_xi_config": make_config(engine="zte") + "\n[zte]\nxi = -1\n",
+    "non_numeric_n_config": make_config(n="two"),
+    "no_section_header_config": "n = 2\n",
+    "no_system_section_config": "[run]\nsteps = 5\n",
+    "larmor_count_config": make_config(larmor_hz="100"),
+    "short_j_row_config": make_config(j_hz="\n  0 5\n  5"),
+    "nan_coupling_config": make_config(j_hz="\n  0 nan\n  nan 0"),
+    # a key or section the reader does not know would leave its setting at
+    # the default unseen
+    "misspelt_key_config": make_config(extra_run="step = 5"),
+    "unknown_section_config": make_config() + "\n[outptu]\nfid = x.csv\n",
+    "empty_unknown_section_config": make_config() + "\n[extra]\n",
+    "default_key_config": "[DEFAULT]\nengine = krylov\n" + make_config(),
+    "m_max_config": make_config(extra_run="m_max = 30"),
 }
 
 #: Trace CSVs whose header ``spectrum`` must refuse: real and imaginary
@@ -523,6 +546,20 @@ _BAD_CASE_MESSAGES = {
     "no_labels": "series.decs: 0 labels and",
     "nan_moment": "series.decs: the sidecar holds a non-finite moment",
     "zte_dt_past_window": "exceeds the observation window",
+    "negative_xi_config": "[zte] xi must be non-negative",
+    "non_numeric_n_config": "bad value for [system] n: 'two'",
+    "no_section_header_config": "malformed config",
+    "no_system_section_config": "missing required section [system]",
+    "larmor_count_config": "[system] larmor_hz lists 1 frequencies for n=2 spins",
+    "short_j_row_config": "[system] j_hz row 1 has 1 entries, expected 2",
+    "nan_coupling_config": "coupling entries must be finite",
+    "misspelt_key_config": "unknown config key [run] step",
+    "unknown_section_config": "unknown config section [outptu]",
+    "empty_unknown_section_config": "unknown config section [extra]",
+    "default_key_config": "unknown config key [DEFAULT] engine",
+    "m_max_config": "unknown config key [run] m_max",
+    "benchmark_unknown_engine": "unknown engine 'magic' in --engines",
+    "one_row_fid": "spectrum needs at least two samples",
     **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
     **{case: "values.csv: the trace holds a non-finite value" for case in _BAD_FID_VALUES},
     # exp(-xi_apo * t) overflows on the 100-step grid of dt = 1e-4
@@ -545,12 +582,14 @@ _BAD_BENCHMARKS = {
     "benchmark_negative_seed": ["--spins", "2", "--engines", "dec", "--steps", "5",
                                 "--seed", "-5000"],
     "benchmark_too_many_spins": ["--spins", "32", "--engines", "dec", "--steps", "5"],
+    "benchmark_unknown_engine": ["--spins", "2", "--engines", "dec,magic", "--steps", "5"],
 }
 
 
 @pytest.mark.parametrize(
     "case",
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
+     "one_row_fid",
      "past_tau", "negative_steps", "zero_orders", "no_labels", "nan_moment", "nan_eval_dt",
      "nan_tau_flag", "infinite_tau_flag",
      "nan_xi_apo", "overflowing_xi_apo", "overflowing_xi_apo_config", "overflowing_transform",
@@ -579,6 +618,9 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     elif case == "nan_time_fid":
         (tmp_path / "nan.csv").write_text("t,re_ip,im_ip\n0,1,0\nnan,0,1\n")
         args = ["spectrum", "--fid", str(tmp_path / "nan.csv")]
+    elif case == "one_row_fid":
+        (tmp_path / "one.csv").write_text("t,re_ip,im_ip\n0,1,0\n")
+        args = ["spectrum", "--fid", str(tmp_path / "one.csv")]
     elif case == "past_tau":
         args[6] = "101"  # one step past the stored horizon tau = 100 * dt
     elif case == "negative_steps":
@@ -701,34 +743,60 @@ def test_benchmark_builds_no_block_csr_past_the_oracle_cap(monkeypatch):
     # 4096 on the Liouville block; the `oracle` reference reads the sectors of
     # H, so neither it nor the `dec` run needs the CSR, and `dec` gets a max_err
     _refuse_block_csr(monkeypatch)
-    rows = benchmark([9], ["dec"], steps=5, stream=io.StringIO())
+    rows = benchmark([9], ["dec"], steps=5)
     assert [(row.engine, row.status) for row in rows] == [("dec", "ok")]
     assert rows[0].detail.startswith("n_orders=")
     assert 0.0 < rows[0].max_err <= 1e-6
 
 
 def test_benchmark_records_a_child_that_dies_as_failed(monkeypatch):
-    import os
-
-    def dies_on(engine):
+    def dies_on(engine, end=lambda: os._exit(9)):
         def run(cfg):
             if cfg.engine == engine:
-                os._exit(9)
+                end()
             return real(cfg)
         return run
 
     real = cli.run_simulation
     monkeypatch.setattr(cli, "run_simulation", dies_on("krylov"))
-    rows = benchmark([3], ["dec", "krylov"], steps=10, stream=io.StringIO())
+    rows = benchmark([3], ["dec", "krylov"], steps=10)
     assert [(row.engine, row.status) for row in rows] == [("dec", "ok"), ("krylov", "failed")]
     assert rows[0].max_err is not None
     assert "exit code 9" in rows[1].detail
     # a dead reference leaves every row of its size without a max_err
     monkeypatch.setattr(cli, "run_simulation", dies_on("oracle"))
-    rows = benchmark([3], ["dec", "oracle"], steps=10, stream=io.StringIO())
+    rows = benchmark([3], ["dec", "oracle"], steps=10)
     assert [(row.engine, row.status, row.max_err) for row in rows] == [
         ("dec", "ok", None), ("oracle", "failed", None)]
     assert "exit code 9" in rows[1].detail
+    # a child that outlives the timeout is a `timeout` row
+    monkeypatch.setattr(cli, "run_simulation", dies_on("krylov", end=lambda: time.sleep(60)))
+    rows = benchmark([3], ["dec", "krylov"], steps=10, timeout=1.0)
+    assert [(row.engine, row.status) for row in rows] == [("dec", "ok"), ("krylov", "timeout")]
+    assert rows[0].max_err is not None and rows[1].max_err is None
+
+
+def test_benchmark_csv_quotes_a_detail_with_commas(tmp_path, monkeypatch):
+    def sector_cap(cfg):
+        if cfg.engine == "krylov":
+            raise ResourceError("a kept sector of H holds 5000 states, past the cap 4096")
+        return real(cfg)
+
+    real = cli.run_simulation
+    monkeypatch.setattr(cli, "run_simulation", sector_cap)
+    rows = benchmark([2], ["dec", "krylov"], steps=5)
+    out = tmp_path / "bench.csv"
+    cli.write_benchmark_csv(rows, out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *read = list(csv.reader(fh))
+    assert header == ["n_spins", "dim", "engine", "steps", "status", "wall_s", "matvecs",
+                      "max_err", "reduced_dim", "detail"]
+    assert [len(fields) for fields in read] == [10, 10]
+    assert [fields[9] for fields in read] == [row.detail for row in rows]
+    assert rows[1].detail == "ResourceError: a kept sector of H holds 5000 states, past the cap 4096"
+    for fields, row in zip(read, rows):
+        np.testing.assert_equal(float(fields[5]), row.wall_s)  # nan for the failed row
+        assert int(fields[6]) == row.matvecs
 
 
 @pytest.mark.parametrize("engine", ["cheb", "krylov", "zte"])

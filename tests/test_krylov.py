@@ -44,11 +44,12 @@ def test_step_rejects_zero_state():
         krylov_step(SparseMatrix.identity(3), np.zeros(3), dt=0.1)
 
 
-def test_step_m_max_warning_flag(rng):
+def test_step_m_max_warning_flag(rng, monkeypatch):
+    monkeypatch.setattr("qexpect.krylov.M_MAX", 3)
     a = random_hermitian(32, rng, scale=8.0)
     l_op = SparseMatrix.from_dense(a)
     rho = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    result = krylov_step(l_op, rho, dt=2.0, eps=1e-12, m_max=3)
+    result = krylov_step(l_op, rho, dt=2.0, eps=1e-12)
     assert result.m_used == 3
     assert not result.converged
 
@@ -121,13 +122,14 @@ def test_propagate_agrees_with_direct_series(rng):
     assert np.max(np.abs(krylov.values[0] - direct.values[0])) <= 1e-5
 
 
-def test_propagate_reports_unconverged_steps(rng):
+def test_propagate_reports_unconverged_steps(rng, monkeypatch):
+    monkeypatch.setattr("qexpect.krylov.M_MAX", 4)
     a = random_hermitian(16, rng, scale=10.0)
     l_op = SparseMatrix.from_dense(a)
     rho0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     w = np.zeros(16, dtype=complex)
     w[0] = 1.0
-    trace = krylov_propagate(l_op, rho0, 1.0, 3, {"w": w}, eps=1e-12, m_max=4)
+    trace = krylov_propagate(l_op, rho0, 1.0, 3, {"w": w}, eps=1e-12)
     assert trace.metadata["warnings"]
     assert "m_max" in trace.metadata["warnings"][0]
 

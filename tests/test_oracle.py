@@ -89,7 +89,7 @@ def test_parseval_amplitudes(rng):
 def test_dimension_cap_points_to_sparse_engines():
     big = SparseMatrix.identity(8192)
     with pytest.raises(ResourceError, match="sparse engine"):
-        dense_eig(big, max_dim=4096)
+        dense_eig(big)
 
 
 def test_phase_sum_on_any_grid_matches_the_direct_sum(rng):

@@ -271,14 +271,13 @@ def test_reduction_owns_its_initial_state_and_forms(spin5_window):
 
 
 @pytest.mark.parametrize("steps", [10, 200])
-def test_unconverged_window_steps_warn_as_krylov_does(steps):
+def test_unconverged_window_steps_warn_as_krylov_does(steps, monkeypatch):
+    monkeypatch.setattr("qexpect.krylov.M_MAX", 3)
     spec = benchmark_spec(5)
     system = assemble(spec, ("ip",))
-    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables,
-                     m_max=3)
+    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables)
     zte = zte_propagate(red, 0.1, steps)
-    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables,
-                              m_max=3)
+    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables)
     assert krylov.metadata["warnings"][0].startswith(f"{steps} of {steps} steps hit m_max=3")
     assert zte.metadata["warnings"][:-1] == krylov.metadata["warnings"]
     assert zte.values.tobytes() == krylov.values.tobytes()
