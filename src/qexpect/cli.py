@@ -37,9 +37,9 @@ from .chebyshev import cheb_step_propagate
 from .dec import _phase_sum, dec_evaluate_grid, dec_precompute, load_series, save_series
 from .errors import ConfigError, NumericalError, ResourceError
 from .krylov import krylov_propagate
-from .spinsys import SpinSystemSpec, assemble, observable_by_name
+from .spinsys import SpinSystemSpec, assemble, observable_name
 from .trace import DEFAULT_EPS, EPS_MIN, ExpectationTrace, RunRecord
-from .zte import DEFAULT_XI, zte_detect, zte_propagate, zte_window
+from .zte import DEFAULT_XI, zte_propagate, zte_window
 
 ENGINES = ("dec", "cheb", "krylov", "zte", "oracle")
 
@@ -53,7 +53,10 @@ class RunConfig:
     Its field defaults are the defaults of every run: of a config file that
     leaves a key out, of the CLI flags and of :func:`benchmark`. ``tau`` is
     the series horizon: ``None`` means ``steps * dt``, and a value set must
-    reach at least that far. ``observables`` must name at least one. The
+    reach at least that far. ``observables`` must name at least one, and is
+    stored in canonical form (:func:`qexpect.spinsys.observable_name`): a
+    name unknown or with a bad site, or one that two entries share once
+    canonical (``ip ip``, ``ip:1 IP:01``), raises :class:`ConfigError`. The
     Krylov subspace cap is no field: every run reads the constant
     :data:`qexpect.krylov.M_MAX`.
     """
@@ -97,6 +100,10 @@ class RunConfig:
             raise ConfigError("[zte] xi must be non-negative")
         if not self.observables:
             raise ConfigError("[run] observables must name at least one observable")
+        self.observables = tuple(observable_name(name, self.system.n) for name in self.observables)
+        for k, name in enumerate(self.observables):
+            if name in self.observables[:k]:
+                raise ConfigError(f"[run] observables names {name!r} more than once")
 
     @property
     def horizon(self) -> float:
@@ -186,14 +193,11 @@ def parse_config(text: str) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"[system] {exc}") from exc
 
-    cfg = RunConfig(system=spec, **{
+    return RunConfig(system=spec, **{
         field: _get(parser, section, key, cast)
         for (section, key), (field, cast) in _RUN_KEYS.items()
         if parser.has_option(section, key)
     })
-    for name in cfg.observables:
-        observable_by_name(name, n)  # validates names early
-    return cfg
 
 
 def run_simulation(cfg: RunConfig) -> ExpectationTrace:
@@ -204,10 +208,11 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     off H's sectors (:meth:`qexpect.spinsys.TraceSystem.spectral_interval`).
     ``oracle`` sums the block's exact line list, read off the same sectors
     (:meth:`qexpect.spinsys.TraceSystem.line_list`), and ``dec`` sweeps the
-    block's sector operator; the other engines get its CSR. ``zte``
-    observes over one period of the slowest Larmor frequency
-    (:func:`qexpect.zte.zte_window`), and :func:`qexpect.zte.zte_detect`
-    refuses a ``dt`` longer than that window with :class:`ConfigError`.
+    block's sector operator; the other engines get its CSR. Each engine is
+    one call. :func:`qexpect.zte.zte_propagate` observes over one period of
+    the slowest Larmor frequency (:func:`qexpect.zte.zte_window`) as the
+    start of its run, and refuses a ``dt`` longer than that window with
+    :class:`ConfigError`.
     The output paths are checked (:func:`_check_outputs`) before any work.
     """
     _check_outputs(cfg.fid_path, cfg.spectrum_path)
@@ -233,9 +238,8 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
         trace = krylov_propagate(system.l_op, rho0, cfg.dt, cfg.steps, observables,
                                  eps=cfg.eps)
     elif cfg.engine == "zte":
-        reduction = zte_detect(system.l_op, rho0, cfg.dt, zte_window(cfg.system), observables,
-                               xi=cfg.xi, eps=cfg.eps)
-        trace = zte_propagate(reduction, cfg.dt, cfg.steps)
+        trace = zte_propagate(system.l_op, rho0, cfg.dt, cfg.steps, zte_window(cfg.system),
+                              observables, xi=cfg.xi, eps=cfg.eps)
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ConfigError(f"unknown engine {cfg.engine!r}")
 
@@ -257,13 +261,19 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
 def _check_outputs(*paths) -> None:
     """Raise :class:`ConfigError` for an output path that is a directory or
     whose directory does not exist, so a run cannot end on a file it cannot
-    write. ``None`` is no output. Other write failures still raise
-    ``OSError`` when the file is opened."""
+    write, and for two paths that resolve to one file, so one output cannot
+    overwrite another. ``None`` is no output. Other write failures still
+    raise ``OSError`` when the file is opened."""
+    seen = set()
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write output {path!r}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write output {path!r}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"cannot write output {path!r}: another output names that file")
+        seen.add(real)
 
 
 def _write_csv(path, header, columns) -> None:
@@ -293,13 +303,15 @@ def read_trace_csv(path) -> ExpectationTrace:
 
     The header must be ``t`` followed by at least one
     ``re_<label>,im_<label>`` pair whose labels match, with one data column
-    per header field, and every value must be finite; anything else raises
-    :class:`ConfigError`.
+    per header field, at least one row must follow it, and every value must
+    be finite; anything else raises :class:`ConfigError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # loadtxt skips blank and comment-only lines; an empty list would warn
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     labels = tuple(col[3:] for col in header[1::2])
@@ -307,6 +319,8 @@ def read_trace_csv(path) -> ExpectationTrace:
             or header[1::2] != [f"re_{label}" for label in labels]
             or header[2::2] != [f"im_{label}" for label in labels]):
         raise ConfigError(f"{path}: not a trace CSV (header {header!r})")
+    if not rows:
+        raise ConfigError(f"{path}: the trace holds no rows")
     if not np.all(np.isfinite(data[:, 1:])):
         raise ConfigError(f"{path}: the trace holds a non-finite value")
     values = data[:, 1::2] + 1j * data[:, 2::2]

@@ -34,6 +34,7 @@ __all__ = [
     "TraceSystem",
     "assemble",
     "initial_state",
+    "observable_name",
     "observable_by_name",
 ]
 
@@ -327,27 +328,36 @@ def initial_state(n: int) -> np.ndarray:
     return _initial_entries(i, j)
 
 
-def observable_by_name(name: str, n: int) -> SparseMatrix:
-    """The observable a config names, on n spins.
+def observable_name(name: str, n: int) -> str:
+    """The canonical form of an observable's name on n spins.
 
     Totals: ``ip``, ``ix``, ``iy``, ``iz``; the total shift-up operator
     ``ip = sum_j (Ix_j + i*Iy_j)`` gives the detected free-induction signal.
     Site-resolved variants use a colon suffix, e.g. ``ip:0`` or ``iz:3``.
+    The canonical form is lower case and unpadded, with the site a plain
+    integer: ``' IP:01'`` is ``'ip:1'``. An unknown name, a site that is not
+    an integer and a site outside ``[0, n)`` raise :class:`ConfigError`.
     """
-    if n < 1:
-        raise ValueError("need at least one spin")
     base, colon, site_txt = name.strip().lower().partition(":")
     if base not in _SPIN_HALF:
         raise ConfigError(f"unknown observable {name!r}; expected one of {sorted(_SPIN_HALF)}")
     if not colon:
-        return _site_sum(_SPIN_HALF[base], range(n), n)
+        return base
     try:
         site = int(site_txt)
     except ValueError as exc:
         raise ConfigError(f"bad site index in observable {name!r}") from exc
     if not 0 <= site < n:
         raise ConfigError(f"observable {name!r}: site must be in [0, {n})")
-    return _site_sum(_SPIN_HALF[base], (site,), n)
+    return f"{base}:{site}"
+
+
+def observable_by_name(name: str, n: int) -> SparseMatrix:
+    """The observable a config names, on n spins; :func:`observable_name` reads the name."""
+    if n < 1:
+        raise ValueError("need at least one spin")
+    base, _, site = observable_name(name, n).partition(":")
+    return _site_sum(_SPIN_HALF[base], (int(site),) if site else range(n), n)
 
 
 def _sector_stacks(h: SparseMatrix, components: np.ndarray, kept: np.ndarray) -> dict:

@@ -39,34 +39,24 @@ DEFAULT_XI = 1e-6
 class ZTEReduction:
     """Outcome of the observation window: kept coordinates and reduced operator.
 
-    ``window_matvecs`` and ``window_s`` are what the window cost. ``window``
-    is the window's own run: ``W @ rho`` at t = 0 and after each step, each
-    step's ``m_used`` and ``converged``, and the last state. The reduction
-    also holds what that run was: its ``dt`` and ``eps``, its own copy of
-    ``rho0``, and the observables as ``labels`` and trace-form rows
-    ``w_rows``; :func:`zte_propagate` propagates that state and reads those
-    forms. When every coordinate is kept, ``l_reduced`` is the operator
-    itself.
+    ``window`` is the window's own run: ``W @ rho`` at t = 0 and after each
+    step, each step's ``m_used`` and ``converged``, and the last state.
+    ``full_dim`` is the dimension the window ran in. When every coordinate
+    is kept, ``l_reduced`` is the operator itself.
     """
 
     kept: np.ndarray
     l_reduced: SparseMatrix
-    xi: float
-    delta_t: float
-    window_steps: int
     full_dim: int
-    window_matvecs: int
-    window_s: float
     window: KrylovWalk
-    dt: float
-    eps: float
-    rho0: np.ndarray
-    labels: tuple
-    w_rows: np.ndarray
 
     @property
     def reduced_dim(self) -> int:
         return self.kept.shape[0]
+
+    @property
+    def window_steps(self) -> int:
+        return len(self.window.m_used)
 
 
 def zte_window(spec: SpinSystemSpec) -> float:
@@ -101,17 +91,13 @@ def zte_detect(
     the sampled steps only (t = 0 included), so bursts between samples can
     be missed; that risk is inherent to the method.
 
-    The window is recorded as a run of its own, sampled by ``observables``
-    (a mapping ``label -> SparseMatrix | 1-D trace form``), and the
-    reduction keeps a copy of ``rho0``, the forms and the run settings, so
-    that :func:`zte_propagate` can continue the window instead of repeating
-    it. The record holds ``q * (window_steps + 1)`` complex values for ``q``
-    observables, the last state, ``rho0`` and the forms; the window's own
-    stepping costs far more. Raises :class:`ConfigError` when ``dt`` is
-    longer than the window ``delta_t``, and :class:`ResourceError`, before
-    the first step, when ``delta_t / dt`` steps are more than an integer
-    index can count; a window that is long but countable still runs, one
-    step at a time.
+    The window is sampled by ``observables`` (a mapping ``label ->
+    SparseMatrix | 1-D trace form``), so that :func:`zte_propagate` can
+    continue it instead of repeating it. Raises :class:`ConfigError` when
+    ``dt`` is longer than the window ``delta_t``, and :class:`ResourceError`,
+    before the first step, when ``delta_t / dt`` steps are more than an
+    integer index can count; a window that is long but countable still
+    runs, one step at a time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -122,12 +108,9 @@ def zte_detect(
             f"the observation window delta_t={delta_t} holds more steps of dt={dt} "
             "than an integer index can count"
         )
-    record = RunRecord("zte")
-    rho0 = np.array(rho0, dtype=np.complex128)  # a copy: the reduction owns it
-    labels, forms = normalize_observables(observables, l_op.nrows)
-    max_mod = np.abs(rho0)
-    window_steps = int(np.ceil(delta_t / dt - 1e-12))
-    window = krylov_walk(l_op, rho0, dt, window_steps, forms, eps=eps,
+    _, forms = normalize_observables(observables, l_op.nrows)
+    max_mod = np.abs(np.asarray(rho0, dtype=np.complex128))
+    window = krylov_walk(l_op, rho0, dt, int(np.ceil(delta_t / dt - 1e-12)), forms, eps=eps,
                          observe=lambda rho: np.maximum(max_mod, np.abs(rho), out=max_mod))
 
     kept = np.nonzero(max_mod >= xi)[0]
@@ -135,68 +118,52 @@ def zte_detect(
         raise NumericalError(
             f"threshold xi={xi} pruned every coordinate; lower it or check rho0"
         )
-    window_matvecs, window_s = record.cost()
-    return ZTEReduction(
-        kept=kept,
-        l_reduced=l_op if kept.size == l_op.nrows else l_op.restrict(kept),
-        xi=xi,
-        delta_t=delta_t,
-        window_steps=window_steps,
-        full_dim=l_op.nrows,
-        window_matvecs=window_matvecs,
-        window_s=window_s,
-        window=window,
-        dt=dt,
-        eps=eps,
-        rho0=rho0,
-        labels=labels,
-        w_rows=forms,
-    )
+    l_reduced = l_op if kept.size == l_op.nrows else l_op.restrict(kept)
+    return ZTEReduction(kept=kept, l_reduced=l_reduced, full_dim=l_op.nrows, window=window)
 
 
-def zte_propagate(reduction: ZTEReduction, dt: float, steps: int) -> ExpectationTrace:
-    """Krylov propagation of the window's state, restricted to the kept coordinates.
+def zte_propagate(
+    l_op: SparseMatrix,
+    rho0: np.ndarray,
+    dt: float,
+    steps: int,
+    delta_t: float,
+    observables,
+    xi: float = DEFAULT_XI,
+    eps: float = DEFAULT_EPS,
+) -> ExpectationTrace:
+    """The ``zte`` engine: a window of length ``delta_t``, then Krylov steps on what it kept.
 
-    The state and trace forms are those the window ran with, and so is
-    ``eps``; only the step ``dt`` may differ from the window's. Every step,
-    as in the window, is capped at :data:`qexpect.krylov.M_MAX`. The state
-    and every trace form are restricted to the kept index set; pruned
-    coordinates contribute exactly zero to the reported expectations, which
-    is the approximation being made. The trace's ``matvecs`` and
-    ``wall_time_s`` include the observation window.
-
-    When the window kept every coordinate and ran with this ``dt``, the
-    restart would repeat its steps exactly: the first
-    ``min(steps, window_steps)`` steps are then read from the window, and
-    the rest continue from its last state. The trace is bitwise what the
-    restart gives; only ``matvecs`` and the wall time fall. Any other call
-    restarts from ``rho0`` in the reduced space.
+    :func:`zte_detect` observes the window with these arguments. When it
+    kept every coordinate, the window's steps are the run's first
+    ``min(steps, window_steps)`` steps and the rest continue from its last
+    state: bitwise what :func:`qexpect.krylov.krylov_propagate` gives.
+    Otherwise the run restarts from ``rho0`` with the state and every trace
+    form restricted to the kept index set; pruned coordinates contribute
+    exactly zero to the reported expectations, which is the approximation
+    being made. Every step is capped at :data:`qexpect.krylov.M_MAX`. The
+    trace's ``matvecs`` and ``wall_time_s`` include the window.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    red, run = reduction, RunRecord("zte", eps=reduction.eps)
-    if red.reduced_dim == red.full_dim and dt == red.dt:
+    run = RunRecord("zte", eps=eps)
+    red = zte_detect(l_op, rho0, dt, delta_t, observables, xi=xi, eps=eps)
+    labels, forms = normalize_observables(observables, l_op.nrows)
+    if red.reduced_dim == red.full_dim:
         head = red.window
-        rest = krylov_walk(red.l_reduced, head.state, dt, max(steps - red.window_steps, 0),
-                           red.w_rows, eps=red.eps)
+        rest = krylov_walk(l_op, head.state, dt, max(steps - red.window_steps, 0), forms,
+                           eps=eps)
         walk = KrylovWalk(np.hstack([head.values, rest.values[:, 1:]]), head.m_used + rest.m_used,
                           head.converged + rest.converged, rest.state)
     else:
-        walk = krylov_walk(red.l_reduced, red.rho0[red.kept], dt, steps,
-                           red.w_rows.take(red.kept, axis=1), eps=red.eps)
-    trace = krylov_close(run, dt, steps, red.labels, walk, red.eps)
-    trace.metadata.update(
-        matvecs=trace.metadata["matvecs"] + red.window_matvecs,
-        wall_time_s=trace.metadata["wall_time_s"] + red.window_s,
-        xi=red.xi,
-        delta_t=red.delta_t,
-        window_steps=red.window_steps,
-        full_dim=red.full_dim,
-        reduced_dim=red.reduced_dim,
-    )
+        walk = krylov_walk(red.l_reduced, np.asarray(rho0, dtype=np.complex128)[red.kept], dt,
+                           steps, forms.take(red.kept, axis=1), eps=eps)
+    trace = krylov_close(run, dt, steps, labels, walk, eps)
+    trace.metadata.update(xi=xi, delta_t=delta_t, window_steps=red.window_steps,
+                          full_dim=red.full_dim, reduced_dim=red.reduced_dim)
     trace.metadata["warnings"].append(
         "zero-track elimination has no error guarantee; pruned "
-        f"{red.full_dim - red.reduced_dim} of {red.full_dim} coordinates at xi={red.xi}")
+        f"{red.full_dim - red.reduced_dim} of {red.full_dim} coordinates at xi={xi}")
     return trace
 
 

@@ -100,8 +100,7 @@ def test_criterion_2_single_spin_analytic():
 
     traces = _engine_traces(l_op, rho0, obs, times, tau=STEPS * DT)
     traces["oracle"] = oracle_expect(dense_eig(l_op), rho0, obs, times)
-    red = zte_detect(l_op, rho0, DT, 2.0 * np.pi / omega, obs, xi=1e-12)
-    traces["zte"] = zte_propagate(red, DT, STEPS)
+    traces["zte"] = zte_propagate(l_op, rho0, DT, STEPS, 2.0 * np.pi / omega, obs, xi=1e-12)
 
     errs = {k: float(np.max(np.abs(tr.values[0] - analytic))) for k, tr in traces.items()}
     ok = all(e <= 1e-6 for e in errs.values())
@@ -224,7 +223,7 @@ def test_criterion_7_pruning_counterexample():
     l_op, rho0, w = resonant_triplet()
     red = zte_detect(l_op, rho0, dt=0.1, delta_t=1.0, observables={"f": w}, xi=1e-4)
     pruned_resonant = 0 not in red.kept
-    reduced = zte_propagate(red, 0.5, 1000)
+    reduced = krylov_propagate(red.l_reduced, rho0[red.kept], 0.5, 1000, {"f": w[red.kept]})
     truth = counterexample_f(reduced.times)
     long_time_err = float(np.max(np.abs(reduced.values[0] - truth)))
 
@@ -263,7 +262,7 @@ def test_criterion_8_exact_zero_soundness():
         red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, observables={"w": w}, xi=1e-12)
         pruned = np.setdiff1d(np.arange(64), red.kept)
         assert np.all(dead[pruned])
-        reduced = zte_propagate(red, 0.25, 40)
+        reduced = zte_propagate(l_op, rho0, 0.25, 40, 2.0, {"w": w}, xi=1e-12)
         full = krylov_propagate(l_op, rho0, 0.25, 40, {"w": w})
         worst = max(worst, float(np.max(np.abs(reduced.values - full.values))))
     report(8, "pruning exactly-zero tracks is lossless", worst <= 1e-12,

@@ -421,6 +421,22 @@ def test_spectrum_cli_flow(tmp_path):
         assert len(first.split(",")) == 1 + len(columns.split(","))
 
 
+def test_observable_names_are_stored_in_canonical_form():
+    cfg = parse_config(make_config(extra_run="observables = IP:01, iz ,ix:+0"))
+    assert cfg.observables == ("ip:1", "iz", "ix:0")
+
+
+def test_simulate_writes_the_spectrum_the_spectrum_command_writes(tmp_path):
+    fid, simulated, transformed = (tmp_path / name for name in ("fid.csv", "s.csv", "t.csv"))
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(engine="krylov", steps="300", extra_run="xi_apo = 40")
+                        + f"\n[output]\nfid = {fid}\nspectrum = {simulated}\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["spectrum", "--fid", str(fid), "--xi-apo", "40", "--out", str(transformed)]) == 0
+    assert simulated.read_bytes() == transformed.read_bytes()
+    assert simulated.read_text().startswith("freq_hz,amplitude\n")
+
+
 def test_benchmark_is_deterministic_and_reports_costs(tmp_path, capsys):
     kwargs = dict(spin_counts=[2], engines=["dec", "krylov", "zte", "oracle"], dt=0.1,
                   steps=40, timeout=120.0)
@@ -513,6 +529,9 @@ _BAD_CONFIGS = {
     "empty_unknown_section_config": make_config() + "\n[extra]\n",
     "default_key_config": "[DEFAULT]\nengine = krylov\n" + make_config(),
     "m_max_config": make_config(extra_run="m_max = 30"),
+    # one column would be lost, or three would repeat one observable
+    "repeated_observable_config": make_config(extra_run="observables = ip ip"),
+    "repeated_canonical_observable_config": make_config(extra_run="observables = ip:1 ip:01 IP:1"),
 }
 
 #: Trace CSVs whose header ``spectrum`` must refuse: real and imaginary
@@ -558,6 +577,11 @@ _BAD_CASE_MESSAGES = {
     "empty_unknown_section_config": "unknown config section [extra]",
     "default_key_config": "unknown config key [DEFAULT] engine",
     "m_max_config": "unknown config key [run] m_max",
+    "repeated_observable_config": "[run] observables names 'ip' more than once",
+    "repeated_canonical_observable_config": "[run] observables names 'ip:1' more than once",
+    "one_file_outputs_config": "spectrum.csv': another output names that file",
+    "out_flag_names_the_spectrum": "spectrum.csv': another output names that file",
+    "empty_fid": "empty.csv: the trace holds no rows",
     "benchmark_unknown_engine": "unknown engine 'magic' in --engines",
     "one_row_fid": "spectrum needs at least two samples",
     **{case: "not a trace CSV" for case in _BAD_FID_HEADERS},
@@ -593,10 +617,10 @@ _BAD_BENCHMARKS = {
      "past_tau", "negative_steps", "zero_orders", "no_labels", "nan_moment", "nan_eval_dt",
      "nan_tau_flag", "infinite_tau_flag",
      "nan_xi_apo", "overflowing_xi_apo", "overflowing_xi_apo_config", "overflowing_transform",
-     *_BAD_FID_VALUES,
+     "one_file_outputs_config", "out_flag_names_the_spectrum", "empty_fid", *_BAD_FID_VALUES,
      *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
-def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
+def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, recwarn, case):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(make_config(steps="100"))
     sidecar = tmp_path / "series.decs"
@@ -642,6 +666,17 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
                             + f"\n[output]\nfid = {tmp_path / 'simulated_fid.csv'}\n"
                             + f"spectrum = {tmp_path / 'spectrum.csv'}\n")
         args = ["simulate", "--config", str(cfg_path)]
+    elif case in ("one_file_outputs_config", "out_flag_names_the_spectrum"):
+        # the FID would be written, then overwritten by the spectrum
+        out, both = tmp_path / "spectrum.csv", case == "one_file_outputs_config"
+        cfg_path.write_text(make_config(steps="100") + f"\n[output]\nspectrum = {out}\n"
+                            + (f"fid = {out}\n" if both else ""))
+        args = ["simulate", "--config", str(cfg_path)]
+        if not both:  # another spelling of the same file
+            args += ["--out", str(tmp_path / "." / "spectrum.csv")]
+    elif case == "empty_fid":
+        (tmp_path / "empty.csv").write_text("t,re_ip,im_ip\n\n# no rows\n")
+        args = ["spectrum", "--fid", str(tmp_path / "empty.csv")]
     elif case == "overflowing_transform":
         (tmp_path / "huge.csv").write_text(_HUGE_FID)
         args = ["spectrum", "--fid", str(tmp_path / "huge.csv"),
@@ -674,6 +709,7 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err
     assert _BAD_CASE_MESSAGES.get(case, "") in err
+    assert not [str(w.message) for w in recwarn]
     # a refused run writes no output
     assert not (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "simulated_fid.csv").exists()

@@ -94,9 +94,8 @@ def test_full_keep_matches_full_engine():
     l_op = build_liouvillian(build_hamiltonian(spec))
     rho0 = initial_state(2)
     obs = {"ip": observable_by_name("ip", 2)}
-    red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0 * np.pi, observables=obs, xi=0.0)
-    assert red.reduced_dim == 16
-    reduced = zte_propagate(red, 0.2, 100)
+    reduced = zte_propagate(l_op, rho0, 0.2, 100, 2.0 * np.pi, obs, xi=0.0)
+    assert reduced.metadata["reduced_dim"] == 16
     full = krylov_propagate(l_op, rho0, 0.2, 100, obs)
     assert reduced.values.tobytes() == full.values.tobytes()
 
@@ -113,7 +112,7 @@ def test_weakly_coupled_reduction_and_accuracy():
     red = zte_detect(l_op, rho0, dt=0.1, delta_t=delta_t, observables=obs, xi=1e-6)
     assert red.reduced_dim < 64
     steps = int(np.ceil(10.0 * delta_t / 0.1))
-    reduced = zte_propagate(red, 0.1, steps)
+    reduced = zte_propagate(l_op, rho0, 0.1, steps, delta_t, obs, xi=1e-6)
     full = krylov_propagate(l_op, rho0, 0.1, steps, obs)
     assert np.max(np.abs(reduced.values[0] - full.values[0])) <= 1e-3
     assert reduced.metadata["reduced_dim"] == red.reduced_dim
@@ -140,7 +139,7 @@ def test_exact_zero_pruning_is_lossless_diagonal(rng):
     red = zte_detect(l_op, rho0, dt=0.25, delta_t=2.0, observables={"w": w}, xi=1e-12)
     assert np.all(dead[np.setdiff1d(np.arange(dim), red.kept)])
 
-    reduced = zte_propagate(red, 0.25, 40)
+    reduced = zte_propagate(l_op, rho0, 0.25, 40, 2.0, {"w": w}, xi=1e-12)
     full = krylov_propagate(l_op, rho0, 0.25, 40, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
 
@@ -160,7 +159,7 @@ def test_exact_zero_pruning_is_lossless_block_diagonal(rng):
     w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     red = zte_detect(l_op, rho0, dt=0.2, delta_t=2.0, observables={"w": w}, xi=1e-12)
     assert np.all(red.kept < 24)
-    reduced = zte_propagate(red, 0.2, 30)
+    reduced = zte_propagate(l_op, rho0, 0.2, 30, 2.0, {"w": w}, xi=1e-12)
     full = krylov_propagate(l_op, rho0, 0.2, 30, {"w": w})
     assert np.max(np.abs(reduced.values - full.values)) <= 1e-12
 
@@ -197,7 +196,7 @@ def test_pruning_failure_mode_reproduced():
 
     dt = 0.5
     steps = 1000  # reach t = 500 where the beat peaks
-    reduced = zte_propagate(red, dt, steps)
+    reduced = krylov_propagate(red.l_reduced, rho0[red.kept], dt, steps, {"f": w[red.kept]})
     times = reduced.times
     truth = counterexample_f(times)
     err = np.abs(reduced.values[0] - truth)
@@ -206,12 +205,13 @@ def test_pruning_failure_mode_reproduced():
 
 @pytest.fixture(scope="module")
 def spin5_window():
-    """The ``ip`` trace block of ``benchmark_spec(5)`` and a window that keeps all of it."""
+    """The ``ip`` trace block of ``benchmark_spec(5)``, its window, and a reduction keeping all."""
     spec = benchmark_spec(5)
     system = assemble(spec, ("ip",))
-    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables)
+    delta_t = zte_window(spec)
+    red = zte_detect(system.l_op, system.rho0, 0.1, delta_t, system.observables)
     assert red.reduced_dim == red.full_dim
-    return system, red
+    return system, delta_t, red
 
 
 _COST_FREE_KEYS = ("m_used_max", "m_used_mean", "eps")
@@ -219,55 +219,37 @@ _COST_FREE_KEYS = ("m_used_max", "m_used_mean", "eps")
 
 @pytest.mark.parametrize("offset", [-37, -1, 0, 1, 45])
 def test_kept_window_is_the_start_of_the_run(spin5_window, offset):
-    system, red = spin5_window
+    system, delta_t, red = spin5_window
     steps = red.window_steps + offset
-    zte = zte_propagate(red, 0.1, steps)
+    zte = zte_propagate(system.l_op, system.rho0, 0.1, steps, delta_t, system.observables)
     krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables)
     assert zte.values.tobytes() == krylov.values.tobytes()
     assert zte.times.tobytes() == krylov.times.tobytes()
     for key in _COST_FREE_KEYS:
         assert zte.metadata[key] == krylov.metadata[key]
     # the window is paid for once, and the trace still counts it
-    expected = krylov.metadata["matvecs"] if offset >= 0 else red.window_matvecs
-    assert zte.metadata["matvecs"] == expected
+    if offset < 0:
+        krylov = krylov_propagate(system.l_op, system.rho0, 0.1, red.window_steps,
+                                  system.observables)
+    assert zte.metadata["matvecs"] == krylov.metadata["matvecs"]
 
 
-def test_reused_window_cannot_alter_its_record(spin5_window):
-    system, red = spin5_window
-    first = zte_propagate(red, 0.1, 20)
-    first.values[:] = 0.0
-    again = zte_propagate(red, 0.1, 20)
-    krylov = krylov_propagate(system.l_op, system.rho0, 0.1, 20, system.observables)
-    assert again.values.tobytes() == krylov.values.tobytes()
-
-
-@pytest.mark.parametrize("change", ["dt", "xi"])
-def test_other_runs_restart_from_rho0(spin5_window, change):
-    # a dt other than the window's, or a pruned coordinate, restarts from
-    # rho0 in the reduced space: the trace is krylov's on the kept block
-    system, red = spin5_window
-    dt = 0.2 if change == "dt" else 0.1
-    if change == "xi":
-        red = zte_detect(system.l_op, system.rho0, 0.1, red.delta_t, system.observables, xi=1e-2)
-        assert 0 < red.reduced_dim < red.full_dim
+@pytest.mark.parametrize("xi", [1e-2], ids=["xi"])
+def test_other_runs_restart_from_rho0(spin5_window, xi):
+    # a pruned coordinate restarts the run from rho0 in the reduced space:
+    # the trace is krylov's on the kept block, and the window is counted too
+    system, delta_t, _ = spin5_window
+    red = zte_detect(system.l_op, system.rho0, 0.1, delta_t, system.observables, xi=xi)
+    assert 0 < red.reduced_dim < red.full_dim
     (label, form), = system.observables.items()
-    zte = zte_propagate(red, dt, 60)
-    krylov = krylov_propagate(red.l_reduced, system.rho0[red.kept], dt, 60,
+    zte = zte_propagate(system.l_op, system.rho0, 0.1, 60, delta_t, system.observables, xi=xi)
+    krylov = krylov_propagate(red.l_reduced, system.rho0[red.kept], 0.1, 60,
                               {label: form[red.kept]})
+    window = krylov_propagate(system.l_op, system.rho0, 0.1, red.window_steps,
+                              system.observables)
     assert zte.values.tobytes() == krylov.values.tobytes()
-    assert zte.metadata["matvecs"] == krylov.metadata["matvecs"] + red.window_matvecs
-
-
-def test_reduction_owns_its_initial_state_and_forms(spin5_window):
-    system, red = spin5_window
-    (label, form), = system.observables.items()
-    rho0, caller_form = system.rho0.copy(), form.copy()
-    owned = zte_detect(system.l_op, rho0, 0.1, red.delta_t, {label: caller_form})
-    rho0[:], caller_form[:] = 1.0, 0.0  # the caller reuses its arrays
-    for dt in (0.1, 0.2):  # the continued window, then a restart from rho0
-        zte = zte_propagate(owned, dt, 30)
-        krylov = krylov_propagate(system.l_op, system.rho0, dt, 30, system.observables)
-        assert zte.values.tobytes() == krylov.values.tobytes()
+    assert zte.metadata["matvecs"] == krylov.metadata["matvecs"] + window.metadata["matvecs"]
+    assert zte.metadata["reduced_dim"] == red.reduced_dim
 
 
 @pytest.mark.parametrize("steps", [10, 200])
@@ -275,8 +257,8 @@ def test_unconverged_window_steps_warn_as_krylov_does(steps, monkeypatch):
     monkeypatch.setattr("qexpect.krylov.M_MAX", 3)
     spec = benchmark_spec(5)
     system = assemble(spec, ("ip",))
-    red = zte_detect(system.l_op, system.rho0, 0.1, zte_window(spec), system.observables)
-    zte = zte_propagate(red, 0.1, steps)
+    zte = zte_propagate(system.l_op, system.rho0, 0.1, steps, zte_window(spec),
+                        system.observables)
     krylov = krylov_propagate(system.l_op, system.rho0, 0.1, steps, system.observables)
     assert krylov.metadata["warnings"][0].startswith(f"{steps} of {steps} steps hit m_max=3")
     assert zte.metadata["warnings"][:-1] == krylov.metadata["warnings"]
