@@ -12,9 +12,10 @@ Config files are sectioned key-value text (INI). Frequencies are given in
 Hz and converted to angular frequencies on ingestion; times are in seconds.
 
 Exit codes: 0 success, 2 configuration error (an output file that cannot
-be written included: a missing directory, or a path that is a directory,
-is refused before any work), 3 numerical failure, 4 resource limit (the
-oracle's sector cap, or out of memory) or timeout.
+be written included: a missing directory, a path that is a directory, or
+one that names an input of the run is refused before any work), 3
+numerical failure, 4 resource limit (the oracle's sector cap, or out of
+memory) or timeout.
 """
 
 from __future__ import annotations
@@ -258,35 +259,189 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
 # -- trace / spectrum files ---------------------------------------------
 
 
-def _check_outputs(*paths) -> None:
+def _check_outputs(*paths, inputs=()) -> None:
     """Raise :class:`ConfigError` for an output path that is a directory or
     whose directory does not exist, so a run cannot end on a file it cannot
-    write, and for two paths that resolve to one file, so one output cannot
-    overwrite another. ``None`` is no output. Other write failures still
-    raise ``OSError`` when the file is opened."""
+    write, for an output that resolves to one of the ``inputs``, so a run
+    cannot overwrite what it reads, and for two paths that resolve to one
+    file, so one output cannot overwrite another. ``None`` is no output.
+    Other write failures still raise ``OSError`` when the file is opened."""
     seen = set()
+    read = {os.path.realpath(path) for path in inputs}
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write output {path!r}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write output {path!r}: its directory does not exist")
         real = os.path.realpath(path)
+        if real in read:
+            raise ConfigError(f"cannot write output {path!r}: it is an input of the run")
         if real in seen:
             raise ConfigError(f"cannot write output {path!r}: another output names that file")
         seen.add(real)
+
+
+def _pow10_table():
+    """Rows ``hi``, the halves of ``hi`` by Dekker's split, and ``lo``, with
+    ``hi + lo = 10**k`` to about 2**-106 for ``k`` in ``[-206, 238]``: the
+    scales of every value the array path of :func:`_format_csv` takes. An
+    int/int true division rounds correctly, so each ``hi`` and ``lo`` is the
+    double nearest its exact rational."""
+    rows = []
+    for k in range(-206, 239):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        rows.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(rows).T
+    big = hi * _SPLIT
+    head = big - (big - hi)
+    return np.stack([hi, head, hi - head, lo])
+
+
+def _field_patterns():
+    """Per ``%.17g`` layout and digit count ``nd``, the indices into a value's
+    26 source characters (17 digits, ``-0.e``, the exponent's sign and three
+    digits, the separator) that spell its field: row ``layout * 17 + nd - 1``,
+    layouts 0-20 fixed notation for exponents -4 to 16, 21 and 22 scientific
+    with two and three exponent digits. Each row opens with the minus sign,
+    which a positive value's field skips."""
+    rows = []
+    for layout in range(23):
+        e = layout - 4
+        for nd in range(1, 18):
+            if layout > 20:
+                body = [0, *([19, *range(1, nd)] if nd > 1 else []), 20, 21,
+                        *range(44 - layout, 25)]
+            elif e < 0:
+                body = [18, 19, *[18] * (-e - 1), *range(nd)]
+            else:
+                body = [*range(e + 1), *([19, *range(e + 1, nd)] if nd > e + 1 else [])]
+            rows.append(bytes([17, *body, 25]))
+    lengths = np.array([len(row) for row in rows], dtype=np.int32)
+    rows = b"".join(row.ljust(_WIDTH, b"\0") for row in rows)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(-1, _WIDTH), lengths
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
+_WIDTH = 25  # the longest field, -2.2250738585072014e-308, and its separator
+#: values per call of _format_csv, whose temporaries take about 220 bytes a
+#: value: a block's stay in cache, where a whole table's would not
+_CSV_BLOCK = 8192
+_P10 = _pow10_table()
+_FIELDS, _FIELD_LENGTHS = _field_patterns()
+#: the characters of 0000-9999, one column each, and the place of the last
+#: nonzero digit (1-4; -32 for 0000, below any group's start)
+_DIGITS4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")
+_LAST4 = ((_DIGITS4 != ord("0")) * np.arange(1, 5, dtype=np.int32)[:, None]).max(axis=0)
+_LAST4[0] = -32
+#: row ``positive * (_WIDTH + 1) + length``: the characters of a field
+#: written, from the second if the value is positive (no minus sign)
+_SPANS = ((np.arange(_WIDTH) >= np.arange(2)[:, None, None])
+          & (np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None])).reshape(-1, _WIDTH)
+
+
+def _scaled(a, e):
+    """``floor(a * 10**(16 - e))`` as int64, and the fraction left over.
+
+    The product is a double-double by Dekker's two-product, so the fraction
+    is off by less than 1e-13."""
+    hi, head, tail, lo = np.take(_P10, 222 - e, axis=1)
+    p = a * hi
+    big = a * _SPLIT
+    a_head = big - (big - a)
+    a_tail = a - a_head
+    err = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
+    whole = np.floor(p)
+    rest = (p - whole) + (err + a * lo)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _format_csv(table) -> str:
+    """The rows of a 2-d float table as CSV lines: value for value the text of
+    ``'%.17g' % value``, each row ended by a newline.
+
+    Every value in [1e-220, 1e220], and zero, is formatted by array
+    arithmetic: ``e = floor(log10|x|)``, corrected until ``|x| * 10**(16-e)``
+    lies in [1e16, 1e17), is rounded to 17 digits, which are laid out as
+    ``%g`` does. Values outside that range, non-finite values and those
+    whose rounding is within 1e-6 of a tie go through ``'%.17g' % value``.
+    """
+    x = np.asarray(table, dtype=np.float64)
+    n_cols = x.shape[1]
+    x = x.ravel()
+    n = x.size
+    ax = np.abs(x)
+    exact = (ax >= 1e-220) & (ax <= 1e220)
+    a = np.where(exact, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int32)
+    whole, frac = _scaled(a, e)
+    for _ in range(2):
+        # a fraction within 1e-9 of 1 is the next integer: without that, an
+        # exact 1e16 computed a hair below it would move e back and forth
+        lead = whole + (frac > 1 - 1e-9)
+        shift = (lead >= 10 ** 17).astype(np.int32) - (lead < 10 ** 16)
+        redo = np.flatnonzero(shift)
+        if not redo.size:
+            break
+        e[redo] += shift[redo]
+        whole[redo], frac[redo] = _scaled(a[redo], e[redo])
+    whole += frac > 0.5
+    top = whole == 10 ** 17
+    whole[top] = 10 ** 16
+    e += top
+    exact &= (np.abs(frac - 0.5) >= 1e-6) & (whole >= 10 ** 16) & (whole < 10 ** 17)
+    whole[~exact] = 0  # zero's digits (its e is 0); the per-value path overwrites the rest
+    exact |= ax == 0
+
+    # the source characters, one row each: 17 digits in 4-digit groups after
+    # the first, then "-0.e", the exponent's sign and digits, the separator
+    src = np.empty((26, n), dtype=np.uint8)
+    nd = np.ones(n, dtype=np.int32)
+    for k in (13, 9, 5, 1):
+        whole, group = np.divmod(whole, 10 ** 4)
+        np.take(_DIGITS4, group, axis=1, out=src[k : k + 4])
+        np.maximum(nd, k + np.take(_LAST4, group), out=nd)
+    src[0] = whole + ord("0")
+    src[17:21] = np.frombuffer(b"-0.e", dtype=np.uint8)[:, None]
+    src[21] = np.where(e < 0, ord("-"), ord("+"))
+    np.take(_DIGITS4[1:], np.abs(e), axis=1, out=src[22:25])
+    src[25] = ord(",")
+    src[25, n_cols - 1 :: n_cols] = ord("\n")
+
+    layout = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    row = layout * 17 + nd - 1
+    index = np.take(_FIELDS.astype(np.intp) * n, row, axis=0)
+    index += np.arange(n)[:, None]
+    fields = src.ravel().take(index)
+    del index  # the largest temporary, eight bytes a character
+    length = np.take(_FIELD_LENGTHS, row)
+    positive = ~np.signbit(x)
+    slow = np.flatnonzero(~exact)
+    if slow.size:  # each spelt out by '%' and its separator, from the first character
+        texts = [b"%.17g%c" % pair for pair in zip(x[slow].tolist(), src[25, slow].tolist())]
+        spelt = b"".join(text.ljust(_WIDTH, b"\0") for text in texts)
+        fields[slow] = np.frombuffer(spelt, dtype=np.uint8).reshape(-1, _WIDTH)
+        length[slow] = [len(text) for text in texts]
+        positive[slow] = False
+    written = np.take(_SPANS, positive * (_WIDTH + 1) + length, axis=0)
+    return fields[written].tobytes().decode("ascii")
 
 
 def _write_csv(path, header, columns) -> None:
     """Write a header line and one row per entry of the equal-length ``columns``.
 
     Every value is written at 17 significant digits, round-trip safe for
-    IEEE doubles; each row is one ``%``-format call.
+    IEEE doubles: the bytes of ``'%.17g'``, by :func:`_format_csv`, about
+    ``_CSV_BLOCK`` values at a time.
     """
-    rows = np.column_stack(columns).tolist()
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack(columns)
+    rows = max(1, _CSV_BLOCK // table.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([row_fmt % tuple(row) for row in rows]))
+        for lo in range(0, table.shape[0], rows):
+            fh.write(_format_csv(table[lo : lo + rows]))
 
 
 def write_trace_csv(trace: ExpectationTrace, path) -> None:
@@ -560,6 +715,7 @@ def _cmd_simulate(args) -> int:
         "engine": args.engine, "eps": args.eps, "xi": args.xi, "tau": args.tau,
         "fid_path": args.out,
     })
+    _check_outputs(cfg.fid_path, cfg.spectrum_path, inputs=[args.config])
     trace = run_simulation(cfg)
     meta = trace.metadata
     print(f"engine={meta['engine']} dim={meta['liouville_dim']} block={meta['block_dim']} "
@@ -573,9 +729,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    out = args.out or "spectrum.csv"
+    _check_outputs(out, inputs=[args.fid])
     trace = read_trace_csv(args.fid)
     freqs, amps = spectrum(trace, xi_apo=args.xi_apo)
-    out = args.out or "spectrum.csv"
     write_spectrum_csv(freqs, amps, trace.labels, out)
     print(f"spectrum ({len(freqs)} bins) written to {out}")
     return 0
@@ -603,7 +760,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_dec_precompute(args) -> int:
     cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.config])
     system = assemble(cfg.system, cfg.observables)
     series = dec_precompute(system.sector_op, system.rho0, system.observables,
                             tau=cfg.horizon, eps=cfg.eps, scaling=system.spectral_interval())
@@ -618,10 +775,11 @@ def _cmd_dec_eval(args) -> int:
         raise ConfigError(f"--steps must be non-negative, got {args.steps}")
     if not math.isfinite(args.dt):
         raise ConfigError(f"--dt must be finite, got {args.dt}")
+    out = args.out or "fid.csv"
+    _check_outputs(out, inputs=[args.series])
     series = load_series(args.series)
     times = args.dt * np.arange(args.steps + 1)
     trace = dec_evaluate_grid(series, times)
-    out = args.out or "fid.csv"
     write_trace_csv(trace, out)
     print(f"evaluated {trace.n_times} points (zero matvecs) to {out}")
     return 0

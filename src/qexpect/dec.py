@@ -67,6 +67,11 @@ _TIME_BLOCK = 256
 #: cache, where one table over every line of a large list would not.
 _LINE_BLOCK = 8192
 
+#: Bytes of amp times the coarse table, the largest temporary of a
+#: progression grid, formed at once: rows of amp go through the matrix
+#: product as many at a time as fit.
+_PRODUCT_BYTES = 1 << 21
+
 
 class DECSeries:
     """Precomputed scalar trace series for a set of observables.
@@ -366,7 +371,8 @@ def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndar
     ``t_j = t_0 + j h``, ``j = b B + r`` with ``B = ceil(sqrt(M))`` splits
     each phase into a coarse factor ``exp(-i omega (t_0 + b B h))`` and a
     fine one ``exp(-i omega r h)``, both filled by repeated multiplication;
-    one matrix product then serves every row of ``amp``. Other grids take
+    matrix products then serve the rows of ``amp``, as many at a time as
+    keep their scaled coarse tables within ``_PRODUCT_BYTES``. Other grids take
     the phase table directly, a block of times at a time. A list of more
     than ``_LINE_BLOCK`` lines is summed ``_LINE_BLOCK`` lines at a time.
     """
@@ -384,9 +390,17 @@ def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndar
     else:
         width = math.isqrt(m - 1) + 1
         n_rows = -(-m // width)
-        fine = _powers(np.exp(-1j * step * omega), width)
-        coarse = np.exp(-1j * times[0] * omega) * _powers(np.exp(-1j * (width * step) * omega), n_rows)
-        blocks = (amp[:, None, :] * coarse).reshape(-1, omega.shape[0]) @ fine.T
+        coarse = _powers(np.exp(-1j * (width * step) * omega), n_rows)
+        np.multiply(np.exp(-1j * times[0] * omega), coarse, out=coarse)
+        fine = _powers(np.exp(-1j * step * omega), width).T
+        per = max(1, _PRODUCT_BYTES // coarse.nbytes)
+        scaled = np.empty((min(per, amp.shape[0]), *coarse.shape), dtype=np.complex128)
+        blocks = np.empty((amp.shape[0], n_rows, width), dtype=np.complex128)
+        for lo in range(0, amp.shape[0], per):
+            rows = amp[lo : lo + per]
+            part = np.multiply(rows[:, None, :], coarse, out=scaled[: rows.shape[0]])
+            np.matmul(part.reshape(-1, omega.shape[0]), fine,
+                      out=blocks[lo : lo + per].reshape(-1, width))
         values = blocks.reshape(amp.shape[0], n_rows * width)[:, :m]
     return values[:, where]
 

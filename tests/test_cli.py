@@ -8,6 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qexpect.cli as cli
 import qexpect.spinsys as spinsys
@@ -164,6 +167,84 @@ def test_trace_csv_bytes_match_per_value_format(tmp_path):
         row = [t] + [part for q in range(2) for part in (values[q, k].real, values[q, k].imag)]
         lines.append(",".join("{:.17g}".format(x) for x in row))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _percent_17g(table):
+    """The reference writer: every row one ``%`` call of ``%.17g`` fields."""
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row_fmt % tuple(row) for row in table.tolist())
+
+
+def _csv_mismatches(table):
+    """(value, field written, '%.17g' field) for each field that differs."""
+    got, want = cli._format_csv(table), _percent_17g(table)
+    if got == want:
+        return []
+    split = [text.replace("\n", ",").split(",") for text in (got, want)]
+    return [(v, a, b) for v, a, b in zip(table.ravel().tolist(), *split) if a != b] or [got[:200]]
+
+
+#: Doubles whose exponent or last digit is the hardest to settle: 1e24 is
+#: 9.9999999999999998e+23, whose exponent is not that of its rounded digits;
+#: the double-double product of 1e20 lands a hair below 1e16; the ends of
+#: the array path and of the doubles; an 18th digit that is a tie.
+_HARD_DOUBLES = [1e24, 1e20, 1e22, 1e23, 1e16, 1e17, 99999999999999999.0, 1e-4, 1e-5,
+                 1e220, 1e-220, 1.0000000000000001e220, 5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 0.5, 0.1, 123456789012345675.0, -0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 13)),
+                    elements=st.floats()))
+@example(table=np.array(_HARD_DOUBLES).reshape(-1, 1))
+@example(table=-np.array(_HARD_DOUBLES).reshape(-1, 4))
+def test_csv_text_is_percent_17g_value_for_value(table):
+    # nan, infinities, -0.0 and subnormals included
+    assert _csv_mismatches(table) == []
+
+
+def test_csv_text_is_percent_17g_on_a_million_seeded_values():
+    rng = np.random.default_rng(455)
+    n = 150_000
+    bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)
+    digits, scales = rng.integers(10 ** 16, 10 ** 17, n), rng.integers(-300, 301, n)
+    decimals = digits * 10.0 ** (scales - 16)  # 17-digit decimals, subnormal ones included
+    ties = [float(f"{m}5e{k - 17}") for m, k in zip(digits[:20_000].tolist(), scales.tolist())]
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        edges = np.concatenate([powers, 5 * powers, 0.5 * powers, (10 ** 17 - 1) * 1e-17 * powers])
+    grids = [np.linspace(0.0, end, 1001) for end in rng.uniform(1.0, 300.0, 100)]
+    values = np.concatenate([
+        bits[np.isfinite(bits)], ties,
+        *[np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+          for v in (decimals, edges)],
+        rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 20.0, n),  # 40 decades
+        np.round(rng.uniform(-1000.0, 1000.0, n), 3), *grids,
+    ])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    assert values.size >= 1_000_000
+    assert _csv_mismatches(values[:values.size // 13 * 13].reshape(-1, 13)) == []
+
+
+def test_exact_powers_of_ten_settle_their_exponent_in_one_correction(monkeypatch):
+    # a product within 1e-9 below an integer counts as that integer: 1e20's
+    # lands a hair below 1e16, and would move its exponent down, then up
+    scaled = []
+    real = cli._scaled
+    monkeypatch.setattr(cli, "_scaled", lambda a, e: scaled.append(a.size) or real(a, e))
+    table = 10.0 ** np.arange(23.0)[:, None]
+    assert _csv_mismatches(table) == []
+    assert len(scaled) <= 2
+
+
+@pytest.mark.parametrize("block", [3, 10, 15, 10 ** 6])
+def test_csv_file_is_written_block_by_block(tmp_path, monkeypatch, block):
+    # blocks of one row (of fewer values than columns), two rows, three, all 11
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    table = np.random.default_rng(5).standard_normal((11, 5))
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, list("abcde"), list(table.T))
+    assert path.read_bytes() == ("a,b,c,d,e\n" + _percent_17g(table)).encode()
 
 
 def test_spectrum_peak_at_source_frequency():
@@ -752,6 +833,47 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output") and out in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "dec-precompute", "spectrum", "dec-eval"])
+def test_an_output_naming_an_input_exits_with_config_error(tmp_path, capsys, verb):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(steps="20"))
+    sidecar, fid = tmp_path / "series.decs", tmp_path / "fid.csv"
+    assert main(["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar)]) == 0
+    assert main(["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20",
+                 "--out", str(fid)]) == 0
+    source, args = {
+        "simulate": (cfg_path, ["simulate", "--config", str(cfg_path)]),
+        "dec-precompute": (cfg_path, ["dec-precompute", "--config", str(cfg_path)]),
+        "spectrum": (fid, ["spectrum", "--fid", str(fid)]),
+        "dec-eval": (sidecar, ["dec-eval", "--series", str(sidecar), "--dt", "0.0001",
+                               "--steps", "20"]),
+    }[verb]
+    before = source.read_bytes()
+    out = str(tmp_path / "." / source.name)  # another spelling of the input
+    capsys.readouterr()
+    assert main(args + ["--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output {out!r}: it is an input of the run\n")
+    assert source.read_bytes() == before
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "dec-eval"])
+def test_reading_verbs_check_their_output_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("read_trace_csv", "spectrum", "load_series", "dec_evaluate_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+    (tmp_path / "input").write_text("")
+    out = str(tmp_path / "missing_dir" / "out.csv")
+    args = {"spectrum": ["spectrum", "--fid", str(tmp_path / "input")],
+            "dec-eval": ["dec-eval", "--series", str(tmp_path / "input"), "--dt", "0.0001",
+                         "--steps", "20"]}[verb]
+    assert main(args + ["--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output {out!r}: its directory does not exist\n")
 
 
 def _refuse_block_csr(monkeypatch):

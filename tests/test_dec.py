@@ -265,6 +265,21 @@ def test_a_long_line_list_is_summed_block_by_block(rng):
         assert np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("budget_rows", [0, 1, 2, 3, 7])
+def test_progression_products_taken_a_few_rows_of_amp_at_a_time(rng, monkeypatch, budget_rows):
+    # seven rows of amp in groups of one (budget 0 too), two, three and all seven
+    omega = rng.uniform(-3.0, 3.0, 300)
+    amp = rng.standard_normal((7, 300)) + 1j * rng.standard_normal((7, 300))
+    times = 0.05 + 0.1 * np.arange(401)
+    whole = dec_module._phase_sum(omega, amp, times)
+    coarse_bytes = 20 * 300 * 16  # 401 times: 20 coarse rows of 21 fine steps
+    monkeypatch.setattr(dec_module, "_PRODUCT_BYTES", budget_rows * coarse_bytes)
+    parts = dec_module._phase_sum(omega, amp, times)
+    direct = amp @ np.exp(-1j * np.outer(omega, times))
+    assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
+    assert np.max(np.abs(parts - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_grid_evaluation_is_order_independent(rng):
     spec = random_spin_spec(2, rng)
     l_op = build_liouvillian(build_hamiltonian(spec))
