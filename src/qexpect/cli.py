@@ -2,14 +2,17 @@
 
 Verbs:
 
-* ``simulate``       run one engine on a configured spin system, write a FID CSV
+* ``simulate``       run one engine on a configured spin system; ``--out`` writes the FID CSV
 * ``spectrum``       apodise a FID CSV and Fourier transform it
 * ``benchmark``      cost/accuracy comparison across engines and system sizes
 * ``dec-precompute`` persist a direct-expectation series sidecar
 * ``dec-eval``       evaluate a stored sidecar on a time grid
 
-Config files are sectioned key-value text (INI). Frequencies are given in
-Hz and converted to angular frequencies on ingestion; times are in seconds.
+Config files are sectioned key-value text (INI) holding the spin system
+and the numerical request of one run (:class:`RunConfig`), nothing else:
+output paths, the spectrum's apodisation and a stored series' horizon are
+flags of the verb that uses them. Frequencies are given in Hz and
+converted to angular frequencies on ingestion; times are in seconds.
 
 Exit codes: 0 success, 2 configuration error (an output file that cannot
 be written included: a missing directory, a path that is a directory, or
@@ -49,17 +52,16 @@ _FMT = "{:.17g}"  # round-trip safe for IEEE doubles
 
 @dataclass
 class RunConfig:
-    """Validated simulation request.
+    """The validated numerical request of one run, and nothing else: no
+    output path, no spectrum setting and no series horizon.
 
     Its field defaults are the defaults of every run: of a config file that
-    leaves a key out, of the CLI flags and of :func:`benchmark`. ``tau`` is
-    the series horizon: ``None`` means ``steps * dt``, and a value set must
-    reach at least that far. ``observables`` must name at least one, and is
-    stored in canonical form (:func:`qexpect.spinsys.observable_name`): a
-    name unknown or with a bad site, or one that two entries share once
-    canonical (``ip ip``, ``ip:1 IP:01``), raises :class:`ConfigError`. The
-    Krylov subspace cap is no field: every run reads the constant
-    :data:`qexpect.krylov.M_MAX`.
+    leaves a key out, of the CLI flags and of :func:`benchmark`.
+    ``observables`` must name at least one, and is stored in canonical form
+    (:func:`qexpect.spinsys.observable_name`): a name unknown or with a bad
+    site, or one that two entries share once canonical (``ip ip``, ``ip:1
+    IP:01``), raises :class:`ConfigError`. The Krylov subspace cap is no
+    field: every run reads the constant :data:`qexpect.krylov.M_MAX`.
     """
 
     system: SpinSystemSpec
@@ -67,21 +69,16 @@ class RunConfig:
     dt: float = 0.1
     steps: int = 1000
     eps: float = DEFAULT_EPS
-    tau: float | None = None
     xi: float = DEFAULT_XI
-    xi_apo: float = 0.0
     observables: tuple[str, ...] = ("ip",)
-    fid_path: str | None = None
-    spectrum_path: str | None = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ConfigError(f"[run] engine: unknown engine {self.engine!r}, "
                               f"expected one of {ENGINES}")
-        for section, name in (("run", "dt"), ("run", "eps"), ("run", "tau"),
-                              ("zte", "xi"), ("run", "xi_apo")):
+        for section, name in (("run", "dt"), ("run", "eps"), ("zte", "xi")):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"[{section}] {name} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError("[run] dt must be positive")
@@ -95,8 +92,6 @@ class RunConfig:
             raise ConfigError(f"[run] the grid end steps*dt = {self.steps}*{self.dt} is not finite")
         if not EPS_MIN <= self.eps < 1.0:
             raise ConfigError(f"[run] eps must lie in [{EPS_MIN}, 1)")
-        if self.tau is not None and self.tau < end:
-            raise ConfigError(f"[run] tau={self.tau} is shorter than the grid end steps*dt={end}")
         if self.xi < 0:
             raise ConfigError("[zte] xi must be non-negative")
         if not self.observables:
@@ -105,10 +100,6 @@ class RunConfig:
         for k, name in enumerate(self.observables):
             if name in self.observables[:k]:
                 raise ConfigError(f"[run] observables names {name!r} more than once")
-
-    @property
-    def horizon(self) -> float:
-        return self.tau if self.tau is not None else self.steps * self.dt
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str, cast):
@@ -132,12 +123,8 @@ _RUN_KEYS = {
     ("run", "dt"): ("dt", float),
     ("run", "steps"): ("steps", int),
     ("run", "eps"): ("eps", float),
-    ("run", "tau"): ("tau", float),
-    ("run", "xi_apo"): ("xi_apo", float),
     ("run", "observables"): ("observables", lambda raw: tuple(raw.replace(",", " ").split())),
     ("zte", "xi"): ("xi", float),
-    ("output", "fid"): ("fid_path", lambda raw: raw or None),
-    ("output", "spectrum"): ("spectrum_path", lambda raw: raw or None),
 }
 
 
@@ -213,10 +200,10 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     one call. :func:`qexpect.zte.zte_propagate` observes over one period of
     the slowest Larmor frequency (:func:`qexpect.zte.zte_window`) as the
     start of its run, and refuses a ``dt`` longer than that window with
-    :class:`ConfigError`.
-    The output paths are checked (:func:`_check_outputs`) before any work.
+    :class:`ConfigError`. ``dec`` stores its series to the grid end
+    ``steps * dt``. No file is read or written: the caller writes the trace
+    (:func:`write_trace_csv`) where it wants it.
     """
-    _check_outputs(cfg.fid_path, cfg.spectrum_path)
     run = RunRecord(cfg.engine)
     system = assemble(cfg.system, cfg.observables)
     rho0, observables = system.rho0, system.observables
@@ -227,7 +214,7 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
                                                    _phase_sum(*system.line_list(), times))
     elif cfg.engine == "dec":
         series_run = RunRecord("dec")
-        series = dec_precompute(system.sector_op, rho0, observables, tau=cfg.horizon,
+        series = dec_precompute(system.sector_op, rho0, observables, tau=cfg.steps * cfg.dt,
                                 eps=cfg.eps, scaling=system.spectral_interval())
         trace = dec_evaluate_grid(series, times)
         matvecs, seconds = series_run.cost()
@@ -247,38 +234,26 @@ def run_simulation(cfg: RunConfig) -> ExpectationTrace:
     total_matvecs, total_seconds = run.cost()
     trace.metadata.update(total_matvecs=total_matvecs, total_wall_time_s=total_seconds,
                           liouville_dim=cfg.system.liouville_dim, block_dim=system.block_dim)
-    if cfg.spectrum_path:  # before any file is written: a failed spectrum leaves none
-        freqs, amps = spectrum(trace, xi_apo=cfg.xi_apo)
-    if cfg.fid_path:
-        write_trace_csv(trace, cfg.fid_path)
-    if cfg.spectrum_path:
-        write_spectrum_csv(freqs, amps, trace.labels, cfg.spectrum_path)
     return trace
 
 
 # -- trace / spectrum files ---------------------------------------------
 
 
-def _check_outputs(*paths, inputs=()) -> None:
+def _check_output(path, inputs=()) -> None:
     """Raise :class:`ConfigError` for an output path that is a directory or
     whose directory does not exist, so a run cannot end on a file it cannot
-    write, for an output that resolves to one of the ``inputs``, so a run
-    cannot overwrite what it reads, and for two paths that resolve to one
-    file, so one output cannot overwrite another. ``None`` is no output.
-    Other write failures still raise ``OSError`` when the file is opened."""
-    seen = set()
-    read = {os.path.realpath(path) for path in inputs}
-    for path in filter(None, paths):
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write output {path!r}: it is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write output {path!r}: its directory does not exist")
-        real = os.path.realpath(path)
-        if real in read:
-            raise ConfigError(f"cannot write output {path!r}: it is an input of the run")
-        if real in seen:
-            raise ConfigError(f"cannot write output {path!r}: another output names that file")
-        seen.add(real)
+    write, and for one that resolves to one of the ``inputs``, so a run
+    cannot overwrite what it reads. ``None`` is no output. Other write
+    failures still raise ``OSError`` when the file is opened."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output {path!r}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write output {path!r}: its directory does not exist")
+    if os.path.realpath(path) in {os.path.realpath(source) for source in inputs}:
+        raise ConfigError(f"cannot write output {path!r}: it is an input of the run")
 
 
 def _pow10_table():
@@ -711,11 +686,8 @@ def _load_config(path, overrides) -> RunConfig:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, {
-        "engine": args.engine, "eps": args.eps, "xi": args.xi, "tau": args.tau,
-        "fid_path": args.out,
-    })
-    _check_outputs(cfg.fid_path, cfg.spectrum_path, inputs=[args.config])
+    cfg = _load_config(args.config, {"engine": args.engine, "eps": args.eps, "xi": args.xi})
+    _check_output(args.out, inputs=[args.config])
     trace = run_simulation(cfg)
     meta = trace.metadata
     print(f"engine={meta['engine']} dim={meta['liouville_dim']} block={meta['block_dim']} "
@@ -723,14 +695,15 @@ def _cmd_simulate(args) -> int:
           f"wall_s={meta['total_wall_time_s']:.3f}")
     for warning in meta.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)
-    if cfg.fid_path:
-        print(f"fid written to {cfg.fid_path}")
+    if args.out:
+        write_trace_csv(trace, args.out)
+        print(f"fid written to {args.out}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     out = args.out or "spectrum.csv"
-    _check_outputs(out, inputs=[args.fid])
+    _check_output(out, inputs=[args.fid])
     trace = read_trace_csv(args.fid)
     freqs, amps = spectrum(trace, xi_apo=args.xi_apo)
     write_spectrum_csv(freqs, amps, trace.labels, out)
@@ -749,7 +722,7 @@ def _cmd_benchmark(args) -> int:
     for engine in engines:
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r} in --engines")
-    _check_outputs(args.out)
+    _check_output(args.out)
     rows = benchmark(spins, engines, dt=args.dt, steps=args.steps, eps=args.eps,
                      xi=args.xi, timeout=args.timeout, seed=args.seed)
     if args.out:
@@ -759,11 +732,15 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_dec_precompute(args) -> int:
-    cfg = _load_config(args.config, {"eps": args.eps, "tau": args.tau})
-    _check_outputs(args.out, inputs=[args.config])
+    cfg = _load_config(args.config, {"eps": args.eps})
+    end = cfg.steps * cfg.dt
+    tau = end if args.tau is None else args.tau
+    if not end <= tau < math.inf:
+        raise ConfigError(f"--tau={tau} must be finite and reach the grid end steps*dt={end}")
+    _check_output(args.out, inputs=[args.config])
     system = assemble(cfg.system, cfg.observables)
     series = dec_precompute(system.sector_op, system.rho0, system.observables,
-                            tau=cfg.horizon, eps=cfg.eps, scaling=system.spectral_interval())
+                            tau=tau, eps=cfg.eps, scaling=system.spectral_interval())
     save_series(series, args.out)
     print(f"series with {series.n_orders} orders (tau={series.tau}) "
           f"written to {args.out}")
@@ -776,7 +753,7 @@ def _cmd_dec_eval(args) -> int:
     if not math.isfinite(args.dt):
         raise ConfigError(f"--dt must be finite, got {args.dt}")
     out = args.out or "fid.csv"
-    _check_outputs(out, inputs=[args.series])
+    _check_output(out, inputs=[args.series])
     series = load_series(args.series)
     times = args.dt * np.arange(args.steps + 1)
     trace = dec_evaluate_grid(series, times)
@@ -799,8 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--engine", choices=ENGINES)
     sim.add_argument("--eps", type=float)
     sim.add_argument("--xi", type=float, help="pruning threshold (zte engine)")
-    sim.add_argument("--tau", type=float, help="series horizon (dec engine)")
-    sim.add_argument("--out", help="FID csv path (overrides [output] fid)")
+    sim.add_argument("--out", help="FID csv path; without it no file is written")
     sim.set_defaults(func=_cmd_simulate)
 
     spec = sub.add_parser("spectrum", help="Fourier transform a FID csv")
@@ -824,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("dec-precompute", help="store a series sidecar")
     pre.add_argument("--config", required=True)
-    pre.add_argument("--tau", type=float)
+    pre.add_argument("--tau", type=float, help="series horizon (default steps * dt)")
     pre.add_argument("--eps", type=float)
     pre.add_argument("--out", required=True)
     pre.set_defaults(func=_cmd_dec_precompute)

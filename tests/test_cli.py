@@ -107,12 +107,6 @@ def test_parse_reports_liouville_dimension_for_dense_coupling():
     assert np.count_nonzero(cfg.system.j_coupling) == 20  # all pairs coupled
 
 
-def test_parse_rejects_short_tau():
-    text = make_config(extra_run="tau = 0.001")
-    with pytest.raises(ConfigError, match="tau"):
-        parse_config(text)
-
-
 def test_parse_rejects_unknown_engine():
     with pytest.raises(ConfigError, match="unknown engine"):
         parse_config(make_config(engine="magic"))
@@ -507,15 +501,14 @@ def test_observable_names_are_stored_in_canonical_form():
     assert cfg.observables == ("ip:1", "iz", "ix:0")
 
 
-def test_simulate_writes_the_spectrum_the_spectrum_command_writes(tmp_path):
-    fid, simulated, transformed = (tmp_path / name for name in ("fid.csv", "s.csv", "t.csv"))
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(make_config(engine="krylov", steps="300", extra_run="xi_apo = 40")
-                        + f"\n[output]\nfid = {fid}\nspectrum = {simulated}\n")
-    assert main(["simulate", "--config", str(cfg_path)]) == 0
-    assert main(["spectrum", "--fid", str(fid), "--xi-apo", "40", "--out", str(transformed)]) == 0
-    assert simulated.read_bytes() == transformed.read_bytes()
-    assert simulated.read_text().startswith("freq_hz,amplitude\n")
+@pytest.mark.parametrize("engine", list(_ENGINE_KEYS))
+def test_run_simulation_writes_no_file(monkeypatch, engine):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was written")
+
+    for name in ("write_trace_csv", "write_spectrum_csv", "save_series"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run_simulation(parse_config(make_config(engine=engine, steps="20"))).n_times == 21
 
 
 def test_benchmark_is_deterministic_and_reports_costs(tmp_path, capsys):
@@ -551,9 +544,8 @@ def test_run_config_validation():
         RunConfig(system=spec_cfg, steps=0)
     with pytest.raises(ConfigError, match="eps"):
         RunConfig(system=spec_cfg, eps=2.0)
-    for name, value in [("dt", np.nan), ("dt", np.inf), ("eps", np.nan), ("tau", np.nan),
-                        ("tau", np.inf), ("xi", np.nan), ("xi", np.inf), ("xi_apo", np.nan),
-                        ("xi_apo", -np.inf)]:
+    for name, value in [("dt", np.nan), ("dt", np.inf), ("eps", np.nan), ("xi", np.nan),
+                        ("xi", np.inf)]:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             RunConfig(system=spec_cfg, **{name: value})
 
@@ -579,8 +571,6 @@ _BAD_CONFIGS = {
     "nan_dt_config": make_config(dt="nan"),
     "infinite_dt_config": make_config(dt="inf"),
     "nan_xi_config": make_config(engine="zte") + "\n[zte]\nxi = nan\n",
-    "negative_tau": make_config(extra_run="tau = -5"),
-    "zero_tau": make_config(extra_run="tau = 0"),
     "no_observables": make_config(extra_run="observables ="),
     # a colon with no site after it is not the total
     "empty_site_config": make_config(extra_run="observables = ip:"),
@@ -610,6 +600,12 @@ _BAD_CONFIGS = {
     "empty_unknown_section_config": make_config() + "\n[extra]\n",
     "default_key_config": "[DEFAULT]\nengine = krylov\n" + make_config(),
     "m_max_config": make_config(extra_run="m_max = 30"),
+    # the FID path is simulate --out, the spectrum the spectrum verb's and
+    # the series horizon dec-precompute --tau
+    "output_fid_config": make_config() + "\n[output]\nfid = fid.csv\n",
+    "output_spectrum_config": make_config() + "\n[output]\nspectrum = spectrum.csv\n",
+    "tau_config": make_config(extra_run="tau = 0.4"),
+    "xi_apo_config": make_config(extra_run="xi_apo = 30"),
     # one column would be lost, or three would repeat one observable
     "repeated_observable_config": make_config(extra_run="observables = ip ip"),
     "repeated_canonical_observable_config": make_config(extra_run="observables = ip:1 ip:01 IP:1"),
@@ -633,6 +629,11 @@ _BAD_FID_VALUES = {
 
 #: A finite trace whose transform's sum overflows at xi_apo = 0.
 _HUGE_FID = "t,re_ip,im_ip\n0,1e308,0\n0.1,1e308,0\n"
+
+#: ``dec-precompute --tau`` values that are not finite or fall short of
+#: the grid end steps * dt = 0.01.
+_TAU_FLAGS = {"nan_tau_flag": "nan", "infinite_tau_flag": "inf", "short_tau_flag": "0.001",
+              "negative_tau": "-5", "zero_tau": "0"}
 
 #: The message each case must name, where "config error" alone could come
 #: from another check.
@@ -658,10 +659,13 @@ _BAD_CASE_MESSAGES = {
     "empty_unknown_section_config": "unknown config section [extra]",
     "default_key_config": "unknown config key [DEFAULT] engine",
     "m_max_config": "unknown config key [run] m_max",
+    "output_fid_config": "unknown config section [output]",
+    "output_spectrum_config": "unknown config section [output]",
+    "tau_config": "unknown config key [run] tau",
+    "xi_apo_config": "unknown config key [run] xi_apo",
     "repeated_observable_config": "[run] observables names 'ip' more than once",
     "repeated_canonical_observable_config": "[run] observables names 'ip:1' more than once",
-    "one_file_outputs_config": "spectrum.csv': another output names that file",
-    "out_flag_names_the_spectrum": "spectrum.csv': another output names that file",
+    **{case: "--tau=" for case in _TAU_FLAGS},
     "empty_fid": "empty.csv: the trace holds no rows",
     "benchmark_unknown_engine": "unknown engine 'magic' in --engines",
     "one_row_fid": "spectrum needs at least two samples",
@@ -669,7 +673,6 @@ _BAD_CASE_MESSAGES = {
     **{case: "values.csv: the trace holds a non-finite value" for case in _BAD_FID_VALUES},
     # exp(-xi_apo * t) overflows on the 100-step grid of dt = 1e-4
     "overflowing_xi_apo": "xi_apo=-1000000.0 gives a non-finite spectrum",
-    "overflowing_xi_apo_config": "xi_apo=-1000000.0 gives a non-finite spectrum",
     "overflowing_transform": "the spectrum's transform overflows",
 }
 
@@ -696,9 +699,8 @@ _BAD_BENCHMARKS = {
     ["bad_magic", "truncated_sidecar", "missing_series", "missing_fid", "malformed_fid", "nan_time_fid",
      "one_row_fid",
      "past_tau", "negative_steps", "zero_orders", "no_labels", "nan_moment", "nan_eval_dt",
-     "nan_tau_flag", "infinite_tau_flag",
-     "nan_xi_apo", "overflowing_xi_apo", "overflowing_xi_apo_config", "overflowing_transform",
-     "one_file_outputs_config", "out_flag_names_the_spectrum", "empty_fid", *_BAD_FID_VALUES,
+     "nan_xi_apo", "overflowing_xi_apo", "overflowing_transform", "empty_fid", *_TAU_FLAGS,
+     *_BAD_FID_VALUES,
      *_BAD_FID_HEADERS, *_BAD_BENCHMARKS, *_BAD_HEADERS, *_BAD_CONFIGS],
 )
 def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, recwarn, case):
@@ -732,9 +734,9 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, recwarn, case)
         args[6] = "-1"
     elif case == "nan_eval_dt":
         args[4] = "nan"
-    elif case in ("nan_tau_flag", "infinite_tau_flag"):
+    elif case in _TAU_FLAGS:
         args = ["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar),
-                "--tau", "nan" if case == "nan_tau_flag" else "inf"]
+                "--tau", _TAU_FLAGS[case]]
     elif case == "nan_xi_apo":
         (tmp_path / "ok.csv").write_text("t,re_ip,im_ip\n0,1,0\n0.1,0,1\n")
         args = ["spectrum", "--fid", str(tmp_path / "ok.csv"), "--xi-apo", "nan"]
@@ -742,19 +744,6 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, recwarn, case)
         assert main(args) == 0
         args = ["spectrum", "--fid", str(tmp_path / "fid.csv"), "--xi-apo=-1e6",
                 "--out", str(tmp_path / "spectrum.csv")]
-    elif case == "overflowing_xi_apo_config":
-        cfg_path.write_text(make_config(steps="100", extra_run="xi_apo = -1e6")
-                            + f"\n[output]\nfid = {tmp_path / 'simulated_fid.csv'}\n"
-                            + f"spectrum = {tmp_path / 'spectrum.csv'}\n")
-        args = ["simulate", "--config", str(cfg_path)]
-    elif case in ("one_file_outputs_config", "out_flag_names_the_spectrum"):
-        # the FID would be written, then overwritten by the spectrum
-        out, both = tmp_path / "spectrum.csv", case == "one_file_outputs_config"
-        cfg_path.write_text(make_config(steps="100") + f"\n[output]\nspectrum = {out}\n"
-                            + (f"fid = {out}\n" if both else ""))
-        args = ["simulate", "--config", str(cfg_path)]
-        if not both:  # another spelling of the same file
-            args += ["--out", str(tmp_path / "." / "spectrum.csv")]
     elif case == "empty_fid":
         (tmp_path / "empty.csv").write_text("t,re_ip,im_ip\n\n# no rows\n")
         args = ["spectrum", "--fid", str(tmp_path / "empty.csv")]
@@ -793,12 +782,10 @@ def test_unusable_inputs_exit_with_config_error(tmp_path, capsys, recwarn, case)
     assert not [str(w.message) for w in recwarn]
     # a refused run writes no output
     assert not (tmp_path / "spectrum.csv").exists()
-    assert not (tmp_path / "simulated_fid.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate [output] spectrum", "dec-precompute",
-                                     "dec-precompute onto a directory", "dec-eval", "spectrum",
-                                     "benchmark"])
+@pytest.mark.parametrize("command", ["simulate", "dec-precompute", "dec-precompute onto a directory",
+                                     "dec-eval", "spectrum", "benchmark"])
 def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch, command):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(make_config(steps="20"))
@@ -807,11 +794,8 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch
     assert main(["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20",
                  "--out", str(fid)]) == 0
     out = str(tmp_path / "missing_dir" / "out")
-    spectrum_cfg = tmp_path / "spectrum.ini"
-    spectrum_cfg.write_text(make_config(steps="20") + f"\n[output]\nspectrum = {out}\n")
     args = {
         "simulate": ["simulate", "--config", str(cfg_path)],
-        "simulate [output] spectrum": ["simulate", "--config", str(spectrum_cfg)],
         "dec-precompute": ["dec-precompute", "--config", str(cfg_path)],
         "dec-precompute onto a directory": ["dec-precompute", "--config", str(cfg_path)],
         "dec-eval": ["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20"],
@@ -820,8 +804,7 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch
     }[command]
     if command.endswith("directory"):
         out = str(tmp_path)
-    if "[output]" not in command:
-        args += ["--out", out]
+    args += ["--out", out]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the run started")
@@ -833,6 +816,32 @@ def test_unwritable_output_exits_with_config_error(tmp_path, capsys, monkeypatch
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output") and out in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "dec-eval"])
+def test_an_output_the_file_system_refuses_exits_with_config_error(tmp_path, capsys, verb):
+    # a name of 300 characters passes the checks made before the run and
+    # fails when the file is opened (ENAMETOOLONG), whatever the permissions
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(make_config(steps="20"))
+    sidecar = tmp_path / "series.decs"
+    assert main(["dec-precompute", "--config", str(cfg_path), "--out", str(sidecar)]) == 0
+    args = {"simulate": ["simulate", "--config", str(cfg_path)],
+            "dec-eval": ["dec-eval", "--series", str(sidecar), "--dt", "0.0001", "--steps", "20"],
+            }[verb]
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / ("x" * 300))]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output: ")
+    assert sorted(os.listdir(tmp_path)) == ["run.ini", "series.decs"]
+
+
+def test_benchmark_writes_its_csv_through_main(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", "--spins", "2", "--engines", "dec,krylov", "--steps", "5",
+                 "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [10, 10, 10]
+    assert capsys.readouterr().out.endswith(f"benchmark csv written to {out}\n")
 
 
 @pytest.mark.parametrize("verb", ["simulate", "dec-precompute", "spectrum", "dec-eval"])
