@@ -375,7 +375,9 @@ def _format_csv(table) -> str:
     src = np.empty((26, n), dtype=np.uint8)
     nd = np.ones(n, dtype=np.int32)
     for k in (13, 9, 5, 1):
-        whole, group = np.divmod(whole, 10 ** 4)
+        rest = whole // 10 ** 4
+        group = whole - rest * 10 ** 4
+        whole = rest
         np.take(_DIGITS4, group, axis=1, out=src[k : k + 4])
         np.maximum(nd, k + np.take(_LAST4, group), out=nd)
     src[0] = whole + ord("0")

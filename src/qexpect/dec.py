@@ -63,6 +63,11 @@ _LATTICE_ULPS = 4
 #: Times per block of a phase table on a grid that is no progression.
 _TIME_BLOCK = 256
 
+#: Fewest fine steps, the columns of the matrix product, that a progression
+#: of at least as many times takes: a product of ``sqrt(M)`` columns is too
+#: narrow to run at full speed on the grids that simulations produce.
+_FINE_WIDTH = 64
+
 #: Lines per block of a longer line list: a block's phase tables stay in
 #: cache, where one table over every line of a large list would not.
 _LINE_BLOCK = 8192
@@ -323,11 +328,14 @@ def _line_list(series: DECSeries):
     n = _smooth_length(n_orders + max(8, math.ceil(6.0 * np.cbrt(series.tau * series.half_width))))
     # DCT-III, y_l = mu_0 + 2 sum_k mu_k cos(pi k (l + 1/2) / n): the real part of
     # a 2n-point FFT after a quarter-sample twiddle, so the real and imaginary
-    # parts of the moments go through as separate rows
+    # parts of the moments go through as separate rows; a row of zeros, such
+    # as every real part of a real sweep's rho0 = i*y, stays zero untransformed
     twiddle = np.exp(-0.5j * np.pi / n * np.arange(n_orders))
     twiddle[1:] *= 2.0
-    rows = np.concatenate([series.tilde.real, series.tilde.imag]) * twiddle
-    y = np.fft.fft(rows, 2 * n, axis=1)[:, :n].real / n
+    parts = np.concatenate([series.tilde.real, series.tilde.imag])
+    live = np.flatnonzero(np.any(parts, axis=1))
+    y = np.zeros((parts.shape[0], n))
+    y[live] = np.fft.fft(parts[live] * twiddle, 2 * n, axis=1)[:, :n].real / n
     n_obs = series.tilde.shape[0]
     nodes = np.cos(np.pi / n * (np.arange(n) + 0.5))
     return series.shift + series.half_width * nodes, y[:n_obs] + 1j * y[n_obs:]
@@ -350,11 +358,20 @@ def _progression_step(times: np.ndarray):
 
 
 def _powers(base: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``base**k`` for ``k < n``, by repeated multiplication."""
+    """Rows ``base**k`` for ``k < n``, by block doubling.
+
+    Rows ``[k, 2k)`` are rows ``[0, k)`` times ``base**k``, so the table
+    takes about ``log2(n)`` vectorised products. The roundoff of row ``k``
+    grows linearly with ``k``, where that of repeated multiplication grows
+    about as ``sqrt(k)``, so :func:`_phase_sum` keeps its tables short.
+    """
     p = np.empty((n, base.shape[0]), dtype=np.complex128)
     p[0] = 1.0
-    p[1:] = base
-    return np.cumprod(p, axis=0, out=p)
+    step, k = base, 1
+    while k < n:
+        np.multiply(p[: min(k, n - k)], step, out=p[k : 2 * k])
+        step, k = step * step, 2 * k
+    return p
 
 
 def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -368,9 +385,11 @@ def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndar
     value depends only on its time and the set of times.
 
     When the distinct times form an arithmetic progression
-    ``t_j = t_0 + j h``, ``j = b B + r`` with ``B = ceil(sqrt(M))`` splits
-    each phase into a coarse factor ``exp(-i omega (t_0 + b B h))`` and a
-    fine one ``exp(-i omega r h)``, both filled by repeated multiplication;
+    ``t_j = t_0 + j h``, ``j = b B + r`` with
+    ``B = max(ceil(sqrt(M)), min(M, _FINE_WIDTH))`` splits each phase into a
+    coarse factor ``exp(-i omega (t_0 + b B h))`` and a fine one
+    ``exp(-i omega r h)``, both filled by :func:`_powers`, so no table is
+    longer than ``max(sqrt(M), _FINE_WIDTH)`` rows;
     matrix products then serve the rows of ``amp``, as many at a time as
     keep their scaled coarse tables within ``_PRODUCT_BYTES``. Other grids take
     the phase table directly, a block of times at a time. A list of more
@@ -388,7 +407,7 @@ def _phase_sum(omega: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndar
             block = times[lo : lo + _TIME_BLOCK]
             values[:, lo : lo + block.shape[0]] = amp @ np.exp(-1j * np.outer(omega, block))
     else:
-        width = math.isqrt(m - 1) + 1
+        width = max(math.isqrt(m - 1) + 1, min(m, _FINE_WIDTH))
         n_rows = -(-m // width)
         coarse = _powers(np.exp(-1j * (width * step) * omega), n_rows)
         np.multiply(np.exp(-1j * times[0] * omega), coarse, out=coarse)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -265,19 +266,95 @@ def test_a_long_line_list_is_summed_block_by_block(rng):
         assert np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.fixture
+def table_rows(monkeypatch):
+    """The rows of each power table that ``_phase_sum`` fills, in order."""
+    rows = []
+    powers = dec_module._powers
+    monkeypatch.setattr(dec_module, "_powers", lambda base, n: rows.append(n) or powers(base, n))
+    return rows
+
+
 @pytest.mark.parametrize("budget_rows", [0, 1, 2, 3, 7])
-def test_progression_products_taken_a_few_rows_of_amp_at_a_time(rng, monkeypatch, budget_rows):
+def test_progression_products_taken_a_few_rows_of_amp_at_a_time(rng, monkeypatch, table_rows,
+                                                                 budget_rows):
     # seven rows of amp in groups of one (budget 0 too), two, three and all seven
     omega = rng.uniform(-3.0, 3.0, 300)
     amp = rng.standard_normal((7, 300)) + 1j * rng.standard_normal((7, 300))
     times = 0.05 + 0.1 * np.arange(401)
     whole = dec_module._phase_sum(omega, amp, times)
-    coarse_bytes = 20 * 300 * 16  # 401 times: 20 coarse rows of 21 fine steps
+    # the split the module takes: the coarse table is filled first, the fine
+    # one second, and together they cover the 401 times
+    n_rows, width = table_rows
+    assert (n_rows - 1) * width < 401 <= n_rows * width
+    coarse_bytes = n_rows * 300 * 16
     monkeypatch.setattr(dec_module, "_PRODUCT_BYTES", budget_rows * coarse_bytes)
     parts = dec_module._phase_sum(omega, amp, times)
     direct = amp @ np.exp(-1j * np.outer(omega, times))
     assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
     assert np.max(np.abs(parts - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 1001, 4097, 10001])
+def test_progression_split_matches_the_direct_sum(rng, table_rows, m):
+    # fine widths below, at and above _FINE_WIDTH, and past it by sqrt(M) from
+    # M = 4097 on; negative lines, a start off zero, and |omega h| near pi
+    h, t0 = 0.1, 0.37
+    near_pi = (np.pi - rng.uniform(1e-9, 1e-3, 50)) / h * rng.choice([-1.0, 1.0], 50)
+    omega = np.concatenate([rng.uniform(-np.pi / h, np.pi / h, 250), near_pi])
+    amp = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    times = t0 + h * np.arange(m)
+    summed = dec_module._phase_sum(omega, amp, times)
+    direct = amp @ np.exp(-1j * np.outer(omega, times))
+    # both sides round each phase omega * t to about eps * |omega t|, and 300
+    # lines of random amplitude and phase add those errors as a random walk
+    phase = 1.0 + np.max(np.abs(omega)) * np.max(np.abs(times))
+    tol = 1e-16 * phase * np.sum(np.abs(amp), axis=1, keepdims=True)
+    assert np.all(np.abs(summed - direct) <= tol)
+    # the table contract: no table past max(sqrt(M), 64) rows, and the fine
+    # table, the product's columns, at least min(M, 64) rows
+    n_rows, width = table_rows
+    assert max(n_rows, width) <= max(np.ceil(np.sqrt(m)), dec_module._FINE_WIDTH)
+    assert width >= min(m, dec_module._FINE_WIDTH)
+    assert (n_rows - 1) * width < m <= n_rows * width
+
+
+def test_power_table_rows_are_exact_powers_to_k_eps(rng):
+    # n = 1000 is the longest table of a 10**6-point progression
+    n = 1000
+    bases = np.concatenate([np.exp(-1j * rng.uniform(-np.pi, np.pi, 4)),
+                            np.exp(1j * np.array([np.pi - 1e-6, 1e-6])), [0.6 + 0.8j]])
+    table = dec_module._powers(bases, n)
+    assert np.array_equal(table[0], np.ones(bases.size))
+    ks = np.unique(np.concatenate([[1, 2, 3, 63, 64, 65, 511, 512, n - 1],
+                                   rng.integers(4, n, 40)]))
+    with mp.workdps(40):
+        for j, base in enumerate(bases):
+            exact_base = mp.mpc(base.real, base.imag)
+            for k in ks:
+                exact = exact_base ** int(k)
+                got = mp.mpc(table[k, j].real, table[k, j].imag)
+                assert abs(got - exact) <= k * np.finfo(float).eps * abs(exact)
+
+
+def test_line_list_transforms_only_the_rows_that_hold_a_nonzero(rng):
+    # a real sweep of rho0 = i*y stores purely imaginary moments: half the
+    # rows of the DCT are zero and skipped, and the line list is bitwise the
+    # full transform's
+    n_orders = 37
+    re, im = rng.standard_normal((2, n_orders))
+    mixed = np.array([np.zeros(n_orders), re, 1j * im, re + 1j * im])
+    for tilde in (mixed, np.zeros((2, n_orders), dtype=complex)):
+        series = dec_module.DECSeries(0.3, 2.0, 5.0, 1e-10, [f"q{i}" for i in range(len(tilde))],
+                                      tilde)
+        omega, g = dec_module._line_list(series)
+        n = omega.shape[0]
+        twiddle = np.exp(-0.5j * np.pi / n * np.arange(n_orders))
+        twiddle[1:] *= 2.0
+        rows = np.concatenate([tilde.real, tilde.imag]) * twiddle
+        y = np.fft.fft(rows, 2 * n, axis=1)[:, :n].real / n
+        assert np.array_equal(omega, 0.3 + 2.0 * np.cos(np.pi / n * (np.arange(n) + 0.5)))
+        assert np.array_equal(g, y[: len(tilde)] + 1j * y[len(tilde) :])
 
 
 def test_grid_evaluation_is_order_independent(rng):
